@@ -1,98 +1,25 @@
 #!/usr/bin/env bash
-# Repo CI gate: release build, full test suite, and lint-clean clippy.
+# Repo CI gate: release build, the whole workspace's tests, the benchmark's
+# compile surface, experiment smokes, and warning-clean rustdoc and clippy.
 # Run from the repo root. Honours PC_THREADS like the rest of the stack.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
+# The root manifest's `default-members` make this the whole workspace:
+# every crate's unit tests plus the identity, resilience, chaos, ops-plane,
+# persistence and fleet suites under crates/*/tests.
 cargo test -q
-cargo test -q -p pc-telemetry
-# Zero-overhead smoke check: a serve with telemetry disabled must record
-# no spans and no metric state, and results must match the enabled path.
-cargo test -q -p prompt-cache --test telemetry_tests
-# Zero-copy gate: segmented views must be bit-identical to flat caches at
-# the kernel/model level, alias (not copy) shared module blocks, and the
-# engine must serve byte-identical responses with zero_copy on vs off —
-# with zero KV memcpy on the default path.
-cargo test -q -p pc-model --test view_tests
-cargo test -q -p prompt-cache --test zero_copy_tests
-# Resilience gate: deadline/cancellation edge cases at engine and server
-# level, plus the deterministic chaos suite (injected cache misses,
-# corruption, and worker stalls must degrade gracefully with
-# byte-identical output, never break the serve path).
-cargo test -q -p prompt-cache --test resilience_tests
-cargo test -q -p pc-server --test resilience
-cargo test -q -p pc-faults
-# Batching gate: batched greedy decoding must be byte-identical to solo
-# serving across batch sizes, cache states, staggered joins, and
-# cancellations — at the scheduler level and through the batched server.
-cargo test -q -p prompt-cache --test batching_tests
-cargo test -q -p pc-server batched
-# Prefix-sharing gate: the grouped two-phase attention kernel must be
-# byte-identical to the per-sequence kernel and to solo decoding across
-# group shapes, model families, and scheduler histories, with exact
-# shared/private row accounting (kernel level, scheduler level, and the
-# paged-block grouping in pc-cache).
-cargo test -q -p pc-model --test prefix_tests
-cargo test -q -p prompt-cache --test prefix_sharing_tests
-cargo test -q -p pc-cache paged
-# Ops-plane gate: the HTTP endpoint smoke (server on an ephemeral port,
-# all four endpoints fetched over a raw TcpStream, Prometheus lines and
-# flight JSONL validated against docs/OBSERVABILITY.md), the per-module
-# analytics counters, the zero-overhead-when-disabled byte-identity, and
-# the seeded-chaos flight-replay byte-identity (runs under pc-faults
-# above). Batched-serving telemetry (tick spans, exact TTFT breakdowns)
-# rides in telemetry_tests, already gated above.
-cargo test -q -p pc-server --test ops
-cargo test -q -p pc-cache analytics
-# API migration gate: the unified SubmitRequest builder must agree with
-# the deprecated submit/submit_baseline/try_submit signatures it shims
-# (the serve_* engine shims are gone; callers use ServeRequest directly).
-cargo test -q -p pc-server --test submit_api
-# Batching experiment smoke (quick mode: no BENCH artifact, asserts the
-# batched-vs-solo identity and a complete load sweep).
+# benchmark/ is a separate package that binds to the public API by path: a
+# deletion that breaks its compile surface, or a serve that stops answering
+# correctly on any of its four workloads, fails here.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/smoke.sh
+# Experiment smokes (quick mode writes no BENCH artifact): batched-vs-solo
+# identity over a load sweep; warm-vs-cold restart and the quantized
+# capacity/drift bounds; affinity on/off byte-identity at every shard count.
 cargo run --release -q -p pc-bench --bin figures -- --quick batching > /dev/null
-# Prefix-sharing experiment smoke (quick mode: asserts grouped-vs-
-# per-sequence identity and that shared-row traffic appears at batch > 1),
-# plus a compile/run check of the criterion A/B bench.
-cargo run --release -q -p pc-bench --bin figures -- --quick prefix_sharing > /dev/null
-cargo bench -q -p pc-bench --bench prefix_sharing -- --test > /dev/null
-# Deferred-RoPE gate: RoPE shift-composition properties, the canonical-
-# entry-vs-full-prefill fidelity oracles (byte-identical at shift 0,
-# within the logit-divergence bound when relocated), the packed prompt
-# resolver, and the relocated corrupt-then-degrade chaos case (runs under
-# pc-faults above).
-cargo test -q -p pc-model --test proptests
-cargo test -q -p prompt-cache --test deferred_rope_tests
-cargo test -q -p pc-pml
-# Position-reuse experiment smoke (quick mode: shuffled-position RAG
-# replay A/B asserting deferred hit rate >= 2x baked, one store entry per
-# chunk, and both fidelity oracles; the full run writes
-# BENCH_position_reuse.json).
-cargo run --release -q -p pc-bench --bin figures -- --quick position_reuse > /dev/null
-# Persistence gate: the disk-tier format (segment/index round trips,
-# torn-tail and stale-index recovery, quantized encodings), the tiered
-# store's demote/promote/degrade paths, the engine snapshot/restore warm
-# restart, and the persistence chaos suite (plan-driven bit rot and
-# crash-shaped segment damage must recover and serve byte-identically;
-# runs under pc-faults above).
-cargo test -q -p pc-cache disk
-cargo test -q -p pc-cache segment
-cargo test -q -p prompt-cache --test persistence_tests
-# Persistence experiment smoke (quick mode: warm-vs-cold startup, the
-# quantized capacity multipliers, and the int8 drift bound; the full run
-# writes BENCH_persistence.json).
 cargo run --release -q -p pc-bench --bin figures -- --quick persistence > /dev/null
-# Fleet gate: sharded routing must stay byte-identical to a single
-# process across shard counts, replication factors, and mid-run worker
-# kills (thread and OS-process mode), and the worker-kill chaos suite
-# (seeded stalls + scheduled kills under pc-faults) must rebalance
-# without changing a byte.
-cargo test -q -p pc-server --test fleet
-cargo test -q -p pc-faults --test fleet_chaos
-# Sharding experiment smoke (quick mode: affinity on/off hit-rate sweep
-# asserting byte-identity at every shard count; the full run writes
-# BENCH_sharding.json).
 cargo run --release -q -p pc-bench --bin figures -- --quick sharding > /dev/null
 # Docs gate: rustdoc must stay warning-clean.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

@@ -4,8 +4,6 @@
 mod ablations;
 mod batching_exp;
 mod persistence_exp;
-mod position_reuse_exp;
-mod prefix_sharing_exp;
 mod real_figs;
 mod resilience_exp;
 mod serving_exp;
@@ -13,19 +11,15 @@ mod sharding_exp;
 mod sim_figs;
 mod threads_exp;
 mod ttft_exp;
-mod zero_copy_exp;
 
 pub use ablations::ablations;
 pub use batching_exp::batching;
 pub use persistence_exp::persistence;
-pub use position_reuse_exp::position_reuse;
-pub use prefix_sharing_exp::prefix_sharing;
 pub use resilience_exp::resilience;
 pub use serving_exp::{rag, throughput};
 pub use sharding_exp::sharding;
 pub use threads_exp::threads;
 pub use ttft_exp::ttft_breakdown;
-pub use zero_copy_exp::zero_copy;
 pub use real_figs::{fig6_code_generation, fig7_personalization, fig8_parameterized, table1};
 pub use sim_figs::{
     appendix, e2e, fig3, fig4, fig5, measured_fully_cached, memcpy, modelsize, table2,
@@ -47,11 +41,10 @@ pub struct Report {
 }
 
 /// Every experiment id the `figures` binary accepts, in run order.
-pub const ALL_IDS: [&str; 24] = [
+pub const ALL_IDS: [&str; 21] = [
     "fig3", "fig4", "fig5", "table1", "table2", "memcpy", "modelsize", "e2e", "fig6", "fig7",
     "fig8", "appendix", "ablations", "throughput", "rag", "threads", "ttft_breakdown",
-    "zero_copy", "resilience", "batching", "prefix_sharing", "position_reuse", "persistence",
-    "sharding",
+    "resilience", "batching", "persistence", "sharding",
 ];
 
 /// Runs an experiment by id. `quick` shrinks sample counts for smoke
@@ -75,11 +68,8 @@ pub fn run(id: &str, quick: bool) -> Option<Report> {
         "rag" => Some(rag(quick)),
         "threads" => Some(threads(quick)),
         "ttft_breakdown" => Some(ttft_breakdown(quick)),
-        "zero_copy" => Some(zero_copy(quick)),
         "resilience" => Some(resilience(quick)),
         "batching" => Some(batching(quick)),
-        "prefix_sharing" => Some(prefix_sharing(quick)),
-        "position_reuse" => Some(position_reuse(quick)),
         "persistence" => Some(persistence(quick)),
         "sharding" => Some(sharding(quick)),
         _ => None,

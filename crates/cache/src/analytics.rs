@@ -4,7 +4,7 @@
 //! The aggregate [`crate::StoreStats`] counters say the cache is busy;
 //! they cannot say **which modules** earn their residency. This table
 //! records, per module id: hits, misses, graceful-degradation
-//! recomputes, device-tier evictions, bytes served zero-copy vs copied,
+//! recomputes, device-tier evictions, bytes served zero-copy,
 //! the store's logical clock at last access, and — fed from the batched
 //! scheduler's prefix-group accounting — how many KV rows of the module
 //! were streamed *once per group* by the prefix-aware kernel. The
@@ -41,7 +41,6 @@ struct ModuleCounters {
     evictions: AtomicU64,
     relocations: AtomicU64,
     bytes_shared: AtomicU64,
-    bytes_copied: AtomicU64,
     shared_rows: AtomicU64,
     last_access_tick: AtomicU64,
 }
@@ -66,8 +65,6 @@ pub struct ModuleHeat {
     pub relocations: u64,
     /// Bytes served zero-copy (`Arc`-aliased into session views).
     pub bytes_shared: u64,
-    /// Bytes memcpy'd into session views (zero-copy off).
-    pub bytes_copied: u64,
     /// KV rows of this module streamed once per prefix group by the
     /// batched two-phase kernel (row × layer units, matching
     /// `pc_kv_rows_shared_read_total`).
@@ -162,13 +159,6 @@ impl CacheAnalytics {
             .fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records `bytes` of the module memcpy'd into a session view.
-    pub fn record_bytes_copied(&self, key: &ModuleKey, bytes: u64) {
-        self.counters(key)
-            .bytes_copied
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Tags a view segment with the module it aliases, so later
     /// [`CacheAnalytics::record_shared_rows_for_segment`] calls (from the
     /// batched scheduler, which sees only segment identities) land on the
@@ -211,7 +201,6 @@ impl CacheAnalytics {
                 evictions: c.evictions.load(Ordering::Relaxed),
                 relocations: c.relocations.load(Ordering::Relaxed),
                 bytes_shared: c.bytes_shared.load(Ordering::Relaxed),
-                bytes_copied: c.bytes_copied.load(Ordering::Relaxed),
                 shared_rows: c.shared_rows.load(Ordering::Relaxed),
                 last_access_tick: c.last_access_tick.load(Ordering::Relaxed),
             })
@@ -238,7 +227,7 @@ impl CacheAnalytics {
         }
         let mut out = String::new();
         type SeriesRow = (&'static str, &'static str, fn(&ModuleHeat) -> u64);
-        let series: [SeriesRow; 8] = [
+        let series: [SeriesRow; 7] = [
             ("pc_module_hits_total", "counter", |m| m.hits),
             ("pc_module_misses_total", "counter", |m| m.misses),
             ("pc_module_degrades_total", "counter", |m| m.degrades),
@@ -246,9 +235,6 @@ impl CacheAnalytics {
             ("pc_module_relocations_total", "counter", |m| m.relocations),
             ("pc_module_kv_bytes_shared_total", "counter", |m| {
                 m.bytes_shared
-            }),
-            ("pc_module_kv_bytes_copied_total", "counter", |m| {
-                m.bytes_copied
             }),
             ("pc_module_shared_rows_total", "counter", |m| m.shared_rows),
         ];
@@ -368,15 +354,10 @@ mod tests {
         let a = CacheAnalytics::new();
         a.record_hit(&key("a"), 1);
         a.record_bytes_shared(&key("a"), 128);
-        a.record_bytes_copied(&key("b"), 64);
         let text = a.prometheus_text();
         assert!(text.contains("pc_module_hits_total{module=\"s:a\"} 1"), "{text}");
         assert!(
             text.contains("pc_module_kv_bytes_shared_total{module=\"s:a\"} 128"),
-            "{text}"
-        );
-        assert!(
-            text.contains("pc_module_kv_bytes_copied_total{module=\"s:b\"} 64"),
             "{text}"
         );
         assert!(text.contains("# HELP pc_module_hits_total "), "{text}");

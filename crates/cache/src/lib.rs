@@ -26,16 +26,13 @@
 //! * [`disk`] — the persistent tier itself ([`DiskTier`]): append-only
 //!   segment files, a checksummed `INDEX`, scan-rebuild crash recovery,
 //!   and corrupt-entry degradation.
-//! * [`paged`] — paged-attention-style storage: module states split into
-//!   immutable blocks shared by pointer across sessions (§3.4's batch
-//!   memory optimisation), with physical-vs-logical accounting.
 //! * [`codec`] — a compact binary serialisation of encoded modules, so
 //!   precomputed attention states can be shipped between processes.
 //! * [`memory`] — Table 2's per-token memory accounting.
 //! * [`analytics`] — opt-in per-module heat analytics
 //!   ([`CacheAnalytics`]): hits, misses, degrades, evictions,
-//!   relocations, bytes served zero-copy vs copied, and batched
-//!   shared-row attribution, exported as labeled Prometheus series and a
+//!   relocations, bytes served zero-copy, and batched shared-row
+//!   attribution, exported as labeled Prometheus series and a
 //!   heat ranking.
 //! * [`rotated`] — a bounded LRU of materialised rotated module views
 //!   ([`RotatedViewCache`]), serving hot deferred-RoPE placements without
@@ -52,7 +49,6 @@ pub mod codec;
 pub mod disk;
 mod eviction;
 pub mod memory;
-pub mod paged;
 pub mod quant;
 pub mod rotated;
 pub mod segment;

@@ -93,7 +93,7 @@ pub struct StoreConfig {
     /// verification is O(module bytes) per fetch.
     pub verify_checksums: bool,
     /// Maintain a per-module [`CacheAnalytics`] table (hits, misses,
-    /// degrades, evictions, bytes shared vs copied, last-access tick,
+    /// degrades, evictions, bytes shared, last-access tick,
     /// batched shared-row attribution). Off by default: a store without
     /// a table pays one `Option` check per would-be recording site.
     pub module_analytics: bool,

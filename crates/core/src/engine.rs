@@ -2,7 +2,7 @@
 //! baseline KV-cache path.
 
 use crate::cancel::CancelToken;
-use crate::render::{render_plain, span_tokens, uncached_chunk, SpanTokens};
+use crate::render::{render_plain, span_tokens, uncached_chunk, SpanTokens, UncachedChunk};
 use crate::request::{ServeRequest, Served};
 use crate::response::{Response, ServeOutcome, ServeStats, Timings, TtftBreakdown};
 use crate::scaffold::Scaffold;
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 ///
 /// ```
 /// use prompt_cache::EngineConfig;
-/// let config = EngineConfig::default().zero_copy(false).prefetch_union_siblings(true);
+/// let config = EngineConfig::default().degrade_on_miss(false).prefetch_union_siblings(true);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -66,12 +66,6 @@ pub struct EngineConfig {
     /// [`Telemetry::disabled`], where every recording call is a single
     /// branch — serve results are identical with telemetry on or off.
     pub telemetry: Telemetry,
-    /// Assemble session caches as zero-copy [`KvView`]s over the store's
-    /// shared module states (default) instead of memcpying every cached
-    /// span into a per-request buffer. Outputs are bit-identical either
-    /// way — the copying path is kept purely for A/B measurement
-    /// (`bytes_copied` vs `bytes_shared` in [`ServeStats`]).
-    pub zero_copy: bool,
     /// When a cached span is missing at serve time (evicted, never
     /// persisted, or dropped by checksum verification), **recompute it
     /// from its tokens** instead of failing the request. The recompute
@@ -81,20 +75,6 @@ pub struct EngineConfig {
     /// the serve is counted in `pc_degraded_serves_total`. Disable to get
     /// the old hard-error ([`EngineError::MissingModuleStates`]) instead.
     pub degrade_on_miss: bool,
-    /// Store modules **position-independently** (default on): each module
-    /// is encoded once at canonical positions starting from 0 and the
-    /// placement-dependent RoPE rotation is applied at read time, so one
-    /// store entry serves every placement of the module. Prompts resolve
-    /// with *packed* placement (union members drop the group's max-length
-    /// padding, RAG chunks land in retrieval order). Placements that match
-    /// the canonical positions take the exact legacy read path; shifted
-    /// placements rotate keys on read and count as `relocations` in the
-    /// cache analytics. Only effective for shift-invariant position
-    /// schemes (RoPE, ALiBi); learned-position models fall back to
-    /// baked-position storage automatically. Turn off for the A/B
-    /// baseline, where each module's states are only valid at the exact
-    /// positions they were encoded at.
-    pub deferred_rope: bool,
 }
 
 impl Default for EngineConfig {
@@ -106,9 +86,7 @@ impl Default for EngineConfig {
             parallelism: Parallelism::default(),
             prefetch_union_siblings: false,
             telemetry: Telemetry::disabled(),
-            zero_copy: true,
             degrade_on_miss: true,
-            deferred_rope: true,
         }
     }
 }
@@ -156,25 +134,10 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables zero-copy session views.
-    #[must_use]
-    pub fn zero_copy(mut self, on: bool) -> Self {
-        self.zero_copy = on;
-        self
-    }
-
     /// Enables or disables graceful degradation on missing module states.
     #[must_use]
     pub fn degrade_on_miss(mut self, on: bool) -> Self {
         self.degrade_on_miss = on;
-        self
-    }
-
-    /// Enables or disables position-independent module storage (deferred
-    /// RoPE with rotate-on-read).
-    #[must_use]
-    pub fn deferred_rope(mut self, on: bool) -> Self {
-        self.deferred_rope = on;
         self
     }
 }
@@ -367,17 +330,32 @@ pub(crate) struct PendingDecode {
     pub(crate) max_new_tokens: usize,
     /// Position for the next generated token.
     pub(crate) next_pos: usize,
-    cached_rows: usize,
-    new_tokens: usize,
-    bytes_reused: usize,
-    bytes_shared: usize,
-    bytes_copied: usize,
-    used_scaffold: bool,
-    degraded: usize,
+    /// Cache accounting captured by the assemble stage.
+    stats: ServeStats,
     warnings: Vec<String>,
     /// Union-sibling span keys to prefetch at finalize (outside the
     /// timed region).
     prefetch_keys: Vec<ModuleKey>,
+}
+
+/// What [`PromptCache::assemble`] hands to prefill: the session view over
+/// the prompt's cached states plus the accounting of how it was built.
+struct Assembled {
+    /// Shared cached segments, private tail still empty.
+    view: KvView,
+    /// Mirror of the view's rows as token ids (for the rare module-only
+    /// prompt that must re-derive its final token).
+    row_tokens: Vec<TokenId>,
+    /// Cache-side accounting; `new_tokens` is filled in by the caller.
+    stats: ServeStats,
+}
+
+/// Paths of the modules a resolved prompt imports, in prompt order.
+fn imported_modules(resolved: &ResolvedPrompt) -> impl Iterator<Item = &ModulePath> {
+    resolved.parts.iter().filter_map(|p| match p {
+        ResolvedPart::Cached { module, .. } if !module.is_empty() => Some(module),
+        _ => None,
+    })
 }
 
 struct RegisteredSchema {
@@ -400,7 +378,7 @@ struct RegisteredSchema {
     /// start when deferred RoPE is not in effect (shift always 0).
     canonical_starts: Vec<usize>,
     /// Whether this schema's spans were encoded position-independently
-    /// (engine knob on *and* the model's position scheme shift-invariant).
+    /// (the model's position scheme is shift-invariant).
     deferred: bool,
 }
 
@@ -408,7 +386,6 @@ struct RegisteredSchema {
 /// one registry lookup at construction, lock-free atomics per serve.
 struct EngineMetrics {
     kv_bytes_shared: pc_telemetry::Counter,
-    kv_bytes_copied: pc_telemetry::Counter,
     degraded_serves: pc_telemetry::Counter,
     degraded_spans: pc_telemetry::Counter,
 }
@@ -417,7 +394,6 @@ impl EngineMetrics {
     fn resolve(telemetry: &Telemetry) -> Self {
         EngineMetrics {
             kv_bytes_shared: telemetry.counter("pc_kv_bytes_shared_total"),
-            kv_bytes_copied: telemetry.counter("pc_kv_bytes_copied_total"),
             degraded_serves: telemetry.counter("pc_degraded_serves_total"),
             degraded_spans: telemetry.counter("pc_degraded_spans_total"),
         }
@@ -472,13 +448,21 @@ impl PromptCache {
         }
     }
 
-    /// Whether modules of this engine are stored position-independently:
-    /// the [`EngineConfig::deferred_rope`] knob is on **and** the model's
-    /// position scheme is shift-invariant (RoPE/ALiBi — learned positions
-    /// cannot be relocated and fall back to baked-position storage).
+    /// Whether modules of this engine are stored **position-independently**
+    /// — true exactly when the model's position scheme is shift-invariant
+    /// (RoPE/ALiBi). Each module is then encoded once at canonical
+    /// positions starting from 0 and the placement-dependent RoPE rotation
+    /// is applied at read time, so one store entry serves every placement
+    /// of the module, and prompts resolve with *packed* placement (union
+    /// members drop the group's max-length padding, RAG chunks land in
+    /// retrieval order). Placements that match the canonical positions
+    /// read the stored keys as they are; shifted placements rotate keys on
+    /// read and count as `relocations` in the cache analytics.
+    /// Learned-position models cannot be relocated: their modules are
+    /// stored with positions baked in and are valid only at the exact
+    /// positions they were encoded at.
     pub fn deferred_rope_effective(&self) -> bool {
-        self.config.deferred_rope
-            && is_shift_invariant(self.model.config().position_scheme())
+        is_shift_invariant(self.model.config().position_scheme())
     }
 
     /// Number of materialised rotated placement views currently cached.
@@ -985,11 +969,12 @@ impl PromptCache {
         Ok(result)
     }
 
-    /// The serve pipeline up to (and including) prefill: parse, resolve,
-    /// fetch cached states into a session view, prefill uncached tokens.
-    /// Returns either a finished response (interrupted before decode) or
-    /// a [`PendingDecode`] positioned at its first sample — the unit the
-    /// batch scheduler admits.
+    /// The serve pipeline up to (and including) prefill, as three stages
+    /// — [`Self::resolve`], [`Self::assemble`], [`Self::prefill`] — run
+    /// under one schema read lock with a cancellation check around the
+    /// fetch. Returns either a finished response (interrupted before
+    /// decode) or a [`PendingDecode`] positioned at its first sample — the
+    /// unit the batch scheduler admits.
     pub(crate) fn begin_serve(
         &self,
         prompt_pml: &str,
@@ -1009,36 +994,21 @@ impl PromptCache {
             // Dead on arrival (zero/elapsed budget, or cancelled before
             // the serve started): return an empty partial response
             // without touching the model.
-            let view = KvView::with_shape(
-                self.model.config().num_layers,
-                self.model.config().kv_dim(),
+            let response = Self::partial_response(
+                outcome,
+                TtftBreakdown::default(),
+                ServeStats::default(),
+                Vec::new(),
             );
-            return Ok(Prepared::Done(
-                Box::new(Self::partial_response(outcome, TtftBreakdown::default(), ServeStats::default(), Vec::new())),
-                Box::new(view),
-            ));
+            return Ok(Prepared::Done(Box::new(response), Box::new(self.empty_view())));
         }
 
         // --- step ①: parse, resolve, and tokenise uncached text ---
         let resolve_span = telemetry.span("schema-resolve");
         let prompt = parse_prompt(prompt_pml)?;
         let schemas = self.schemas.read();
-        let entry = schemas
-            .get(&prompt.schema)
-            .ok_or_else(|| EngineError::UnknownSchema {
-                name: prompt.schema.clone(),
-            })?;
-        let counter = |t: &str| self.count(t);
-        // Packed placement goes with position-independent storage: parts
-        // land at a running cursor in prompt order and each cached span's
-        // placement shift (placed − canonical start) is absorbed by the
-        // rotate-on-read kernels. Without it, placements must equal the
-        // layout positions modules were encoded at.
-        let resolved = if entry.deferred {
-            resolve_prompt_packed(&entry.layout, &prompt, &counter)?
-        } else {
-            resolve_prompt(&entry.layout, &prompt, &counter)?
-        };
+        let entry = Self::registered(&schemas, &prompt.schema)?;
+        let resolved = self.resolve(entry, &prompt)?;
         drop(resolve_span);
         let tokenize_span = telemetry.span("tokenize");
         let chunk = uncached_chunk(&resolved, self.tokenizer.as_ref());
@@ -1046,34 +1016,238 @@ impl PromptCache {
         let tokenize_end = started.elapsed();
 
         // --- step ②: fetch cached states and assemble the session view ---
-        // With `zero_copy` on (the default) this is pure pointer
-        // arithmetic: each cached span becomes an `Arc`-shared segment of
-        // the session [`KvView`]; the copying path survives only behind
-        // the flag for A/B measurement.
-        let fetch_span = telemetry.span("cache-fetch");
         let tier = options.tier.or(self.config.tier).unwrap_or(Tier::Host);
-        let zero_copy = self.config.zero_copy;
-        // Per-module attribution (opt-in): degrades and zero-copy vs
-        // copied bytes land on the module that caused them, and each
-        // shared segment is tagged so the batched scheduler can route
-        // its per-group shared-row accounting back to modules.
-        let analytics = self.store.analytics();
-        let mut view = KvView::with_shape(
-            self.model.config().num_layers,
-            self.model.config().kv_dim(),
-        );
-        // Mirror of session-cache rows → token ids (for the rare
-        // module-only prompt that must re-derive its final token).
-        let mut row_tokens: Vec<TokenId> = Vec::new();
-        let mut cached_rows = 0usize;
-        let mut bytes_reused = 0usize;
-        let mut bytes_shared = 0usize;
-        let mut bytes_copied = 0usize;
-        let mut used_scaffold = false;
+        let Assembled { mut view, row_tokens, stats } =
+            self.assemble(entry, &prompt.schema, &resolved, tier, options.use_scaffolds)?;
+        let fetch_end = started.elapsed();
 
-        // Which params were filled, per span: span_index → (offset, len),
-        // via the registration-time owner → spans map. Each span's ranges
-        // are sorted once here, not per cached span below.
+        if let Some(outcome) = cancel.interruption() {
+            // Interrupted before prefill: return what we know (tokenise +
+            // fetch accounting) with zero generated tokens.
+            let breakdown = TtftBreakdown {
+                tokenize: tokenize_end,
+                fetch: fetch_end - tokenize_end,
+                prefill: Duration::ZERO,
+                sample: Duration::ZERO,
+            };
+            let response = Self::partial_response(outcome, breakdown, stats, resolved.warnings);
+            return Ok(Prepared::Done(Box::new(response), Box::new(view)));
+        }
+
+        // --- steps ③/④: compute uncached tokens at their positions ---
+        let logits = self.prefill(&mut view, &chunk, &row_tokens)?;
+        let prefill_end = started.elapsed();
+
+        Ok(Prepared::Ready(Box::new(PendingDecode {
+            next_pos: view.positions().iter().max().map_or(0, |p| p + 1),
+            view,
+            logits,
+            started,
+            tokenize_end,
+            fetch_end,
+            prefill_end,
+            cancel,
+            eos: self.tokenizer.special(SpecialToken::Eos),
+            sampler: Self::sampler_for(options),
+            max_new_tokens: options.max_new_tokens,
+            stats: ServeStats { new_tokens: chunk.tokens.len(), ..stats },
+            prefetch_keys: self.union_prefetch_keys(entry, &prompt.schema, &resolved, tier),
+            warnings: resolved.warnings,
+        })))
+    }
+
+    /// Looks a schema up in the (locked) registry.
+    fn registered<'s>(
+        schemas: &'s HashMap<String, RegisteredSchema>,
+        name: &str,
+    ) -> Result<&'s RegisteredSchema> {
+        schemas.get(name).ok_or_else(|| EngineError::UnknownSchema {
+            name: name.to_owned(),
+        })
+    }
+
+    /// The sampler a request's options select: seeded temperature
+    /// sampling, or greedy decoding by default.
+    fn sampler_for(options: &ServeOptions) -> Box<dyn Sampler + Send> {
+        match options.temperature {
+            Some((t, seed)) => Box::new(TemperatureSampler::new(t, seed)),
+            None => Box::new(GreedySampler),
+        }
+    }
+
+    /// An empty session view of this engine's model shape.
+    fn empty_view(&self) -> KvView {
+        KvView::with_shape(self.model.config().num_layers, self.model.config().kv_dim())
+    }
+
+    /// Stage ①: resolves a parsed prompt against its schema, in the
+    /// placement mode the schema was stored in. Packed placement goes
+    /// with position-independent storage: parts land at a running cursor
+    /// in prompt order and each cached span's placement shift (placed −
+    /// canonical start) is absorbed by the rotate-on-read kernels.
+    /// Baked-position schemas (learned-position models) must place every
+    /// module at the layout positions it was encoded at.
+    fn resolve(&self, entry: &RegisteredSchema, prompt: &pc_pml::Prompt) -> Result<ResolvedPrompt> {
+        let counter = |t: &str| self.count(t);
+        Ok(if entry.deferred {
+            resolve_prompt_packed(&entry.layout, prompt, &counter)?
+        } else {
+            resolve_prompt(&entry.layout, prompt, &counter)?
+        })
+    }
+
+    /// Stage ②: fetches the resolved prompt's cached states and assembles
+    /// them into a session view. Pure pointer arithmetic: each cached span
+    /// becomes an `Arc`-shared segment of the [`KvView`]; no KV byte is
+    /// copied. Spans (or whole scaffolds) whose states are missing or were
+    /// dropped as corrupt are recomputed from their tokens instead of
+    /// failing the request — graceful degradation, counted per span.
+    fn assemble(
+        &self,
+        entry: &RegisteredSchema,
+        schema: &str,
+        resolved: &ResolvedPrompt,
+        tier: Tier,
+        use_scaffolds: bool,
+    ) -> Result<Assembled> {
+        let telemetry = &self.config.telemetry;
+        let fetch_span = telemetry.span("cache-fetch");
+        let analytics = self.store.analytics();
+        let mut out = Assembled {
+            view: self.empty_view(),
+            row_tokens: Vec::new(),
+            stats: ServeStats::default(),
+        };
+
+        let filled = Self::filled_params(entry, resolved);
+        let selected_scaffolds = if use_scaffolds {
+            Self::select_scaffolds(entry, resolved)
+        } else {
+            Vec::new()
+        };
+        for &(scaffold, shift) in &selected_scaffolds {
+            let states = match self.store.get(&scaffold.key, tier) {
+                Some(states) => states,
+                None if self.config.degrade_on_miss => {
+                    let _degrade_span = telemetry.span("degrade");
+                    out.stats.degraded_spans += 1;
+                    if let Some(a) = analytics {
+                        a.record_degrade(&scaffold.key);
+                    }
+                    Arc::new(self.reencode_scaffold(entry, scaffold)?)
+                }
+                None => {
+                    return Err(EngineError::MissingModuleStates {
+                        key: format!("{:?}", scaffold.key),
+                    })
+                }
+            };
+            if shift != 0 {
+                if let Some(a) = analytics {
+                    a.record_relocation(&scaffold.key);
+                }
+            }
+            let rows = states.len();
+            self.push_cached(&mut out, &scaffold.key, states, 0, rows, shift)?;
+            // Scaffold members have no params, so the row mirror can take
+            // the span tokens directly.
+            for &i in &scaffold.span_indices {
+                out.row_tokens.extend_from_slice(&entry.span_tokens[i].tokens);
+            }
+            out.stats.used_scaffold = true;
+        }
+
+        // Per-serve memo of owner recomputes, so a persistently-injected
+        // miss (fault harness) re-encodes each owner at most once per
+        // serve even when the store refuses to return the healed entry.
+        let mut recomputed: HashMap<usize, Arc<KvCache>> = HashMap::new();
+        for part in &resolved.parts {
+            let ResolvedPart::Cached {
+                span_index, start, ..
+            } = part
+            else {
+                continue;
+            };
+            if selected_scaffolds
+                .iter()
+                .any(|(scaffold, _)| scaffold.span_indices.contains(span_index))
+            {
+                continue;
+            }
+            // Placement shift of this span: where the prompt placed it
+            // minus where its canonical entry was encoded. Zero for
+            // baked-position schemas (placements equal encode positions)
+            // and for packed placements that coincide with the canonical
+            // layout.
+            let shift = *start as isize - entry.canonical_starts[*span_index] as isize;
+            let key = self.span_key(schema, *span_index);
+            let states = match self.store.get(&key, tier) {
+                Some(states) => states,
+                None if self.config.degrade_on_miss => {
+                    let _degrade_span = telemetry.span("degrade");
+                    out.stats.degraded_spans += 1;
+                    if let Some(a) = analytics {
+                        a.record_degrade(&key);
+                    }
+                    self.recompute_owner(schema, entry, *span_index, &mut recomputed)?
+                }
+                None => {
+                    return Err(EngineError::MissingModuleStates {
+                        key: format!("{schema}.span{span_index}"),
+                    })
+                }
+            };
+            if shift != 0 {
+                if let Some(a) = analytics {
+                    a.record_relocation(&key);
+                }
+            }
+            // Take the span, skipping filled placeholder rows (their
+            // states are recomputed from the real argument in prefill) —
+            // the skip list splits the span into shared segments.
+            let skip: &[(usize, usize)] = filled.get(span_index).map_or(&[], Vec::as_slice);
+            let toks = &entry.span_tokens[*span_index].tokens;
+            let mut cursor = 0usize;
+            let mut ranges: Vec<(usize, usize)> = Vec::new();
+            for &(off, len) in skip {
+                if cursor < off {
+                    ranges.push((cursor, off));
+                }
+                cursor = off + len;
+            }
+            if cursor < states.len() {
+                ranges.push((cursor, states.len()));
+            }
+            for (s, e) in ranges {
+                // Hot placement: serve the materialised rotation at shift
+                // 0 — bit-identical to the fused rotate-on-read path, no
+                // per-score rotation work.
+                let hot = (shift != 0)
+                    .then(|| self.rotated_view(&key, s, e, shift, &states))
+                    .flatten();
+                match hot {
+                    Some(rot) => self.push_cached(&mut out, &key, rot, 0, e - s, 0)?,
+                    None => self.push_cached(&mut out, &key, Arc::clone(&states), s, e, shift)?,
+                }
+                out.row_tokens.extend_from_slice(&toks[s..e]);
+            }
+        }
+        self.metrics.kv_bytes_shared.add(out.stats.bytes_shared as u64);
+        if out.stats.degraded_spans > 0 {
+            self.metrics.degraded_serves.add(1);
+            self.metrics.degraded_spans.add(out.stats.degraded_spans as u64);
+        }
+        drop(fetch_span);
+        Ok(out)
+    }
+
+    /// Which params the prompt filled, per span: span_index → sorted
+    /// `(row offset, reserved len)` ranges, via the registration-time
+    /// owner → spans map.
+    fn filled_params(
+        entry: &RegisteredSchema,
+        resolved: &ResolvedPrompt,
+    ) -> HashMap<usize, Vec<(usize, usize)>> {
         let mut filled: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
         for part in &resolved.parts {
             if let ResolvedPart::Argument { module, param, .. } = part {
@@ -1092,21 +1266,50 @@ impl PromptCache {
         for ranges in filled.values_mut() {
             ranges.sort_unstable();
         }
+        filled
+    }
 
-        // Scaffold substitution: pick scaffolds fully covered by imports.
-        let imported: Vec<ModulePath> = resolved
-            .parts
-            .iter()
-            .filter_map(|p| match p {
-                ResolvedPart::Cached { module, .. } if !module.is_empty() => {
-                    Some(module.clone())
-                }
-                _ => None,
-            })
-            .collect();
-        // Placed start of every cached span in this prompt — the scaffold
-        // selection below needs it to check that packed placement moved
-        // all of a scaffold's members rigidly.
+    /// Shares rows `start..end` of `states` as the session view's next
+    /// segment, `shift` positions from where they were encoded, and
+    /// accounts for them. Per-module attribution (opt-in): the bytes land
+    /// on module `key`, and the segment is tagged so the batched
+    /// scheduler can route its per-group shared-row accounting back to
+    /// the module.
+    fn push_cached(
+        &self,
+        out: &mut Assembled,
+        key: &ModuleKey,
+        states: Arc<KvCache>,
+        start: usize,
+        end: usize,
+        shift: isize,
+    ) -> Result<()> {
+        let bytes = states.bytes_for_rows(end - start);
+        out.view.push_segment_shifted(states, start, end, shift)?;
+        out.stats.cached_tokens += end - start;
+        out.stats.bytes_reused += bytes;
+        out.stats.bytes_shared += bytes;
+        if let Some(a) = self.store.analytics() {
+            if let Some(seg) = out.view.segments().last() {
+                a.tag_segment(seg.id(), key);
+            }
+            a.record_bytes_shared(key, bytes as u64);
+        }
+        Ok(())
+    }
+
+    /// Scaffold substitution (§3.3): picks the registered scaffolds whose
+    /// members the prompt imports in full, each with the one placement
+    /// shift its joint states relocate by. A span belongs to at most one
+    /// selected scaffold.
+    fn select_scaffolds<'s>(
+        entry: &'s RegisteredSchema,
+        resolved: &ResolvedPrompt,
+    ) -> Vec<(&'s Scaffold, isize)> {
+        let imported: Vec<&ModulePath> = imported_modules(resolved).collect();
+        // Placed start of every cached span in this prompt: needed to
+        // check that packed placement moved all of a scaffold's members
+        // rigidly.
         let placed_starts: HashMap<usize, usize> = resolved
             .parts
             .iter()
@@ -1117,304 +1320,100 @@ impl PromptCache {
                 _ => None,
             })
             .collect();
-        let mut scaffolded_spans: Vec<usize> = Vec::new();
-        let mut selected_scaffolds: Vec<(&Scaffold, isize)> = Vec::new();
-        if options.use_scaffolds {
-            for scaffold in &entry.scaffolds {
-                if !scaffold.members.iter().all(|m| imported.contains(m))
-                    || scaffold
-                        .span_indices
-                        .iter()
-                        .any(|i| scaffolded_spans.contains(i))
-                {
-                    continue;
-                }
-                // A scaffold's joint states encode its members at their
-                // layout positions; the states relocate as one rigid block
-                // or not at all. Packed placement preserves a subtree's
-                // internal offsets, so members imported consecutively in
-                // layout order share one shift — anything else (content
-                // interleaved between members) deforms the block, and the
-                // scaffold steps aside for the per-span path.
-                let shifts: Vec<isize> = scaffold
-                    .span_indices
-                    .iter()
-                    .filter_map(|&i| {
-                        placed_starts
-                            .get(&i)
-                            .map(|&p| p as isize - entry.layout.spans[i].start as isize)
-                    })
-                    .collect();
-                let rigid = shifts.len() == scaffold.span_indices.len()
-                    && shifts.windows(2).all(|w| w[0] == w[1]);
-                if !rigid {
-                    continue;
-                }
-                scaffolded_spans.extend_from_slice(&scaffold.span_indices);
-                selected_scaffolds.push((scaffold, shifts.first().copied().unwrap_or(0)));
-            }
-        }
-
-        // Spans (or whole scaffolds) whose states are missing or were
-        // dropped as corrupt are recomputed from their tokens instead of
-        // failing the request — graceful degradation, counted per span.
-        let mut degraded = 0usize;
-        // Per-serve memo of owner recomputes, so a persistently-injected
-        // miss (fault harness) re-encodes each owner at most once per
-        // serve even when the store refuses to return the healed entry.
-        let mut recomputed: HashMap<usize, Arc<KvCache>> = HashMap::new();
-
-        for &(scaffold, shift) in &selected_scaffolds {
-            let states = match self.store.get(&scaffold.key, tier) {
-                Some(states) => states,
-                None if self.config.degrade_on_miss => {
-                    let _degrade_span = telemetry.span("degrade");
-                    degraded += 1;
-                    if let Some(a) = analytics {
-                        a.record_degrade(&scaffold.key);
-                    }
-                    Arc::new(self.reencode_scaffold(entry, scaffold)?)
-                }
-                None => {
-                    return Err(EngineError::MissingModuleStates {
-                        key: format!("{:?}", scaffold.key),
-                    })
-                }
-            };
-            let rows = states.len();
-            let bytes = states.size_bytes();
-            if shift != 0 {
-                if let Some(a) = analytics {
-                    a.record_relocation(&scaffold.key);
-                }
-            }
-            if zero_copy {
-                view.push_segment_shifted(Arc::clone(&states), 0, rows, shift)?;
-                bytes_shared += bytes;
-                if let Some(a) = analytics {
-                    if let Some(seg) = view.segments().last() {
-                        a.tag_segment(seg.id(), &scaffold.key);
-                    }
-                    a.record_bytes_shared(&scaffold.key, bytes as u64);
-                }
-            } else {
-                view.append_range_copy_shifted(&states, 0, rows, shift, self.model.rope())?;
-                bytes_copied += bytes;
-                if let Some(a) = analytics {
-                    a.record_bytes_copied(&scaffold.key, bytes as u64);
-                }
-            }
-            // Scaffold members have no params, so the mirror can take the
-            // span tokens directly.
-            cached_rows += rows;
-            bytes_reused += bytes;
-            used_scaffold = true;
-        }
-        if used_scaffold {
-            // Rebuild the row mirror from scaffold span tokens.
-            for &(scaffold, _) in &selected_scaffolds {
-                for &i in &scaffold.span_indices {
-                    row_tokens.extend_from_slice(&entry.span_tokens[i].tokens);
-                }
-            }
-        }
-
-        for part in &resolved.parts {
-            let ResolvedPart::Cached {
-                span_index, start, ..
-            } = part
-            else {
-                continue;
-            };
-            if scaffolded_spans.contains(span_index) {
+        let mut selected: Vec<(&Scaffold, isize)> = Vec::new();
+        for scaffold in &entry.scaffolds {
+            if !scaffold.members.iter().all(|m| imported.contains(&m))
+                || selected.iter().any(|(taken, _)| {
+                    taken.span_indices.iter().any(|i| scaffold.span_indices.contains(i))
+                })
+            {
                 continue;
             }
-            // Placement shift of this span: where the prompt placed it
-            // minus where its canonical entry was encoded. Zero without
-            // deferred RoPE (placements equal encode positions) and for
-            // packed placements that happen to coincide with the canonical
-            // layout — those take the exact legacy read path.
-            let shift = *start as isize - entry.canonical_starts[*span_index] as isize;
-            let key = self.span_key(&prompt.schema, *span_index);
-            let states = match self.store.get(&key, tier) {
-                Some(states) => states,
-                None if self.config.degrade_on_miss => {
-                    let _degrade_span = telemetry.span("degrade");
-                    degraded += 1;
-                    if let Some(a) = analytics {
-                        a.record_degrade(&key);
-                    }
-                    self.recompute_owner(&prompt.schema, entry, *span_index, &mut recomputed)?
-                }
-                None => {
-                    return Err(EngineError::MissingModuleStates {
-                        key: format!("{}.span{}", prompt.schema, span_index),
-                    })
-                }
-            };
-            if shift != 0 {
-                if let Some(a) = analytics {
-                    a.record_relocation(&key);
-                }
-            }
-            // Take the span, skipping filled placeholder rows (their
-            // states are recomputed from the real argument below) — the
-            // skip list splits the span into shared segments.
-            let skip: &[(usize, usize)] =
-                filled.get(span_index).map_or(&[], Vec::as_slice);
-            let mut cursor = 0usize;
-            let toks = &entry.span_tokens[*span_index].tokens;
-            let mut ranges: Vec<(usize, usize)> = Vec::new();
-            for &(off, len) in skip {
-                if cursor < off {
-                    ranges.push((cursor, off));
-                }
-                cursor = off + len;
-            }
-            if cursor < states.len() {
-                ranges.push((cursor, states.len()));
-            }
-            for (s, e) in ranges {
-                if zero_copy {
-                    if shift == 0 {
-                        view.push_segment(Arc::clone(&states), s, e)?;
-                    } else if let Some(rot) = self.rotated_view(&key, s, e, shift, &states) {
-                        // Hot placement: serve the materialised rotation
-                        // at shift 0 — bit-identical to the fused path,
-                        // no per-score rotation work.
-                        view.push_segment(rot, 0, e - s)?;
-                    } else {
-                        view.push_segment_shifted(Arc::clone(&states), s, e, shift)?;
-                    }
-                    bytes_shared += states.bytes_for_rows(e - s);
-                    if let Some(a) = analytics {
-                        if let Some(seg) = view.segments().last() {
-                            a.tag_segment(seg.id(), &key);
-                        }
-                        a.record_bytes_shared(&key, states.bytes_for_rows(e - s) as u64);
-                    }
-                } else {
-                    view.append_range_copy_shifted(&states, s, e, shift, self.model.rope())?;
-                    bytes_copied += states.bytes_for_rows(e - s);
-                    if let Some(a) = analytics {
-                        a.record_bytes_copied(&key, states.bytes_for_rows(e - s) as u64);
-                    }
-                }
-                row_tokens.extend_from_slice(&toks[s..e]);
-                cached_rows += e - s;
-                bytes_reused += states.bytes_for_rows(e - s);
+            // A scaffold's joint states encode its members at their
+            // layout positions; the states relocate as one rigid block
+            // or not at all. Packed placement preserves a subtree's
+            // internal offsets, so members imported consecutively in
+            // layout order share one shift — anything else (content
+            // interleaved between members) deforms the block, and the
+            // scaffold steps aside for the per-span path.
+            let shifts: Vec<isize> = scaffold
+                .span_indices
+                .iter()
+                .filter_map(|&i| {
+                    placed_starts
+                        .get(&i)
+                        .map(|&p| p as isize - entry.layout.spans[i].start as isize)
+                })
+                .collect();
+            let rigid = shifts.len() == scaffold.span_indices.len()
+                && shifts.windows(2).all(|w| w[0] == w[1]);
+            if rigid {
+                selected.push((scaffold, shifts.first().copied().unwrap_or(0)));
             }
         }
-        self.metrics.kv_bytes_shared.add(bytes_shared as u64);
-        self.metrics.kv_bytes_copied.add(bytes_copied as u64);
-        if degraded > 0 {
-            self.metrics.degraded_serves.add(1);
-            self.metrics.degraded_spans.add(degraded as u64);
+        selected
+    }
+
+    /// Stage ③/④: computes the uncached tokens at their positions and
+    /// returns the last token's logits. Prefill and decode append into
+    /// the view's private tail; the shared segments stay frozen.
+    /// `row_tokens` mirrors the view's cached rows as token ids, for the
+    /// module-only prompt that must re-derive its final token.
+    fn prefill(
+        &self,
+        view: &mut KvView,
+        chunk: &UncachedChunk,
+        row_tokens: &[TokenId],
+    ) -> Result<Vec<f32>> {
+        let _prefill_span = self.config.telemetry.span("prefill");
+        if !chunk.tokens.is_empty() {
+            return Ok(self.model.prefill(&chunk.tokens, &chunk.positions, view)?);
         }
-        drop(fetch_span);
-        let fetch_end = started.elapsed();
-
-        if let Some(outcome) = cancel.interruption() {
-            // Interrupted before prefill: return what we know (tokenise +
-            // fetch accounting) with zero generated tokens.
-            let breakdown = TtftBreakdown {
-                tokenize: tokenize_end,
-                fetch: fetch_end - tokenize_end,
-                prefill: Duration::ZERO,
-                sample: Duration::ZERO,
-            };
-            let stats = ServeStats {
-                cached_tokens: cached_rows,
-                new_tokens: 0,
-                bytes_reused,
-                bytes_shared,
-                bytes_copied,
-                used_scaffold,
-                degraded_spans: degraded,
-            };
-            return Ok(Prepared::Done(
-                Box::new(Self::partial_response(outcome, breakdown, stats, resolved.warnings)),
-                Box::new(view),
-            ));
+        // Module-only prompt: re-derive the final token's logits by
+        // recomputing the last cached row.
+        if view.is_empty() {
+            return Err(EngineError::EmptyPrompt);
         }
+        let last_row = view.len() - 1;
+        let last_token = row_tokens[last_row];
+        let last_pos = view.positions()[last_row];
+        view.truncate(last_row);
+        Ok(self.model.prefill(&[last_token], &[last_pos], view)?)
+    }
 
-        // --- steps ③/④: compute uncached tokens at their positions ---
-        // Prefill and decode append into the view's private tail; the
-        // shared segments stay frozen.
-        let prefill_span = telemetry.span("prefill");
-        let eos = self.tokenizer.special(SpecialToken::Eos);
-
-        let last_logits = if !chunk.tokens.is_empty() {
-            self.model
-                .prefill(&chunk.tokens, &chunk.positions, &mut view)?
-        } else {
-            // Module-only prompt: re-derive the final token's logits by
-            // recomputing the last cached row.
-            if view.is_empty() {
-                return Err(EngineError::EmptyPrompt);
-            }
-            let last_row = view.len() - 1;
-            let last_token = row_tokens[last_row];
-            let last_pos = view.positions()[last_row];
-            view.truncate(last_row);
-            self.model.prefill(&[last_token], &[last_pos], &mut view)?
-        };
-        drop(prefill_span);
-        let prefill_end = started.elapsed();
-
-        let sampler: Box<dyn Sampler + Send> = match options.temperature {
-            Some((t, seed)) => Box::new(TemperatureSampler::new(t, seed)),
-            None => Box::new(GreedySampler),
-        };
-        let next_pos = view.positions().iter().max().map_or(0, |p| p + 1);
-
-        // Union prefetching (§3.2.3): collect the sibling span keys of
-        // every imported union member now, while the schema read lock is
-        // held; the store prefetch itself runs at finalize time, outside
-        // the timed region — the next request likely swaps one member.
-        let mut prefetch_keys = Vec::new();
-        if self.config.prefetch_union_siblings && tier == Tier::Device {
-            for path in &imported {
-                let Some(info) = entry.layout.module(path) else {
-                    continue;
-                };
-                let Some(group) = info.union_group else {
-                    continue;
-                };
-                for sibling in &entry.layout.modules {
-                    if sibling.union_group == Some(group) && sibling.path != *path {
-                        for (i, span) in entry.layout.spans.iter().enumerate() {
-                            if span.owner == sibling.path {
-                                prefetch_keys.push(self.span_key(&prompt.schema, i));
-                            }
+    /// Union prefetching (§3.2.3): the sibling span keys of every
+    /// imported union member, collected while the schema read lock is
+    /// held; the store prefetch itself runs at finalize time, outside the
+    /// timed region — the next request likely swaps one member.
+    fn union_prefetch_keys(
+        &self,
+        entry: &RegisteredSchema,
+        schema: &str,
+        resolved: &ResolvedPrompt,
+        tier: Tier,
+    ) -> Vec<ModuleKey> {
+        let mut keys = Vec::new();
+        if !self.config.prefetch_union_siblings || tier != Tier::Device {
+            return keys;
+        }
+        for path in imported_modules(resolved) {
+            let Some(info) = entry.layout.module(path) else {
+                continue;
+            };
+            let Some(group) = info.union_group else {
+                continue;
+            };
+            for sibling in &entry.layout.modules {
+                if sibling.union_group == Some(group) && sibling.path != *path {
+                    for (i, span) in entry.layout.spans.iter().enumerate() {
+                        if span.owner == sibling.path {
+                            keys.push(self.span_key(schema, i));
                         }
                     }
                 }
             }
         }
-
-        Ok(Prepared::Ready(Box::new(PendingDecode {
-            view,
-            logits: last_logits,
-            started,
-            tokenize_end,
-            fetch_end,
-            prefill_end,
-            cancel,
-            eos,
-            sampler,
-            max_new_tokens: options.max_new_tokens,
-            next_pos,
-            cached_rows,
-            new_tokens: chunk.tokens.len(),
-            bytes_reused,
-            bytes_shared,
-            bytes_copied,
-            used_scaffold,
-            degraded,
-            warnings: resolved.warnings,
-            prefetch_keys,
-        })))
+        keys
     }
 
     /// The serve pipeline after decode: assemble the TTFT breakdown,
@@ -1459,15 +1458,7 @@ impl PromptCache {
                 decode,
             },
             breakdown,
-            stats: ServeStats {
-                cached_tokens: p.cached_rows,
-                new_tokens: p.new_tokens,
-                bytes_reused: p.bytes_reused,
-                bytes_shared: p.bytes_shared,
-                bytes_copied: p.bytes_copied,
-                used_scaffold: p.used_scaffold,
-                degraded_spans: p.degraded,
-            },
+            stats: p.stats,
             outcome,
             warnings: p.warnings,
         };
@@ -1482,11 +1473,7 @@ impl PromptCache {
     fn baseline_response(&self, prompt_pml: &str, options: &ServeOptions) -> Result<Response> {
         let prompt = parse_prompt(prompt_pml)?;
         let schemas = self.schemas.read();
-        let entry = schemas
-            .get(&prompt.schema)
-            .ok_or_else(|| EngineError::UnknownSchema {
-                name: prompt.schema.clone(),
-            })?;
+        let entry = Self::registered(&schemas, &prompt.schema)?;
         let counter = |t: &str| self.count(t);
         let resolved = resolve_prompt(&entry.layout, &prompt, &counter)?;
         let text = render_plain(&resolved, &entry.layout.spans);
@@ -1532,10 +1519,7 @@ impl PromptCache {
         drop(prefill_span);
         let prefill_end = started.elapsed();
         let eos = self.tokenizer.special(SpecialToken::Eos);
-        let mut sampler: Box<dyn Sampler> = match options.temperature {
-            Some((t, seed)) => Box::new(TemperatureSampler::new(t, seed)),
-            None => Box::new(GreedySampler),
-        };
+        let mut sampler = Self::sampler_for(options);
         let (out, ttft, decode, outcome) = self.decode_loop(
             &mut cache,
             last_logits,
@@ -1590,17 +1574,7 @@ impl PromptCache {
         prompt: &pc_pml::Prompt,
     ) -> Result<ResolvedPrompt> {
         let schemas = self.schemas.read();
-        let entry = schemas
-            .get(&prompt.schema)
-            .ok_or_else(|| EngineError::UnknownSchema {
-                name: prompt.schema.clone(),
-            })?;
-        let counter = |t: &str| self.count(t);
-        Ok(if entry.deferred {
-            resolve_prompt_packed(&entry.layout, prompt, &counter)?
-        } else {
-            resolve_prompt(&entry.layout, prompt, &counter)?
-        })
+        self.resolve(Self::registered(&schemas, &prompt.schema)?, prompt)
     }
 
     /// Consults the rotated-view cache for a shifted placement of rows

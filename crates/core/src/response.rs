@@ -97,14 +97,13 @@ pub struct ServeStats {
     pub cached_tokens: usize,
     /// Prompt tokens computed this call (arguments + new text).
     pub new_tokens: usize,
-    /// Bytes of cached states assembled into the session cache, however
-    /// they got there (`bytes_shared + bytes_copied`).
+    /// Bytes of cached states assembled into the session cache.
     pub bytes_reused: usize,
     /// Of which: bytes aliased as `Arc`-shared segments — zero memcpy.
+    /// Assembly only ever aliases, so this equals `bytes_reused`.
     pub bytes_shared: usize,
-    /// Of which: bytes memcpy'd into the session's private tail. Zero on
-    /// the default zero-copy path; nonzero only with
-    /// `EngineConfig::zero_copy = false` (the A/B baseline).
+    /// Always 0: no serving path memcpys cached states into a session.
+    /// Kept because `benchmark/` reads the field.
     pub bytes_copied: usize,
     /// Whether a scaffold satisfied part of the prompt.
     pub used_scaffold: bool,

@@ -40,21 +40,11 @@ pub struct BatchConfig {
     /// the bound is the caller's to gate (the server's batch loop stops
     /// pulling from the queue when the batch is full).
     pub max_batch_size: usize,
-    /// Whether the batched decode step groups sequences by shared
-    /// leading KV segments and streams each shared row once per group
-    /// (the prefix-aware two-phase kernel). Off routes every sequence
-    /// through the per-sequence kernel. Output is byte-identical either
-    /// way — the switch is the A/B oracle and a row-traffic comparison
-    /// knob, on by default.
-    pub prefix_sharing: bool,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            max_batch_size: 8,
-            prefix_sharing: true,
-        }
+        BatchConfig { max_batch_size: 8 }
     }
 }
 
@@ -63,14 +53,6 @@ impl BatchConfig {
     #[must_use]
     pub fn max_batch_size(mut self, n: usize) -> Self {
         self.max_batch_size = n.max(1);
-        self
-    }
-
-    /// Enables or disables the prefix-aware batched attention kernel
-    /// (see [`BatchConfig::prefix_sharing`]).
-    #[must_use]
-    pub fn prefix_sharing(mut self, on: bool) -> Self {
-        self.prefix_sharing = on;
         self
     }
 }
@@ -87,8 +69,7 @@ struct BatchMetrics {
     steps: Counter,
     /// KV rows streamed once per prefix group by the two-phase kernel.
     shared_rows: Counter,
-    /// KV rows streamed for a single sequence (tails, unshared caches,
-    /// or everything when prefix sharing is off).
+    /// KV rows streamed for a single sequence (tails, unshared caches).
     private_rows: Counter,
     /// Shared fraction of the last tick's KV row reads, in percent.
     share_ratio: Gauge,
@@ -115,8 +96,6 @@ impl BatchMetrics {
 pub struct BatchSnapshot {
     /// Configured batch-size ceiling.
     pub max_batch_size: usize,
-    /// Whether the prefix-aware kernel is enabled.
-    pub prefix_sharing: bool,
     /// Every in-flight sequence, in batch order.
     pub sequences: Vec<BatchSeqInfo>,
     /// The prefix groups the next prefix-aware tick would form.
@@ -345,7 +324,6 @@ impl<'e> BatchScheduler<'e> {
                     &positions,
                     &mut views,
                     &mut self.scratch,
-                    self.config.prefix_sharing,
                 )
             };
             let stats = self.scratch.stats();
@@ -423,7 +401,6 @@ impl<'e> BatchScheduler<'e> {
         );
         BatchSnapshot {
             max_batch_size: self.config.max_batch_size,
-            prefix_sharing: self.config.prefix_sharing,
             sequences: self
                 .seqs
                 .iter()

@@ -6,12 +6,9 @@
 //! 1. a module's canonical entry served at several different offsets
 //!    yields logits within the fidelity bound of a fresh full prefill at
 //!    each offset — and **byte-identical** logits for shift = 0;
-//! 2. with deferred RoPE off the engine behaves exactly as before
-//!    (legacy A/B switch), and shift-0 serving is byte-identical across
-//!    the switch;
-//! 3. learned-position models (GPT-2) are not shift-invariant, so the
-//!    engine falls back to legacy placement for them;
-//! 4. relocation does not duplicate store entries: one canonical entry
+//! 2. learned-position models (GPT-2) are not shift-invariant, so the
+//!    engine stores them with baked positions without being told to;
+//! 3. relocation does not duplicate store entries: one canonical entry
 //!    per module however many offsets it is served at.
 
 use pc_model::{fidelity, Family, KvView, Model, ModelConfig};
@@ -29,7 +26,7 @@ const SCHEMA: &str = r#"
     <module name="beach">the miami coast has warm beaches surf and sun all year</module>
   </schema>"#;
 
-fn engine_for(family: Family, config: EngineConfig) -> PromptCache {
+fn engine_for(family: Family) -> PromptCache {
     let cfg = match family {
         Family::Llama => ModelConfig::llama_tiny(256),
         Family::Falcon => ModelConfig::falcon_tiny(256),
@@ -38,7 +35,7 @@ fn engine_for(family: Family, config: EngineConfig) -> PromptCache {
     };
     let model = Model::new(cfg, 42);
     let tokenizer = WordTokenizer::train(&[CORPUS]);
-    let engine = PromptCache::new(model, tokenizer, config);
+    let engine = PromptCache::new(model, tokenizer, EngineConfig::default());
     engine.register_schema(SCHEMA).unwrap();
     engine
 }
@@ -51,7 +48,7 @@ fn engine_for(family: Family, config: EngineConfig) -> PromptCache {
 #[test]
 fn canonical_entry_matches_full_prefill_at_three_offsets() {
     for family in [Family::Llama, Family::Falcon, Family::Mpt] {
-        let engine = engine_for(family, EngineConfig::default());
+        let engine = engine_for(family);
         assert!(engine.deferred_rope_effective(), "{family:?}");
         let states = engine
             .schema_span_states("doc")
@@ -107,37 +104,12 @@ fn canonical_entry_matches_full_prefill_at_three_offsets() {
     }
 }
 
-/// Serving a module at its canonical offset is byte-identical across the
-/// deferred-RoPE A/B switch — deferred storage changes nothing when the
-/// placement equals the encoded position.
-#[test]
-fn shift_zero_serving_is_byte_identical_to_legacy() {
-    for family in [Family::Llama, Family::Falcon, Family::Mpt, Family::Gpt2] {
-        let deferred = engine_for(family, EngineConfig::default());
-        let legacy = engine_for(family, EngineConfig::default().deferred_rope(false));
-        assert!(!legacy.deferred_rope_effective());
-        let prompt = r#"<prompt schema="doc"><beach/>highlight surf spots please</prompt>"#;
-        let opts = ServeOptions::default().max_new_tokens(8);
-        let a = deferred
-            .serve(&ServeRequest::new(prompt).options(opts.clone()))
-            .map(Served::into_response)
-            .unwrap();
-        let b = legacy
-            .serve(&ServeRequest::new(prompt).options(opts.clone()))
-            .map(Served::into_response)
-            .unwrap();
-        assert_eq!(a.tokens, b.tokens, "family {family:?}");
-        assert_eq!(a.text, b.text, "family {family:?}");
-        assert_eq!(a.stats.cached_tokens, b.stats.cached_tokens);
-    }
-}
-
 /// Learned positional embeddings bake the position into the hidden
 /// states, not just the keys — no rotation can relocate them. The engine
 /// must fall back to legacy exact-position placement for GPT-2.
 #[test]
 fn learned_positions_fall_back_to_legacy_placement() {
-    let engine = engine_for(Family::Gpt2, EngineConfig::default());
+    let engine = engine_for(Family::Gpt2);
     assert!(
         !engine.deferred_rope_effective(),
         "learned positions are not shift-invariant"
@@ -157,7 +129,7 @@ fn learned_positions_fall_back_to_legacy_placement() {
 /// served from the bounded rotated-view cache.
 #[test]
 fn relocation_does_not_duplicate_store_entries() {
-    let engine = engine_for(Family::Llama, EngineConfig::default());
+    let engine = engine_for(Family::Llama);
     let entries_after_registration = engine.store().len();
     let opts = ServeOptions::default().max_new_tokens(2);
     // Three placements: canonical, and two relocations behind different

@@ -351,7 +351,7 @@ fn bpe_tokenizer_serves_with_documented_boundary_caveat() {
         ))
         .unwrap();
     let r = engine
-        .serve(&ServeRequest::new(&format!(r#"<prompt schema="bpe"><m/>{question}</prompt>"#)).max_new_tokens(4)).map(Served::into_response)
+        .serve(&ServeRequest::new(format!(r#"<prompt schema="bpe"><m/>{question}</prompt>"#)).max_new_tokens(4)).map(Served::into_response)
         .unwrap();
     assert_eq!(r.stats.cached_tokens, module_tokens);
     assert_eq!(r.stats.new_tokens, question_tokens);
@@ -359,7 +359,7 @@ fn bpe_tokenizer_serves_with_documented_boundary_caveat() {
     // Baseline path also serves; token streams may differ only through
     // the boundary-whitespace encoding, never through reuse itself.
     let baseline = engine
-        .serve(&ServeRequest::new(&format!(r#"<prompt schema="bpe"><m/>{question}</prompt>"#)).options(ServeOptions::default().max_new_tokens(4)).baseline(true)).map(Served::into_response)
+        .serve(&ServeRequest::new(format!(r#"<prompt schema="bpe"><m/>{question}</prompt>"#)).options(ServeOptions::default().max_new_tokens(4)).baseline(true)).map(Served::into_response)
         .unwrap();
     assert_eq!(baseline.tokens.len(), 4);
 }

@@ -159,96 +159,11 @@ pub fn attention_chunk_segments(
     });
 }
 
-/// Batched decode attention: one query row **per sequence**, each over
-/// its *own* segmented KV cache.
-///
-/// This is the attention kernel behind continuous batching: `nseqs`
-/// in-flight requests each contribute one new token, and sequence `s`'s
-/// query attends to exactly the rows of its own cache (which already
-/// holds the new token's k/v) — never to another sequence's. Because each
-/// output row is produced by the same [`attention_row`] call the solo
-/// decode path uses, with the same `visible = cache length` horizon, the
-/// batched results are bit-identical to serving each sequence alone;
-/// shared module blocks referenced by several caches are read in place
-/// through their segment slices, so batching adds no copies.
-///
-/// The per-sequence segment lists arrive in CSR form to keep the hot
-/// loop allocation-free: `segs` is every sequence's `(keys, values)`
-/// segments back to back, and sequence `s` owns
-/// `segs[seg_bounds[s]..seg_bounds[s + 1]]`.
-///
-/// * `q` — query rows, `[nseqs × hidden]` (row `s` = sequence `s`).
-/// * `q_positions` — position id of each sequence's new token.
-/// * `seq_key_positions` — per sequence, the position ids of every cached
-///   token (length = that cache's logical length).
-/// * `scores` — caller-owned score scratch, grown to fit and reused
-///   across layers/ticks (contents are meaningless on entry and exit).
-/// * `out` — output rows, `[nseqs × hidden]`, overwritten.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_decode_batch(
-    cfg: &ModelConfig,
-    q: &[f32],
-    q_positions: &[usize],
-    segs: &[KvSegmentSlices<'_>],
-    seg_bounds: &[usize],
-    seq_key_positions: &[&[usize]],
-    rope: Option<&RopeTable>,
-    alibi: Option<&AlibiTable>,
-    scores: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    let nseqs = q_positions.len();
-    let d = cfg.hidden_size;
-    debug_assert_eq!(q.len(), nseqs * d);
-    debug_assert_eq!(out.len(), nseqs * d);
-    debug_assert_eq!(seg_bounds.len(), nseqs + 1);
-    debug_assert_eq!(seq_key_positions.len(), nseqs);
-    if nseqs == 0 {
-        return;
-    }
-    let scale = 1.0 / (cfg.head_dim() as f32).sqrt();
-
-    // Sequences are mutually independent (each attends only to its own
-    // cache), so the batch parallelises across sequences with bit-identical
-    // results — the same property row-parallelism has in the chunk kernel.
-    // Each worker gets one `max_visible`-sized slice of the shared score
-    // scratch instead of growing a private Vec per tick.
-    let work: usize = seq_key_positions.iter().map(|kp| kp.len() * d).sum();
-    let threads = cfg.parallelism.threads_for(work).min(nseqs).max(1);
-    let max_visible = seq_key_positions.iter().map(|kp| kp.len()).max().unwrap_or(0).max(1);
-    let rows_per = nseqs.div_ceil(threads);
-    let n_chunks = nseqs.div_ceil(rows_per);
-    if scores.len() < n_chunks * max_visible {
-        scores.resize(n_chunks * max_visible, 0.0);
-    }
-    if threads <= 1 {
-        attention_seq_rows(
-            cfg, q, q_positions, segs, seg_bounds, seq_key_positions, rope, alibi, scale, 0,
-            out, scores,
-        );
-        return;
-    }
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-        .chunks_mut(rows_per * d)
-        .zip(scores.chunks_mut(max_visible))
-        .enumerate()
-        .map(|(chunk_idx, (out_chunk, score_chunk))| {
-            let first_seq = chunk_idx * rows_per;
-            Box::new(move || {
-                attention_seq_rows(
-                    cfg, q, q_positions, segs, seg_bounds, seq_key_positions, rope, alibi,
-                    scale, first_seq, out_chunk, score_chunk,
-                );
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_tasks(tasks, threads);
-}
-
-/// Per-sequence worker body shared by the serial and parallel paths of
-/// [`attention_decode_batch`]: sequence rows `first_seq ..` backing
-/// `out_chunk`, each through the same [`attention_row`] the solo decode
-/// path uses.
+/// The per-sequence walk of [`attention_decode_batch_grouped`] for groups
+/// that share nothing: sequence rows `first_seq ..` backing `out_chunk`,
+/// each through the same [`attention_row`] the solo decode path uses with
+/// the same `visible = cache length` horizon — which is what makes a
+/// batched step bit-identical to serving each sequence alone.
 #[allow(clippy::too_many_arguments)]
 fn attention_seq_rows(
     cfg: &ModelConfig,
@@ -286,9 +201,22 @@ fn attention_seq_rows(
     }
 }
 
-/// Prefix-aware batched decode attention: the two-phase kernel that
-/// streams each **shared** K/V row once per group instead of once per
-/// sequence.
+/// Batched decode attention — one query row **per sequence**, each over
+/// its *own* segmented KV cache (which already holds the new token's
+/// k/v) — as a prefix-aware two-phase kernel that streams each **shared**
+/// K/V row once per group instead of once per sequence.
+///
+/// The per-sequence segment lists arrive in CSR form to keep the hot
+/// loop allocation-free: `segs` is every sequence's segments back to
+/// back, and sequence `s` owns `segs[seg_bounds[s]..seg_bounds[s + 1]]`.
+///
+/// * `q` — query rows, `[nseqs × hidden]` (row `s` = sequence `s`).
+/// * `q_positions` — position id of each sequence's new token.
+/// * `seq_key_positions` — per sequence, the position ids of every cached
+///   token (length = that cache's logical length).
+/// * `scores` — caller-owned score scratch, grown to fit and reused
+///   across layers/ticks (contents are meaningless on entry and exit).
+/// * `out` — output rows, `[nseqs × hidden]`, overwritten.
 ///
 /// `groups` partitions the batch rows into contiguous runs (see
 /// [`crate::view::group_adjacent_prefixes`]); within a run, the first
@@ -296,8 +224,8 @@ fn attention_seq_rows(
 /// those rows the loop nest is interchanged — key/value row outer, group
 /// member inner — so the shared rows make one trip through the cache
 /// hierarchy while every member's query is applied to them. Private
-/// tails then run per sequence, and groups that share nothing fall back
-/// to exactly the per-sequence path of [`attention_decode_batch`].
+/// tails then run per sequence, and groups that share nothing take the
+/// per-sequence walk (`attention_seq_rows`).
 ///
 /// **Why the outputs stay byte-identical.** Per (sequence, head) the
 /// kernel keeps a private score row and output accumulator, and both
@@ -417,9 +345,8 @@ fn attention_group(
 ) {
     let d = cfg.hidden_size;
     if !g.is_shared() {
-        // Nothing to hoist: run the members through the per-sequence path
-        // (this is also what keeps a batch of singletons — including batch
-        // size 1 — on exactly the legacy code).
+        // Nothing to hoist: run the members through the per-sequence walk
+        // (a batch of singletons, batch size 1 included, runs only this).
         attention_seq_rows(
             cfg, q, q_positions, segs, seg_bounds, seq_key_positions, rope, alibi, scale,
             g.start, out_chunk, scores,

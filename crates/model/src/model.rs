@@ -1,8 +1,6 @@
 //! The transformer model: embedding, blocks, logits, decoding.
 
-use crate::attention::{
-    attention_chunk_segments, attention_decode_batch, attention_decode_batch_grouped,
-};
+use crate::attention::{attention_chunk_segments, attention_decode_batch_grouped};
 use crate::pos::{AlibiTable, RopeTable};
 use crate::sampler::Sampler;
 use crate::view::{group_adjacent_prefixes, KvSeq, PrefixGroup};
@@ -74,8 +72,7 @@ impl PosListPool {
 /// KV row-traffic accounting for one batched decode step, summed across
 /// layers. "Shared" rows were streamed once per prefix group by the
 /// two-phase kernel (each read served every group member); "private"
-/// rows were read for exactly one sequence. With prefix sharing off,
-/// every read is private — the A/B the telemetry counters expose.
+/// rows were read for exactly one sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStepStats {
     /// Rows read once per group over shared prefixes.
@@ -216,7 +213,7 @@ impl Model {
     /// The model's RoPE table, if the family uses rotary positions —
     /// `None` for ALiBi/learned families. The engine hands this to the
     /// deferred-RoPE read path (shifted [`crate::KvView`] segments and
-    /// copy-mode placement rotation).
+    /// materialised rotated views).
     pub fn rope(&self) -> Option<&RopeTable> {
         self.rope.as_ref()
     }
@@ -358,9 +355,9 @@ impl Model {
     /// holds its next-token logits (length = vocab). Activations for the
     /// whole batch stack into `[n × hidden]` blocks so every weight
     /// matrix is traversed **once per step** instead of once per sequence
-    /// ([`pc_tensor::ops::matmul_transb_batched_par`]); attention runs
-    /// per sequence over its own segmented cache
-    /// ([`attention_decode_batch`]), so shared module blocks stay
+    /// ([`pc_tensor::ops::matmul_transb_batched_par`]); attention reads
+    /// each sequence's own segmented cache in place
+    /// ([`attention_decode_batch_grouped`]), so shared module blocks stay
     /// zero-copy across batch members.
     ///
     /// **Bit-identity.** Every per-sequence output is computed by the
@@ -380,25 +377,23 @@ impl Model {
         positions: &[usize],
         caches: &mut [&mut K],
     ) -> Result<Vec<Vec<f32>>> {
-        self.decode_step_batch_with(tokens, positions, caches, &mut BatchScratch::new(), true)
+        self.decode_step_batch_with(tokens, positions, caches, &mut BatchScratch::new())
     }
 
-    /// [`Model::decode_step_batch`] with caller-owned scratch and an
-    /// explicit prefix-sharing switch — the entry point the batch
-    /// scheduler drives every tick.
+    /// [`Model::decode_step_batch`] with caller-owned scratch — the
+    /// entry point the batch scheduler drives every tick.
     ///
-    /// With `prefix_sharing` on, adjacent batch rows whose caches share a
-    /// leading run of pointer-identical segments (see
-    /// [`group_adjacent_prefixes`]) are grouped once per tick — the
-    /// shared segments are frozen for the tick's duration, decode rows
-    /// only ever land in private tails — and attention runs through the
-    /// two-phase [`attention_decode_batch_grouped`] kernel, which streams
-    /// each shared K/V row **once per group** instead of once per
-    /// sequence. With it off, every sequence walks its own cache
-    /// ([`attention_decode_batch`]). Both paths execute identical float
-    /// operations per output element, so they are bit-identical to each
-    /// other and to solo decoding; the switch exists as the A/B oracle
-    /// and for row-traffic comparison ([`BatchScratch::stats`]).
+    /// Adjacent batch rows whose caches share a leading run of
+    /// pointer-identical segments (see [`group_adjacent_prefixes`]) are
+    /// grouped once per tick — the shared segments are frozen for the
+    /// tick's duration, decode rows only ever land in private tails — and
+    /// attention runs through the two-phase
+    /// [`attention_decode_batch_grouped`] kernel, which streams each
+    /// shared K/V row **once per group** instead of once per sequence;
+    /// rows that share nothing walk their own cache. Every output element
+    /// sees the float operations of solo decoding in the same order, so
+    /// the step is bit-identical to it. [`BatchScratch::stats`] reports
+    /// the shared-vs-private row traffic.
     ///
     /// # Errors
     ///
@@ -409,7 +404,6 @@ impl Model {
         positions: &[usize],
         caches: &mut [&mut K],
         scratch: &mut BatchScratch,
-        prefix_sharing: bool,
     ) -> Result<Vec<Vec<f32>>> {
         let n = tokens.len();
         scratch.stats = BatchStepStats::default();
@@ -459,26 +453,20 @@ impl Model {
         // segments are immutable while the tick runs (every row pushed
         // above and below lands in a private tail), so the grouping —
         // pure pointer identity — holds for all layers.
-        if prefix_sharing {
-            group_adjacent_prefixes(n, |s, i| caches[s].shared_segment_id(i), &mut scratch.groups);
-        }
+        group_adjacent_prefixes(n, |s, i| caches[s].shared_segment_id(i), &mut scratch.groups);
         let layers = self.weights.layers.len() as u64;
         let mut shared_rows = 0u64;
         let mut private_rows = 0u64;
-        if prefix_sharing {
-            for g in &scratch.groups {
-                let members = caches[g.start..g.start + g.len].iter();
-                if g.is_shared() {
-                    shared_rows += g.prefix_rows as u64;
-                    for c in members {
-                        private_rows += (c.len() - g.prefix_rows) as u64;
-                    }
-                } else {
-                    private_rows += members.map(|c| c.len() as u64).sum::<u64>();
+        for g in &scratch.groups {
+            let members = caches[g.start..g.start + g.len].iter();
+            if g.is_shared() {
+                shared_rows += g.prefix_rows as u64;
+                for c in members {
+                    private_rows += (c.len() - g.prefix_rows) as u64;
                 }
+            } else {
+                private_rows += members.map(|c| c.len() as u64).sum::<u64>();
             }
-        } else {
-            private_rows = caches.iter().map(|c| c.len() as u64).sum();
         }
         scratch.stats = BatchStepStats {
             shared_rows_read: shared_rows * layers,
@@ -538,34 +526,19 @@ impl Model {
                 key_pos.push(cache.positions());
             }
             scratch.seg_bounds.push(segs.len());
-            if prefix_sharing {
-                attention_decode_batch_grouped(
-                    cfg,
-                    q,
-                    positions,
-                    &segs,
-                    &scratch.seg_bounds,
-                    &key_pos,
-                    &scratch.groups,
-                    self.rope.as_ref(),
-                    self.alibi.as_ref(),
-                    &mut scratch.scores,
-                    attn,
-                );
-            } else {
-                attention_decode_batch(
-                    cfg,
-                    q,
-                    positions,
-                    &segs,
-                    &scratch.seg_bounds,
-                    &key_pos,
-                    self.rope.as_ref(),
-                    self.alibi.as_ref(),
-                    &mut scratch.scores,
-                    attn,
-                );
-            }
+            attention_decode_batch_grouped(
+                cfg,
+                q,
+                positions,
+                &segs,
+                &scratch.seg_bounds,
+                &key_pos,
+                &scratch.groups,
+                self.rope.as_ref(),
+                self.alibi.as_ref(),
+                &mut scratch.scores,
+                attn,
+            );
             scratch.seg_pool.put(segs);
             scratch.pos_pool.put(key_pos);
             ops::matmul_transb_batched_par(attn, lw.wo.data(), proj, n, d, d, par);

@@ -324,84 +324,6 @@ impl KvView {
         self.push_segment(cache, 0, end)
     }
 
-    /// Copies the row range `start..end` of `other` into the private tail
-    /// — the pre-zero-copy behaviour, kept for A/B comparison and for
-    /// callers that need an owned flat cache.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`KvCache::append_range`].
-    pub fn append_range_copy(&mut self, other: &KvCache, start: usize, end: usize) -> Result<()> {
-        self.tail.append_range(other, start, end)?;
-        self.positions.extend_from_slice(&other.positions()[start..end]);
-        Ok(())
-    }
-
-    /// Copies the row range `start..end` of `other` into the private tail
-    /// at a placement `shift`, baking the deferred rotation into the
-    /// copied key rows (`rope` is `None` for position-free families, whose
-    /// rows copy unchanged). This is the copy-mode (`zero_copy` off)
-    /// counterpart of [`KvView::push_segment_shifted`]: the materialised
-    /// rotation uses the same `R(shift)` composition the fused read-path
-    /// kernel applies, so both modes produce identical attention scores.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`KvView::push_segment_shifted`], minus the
-    /// tail-empty requirement (copies always extend the tail).
-    pub fn append_range_copy_shifted(
-        &mut self,
-        other: &KvCache,
-        start: usize,
-        end: usize,
-        shift: isize,
-        rope: Option<&RopeTable>,
-    ) -> Result<()> {
-        if shift == 0 {
-            return self.append_range_copy(other, start, end);
-        }
-        if other.num_layers() != self.tail.num_layers() || other.kv_dim() != self.tail.kv_dim() {
-            return Err(ModelError::CacheShapeMismatch {
-                detail: format!(
-                    "copy source {} layers × kv_dim {} vs view {} layers × kv_dim {}",
-                    other.num_layers(),
-                    other.kv_dim(),
-                    self.tail.num_layers(),
-                    self.tail.kv_dim()
-                ),
-            });
-        }
-        if start > end || end > other.len() {
-            return Err(ModelError::CacheShapeMismatch {
-                detail: format!("copy range {start}..{end} invalid for length {}", other.len()),
-            });
-        }
-        if let Some(&p) = other.positions()[start..end].iter().find(|&&p| (p as isize) + shift < 0)
-        {
-            return Err(ModelError::CacheShapeMismatch {
-                detail: format!("shift {shift} places stored position {p} below zero"),
-            });
-        }
-        let d = other.kv_dim();
-        let mut k_row = vec![0.0f32; d];
-        for row in start..end {
-            for layer in 0..other.num_layers() {
-                k_row.copy_from_slice(&other.keys(layer)[row * d..(row + 1) * d]);
-                if let Some(rope) = rope {
-                    for head in k_row.chunks_exact_mut(rope.head_dim()) {
-                        rope.apply_shift(head, shift);
-                    }
-                }
-                let v_row = &other.values(layer)[row * d..(row + 1) * d];
-                self.tail.push_token_layer(layer, &k_row, v_row);
-            }
-            let placed = (other.positions()[row] as isize + shift) as usize;
-            self.tail.push_position(placed);
-            self.positions.push(placed);
-        }
-        Ok(())
-    }
-
     /// The shared segments, in cache order.
     pub fn segments(&self) -> &[KvSegment] {
         &self.segments
@@ -753,17 +675,6 @@ mod tests {
         assert_eq!(view.positions(), flat.positions());
         assert_eq!(view.len(), 5);
         assert_eq!(view.shared_rows(), 4);
-    }
-
-    #[test]
-    fn copy_path_fills_tail() {
-        let b = Arc::new(cache_with(&[(5, 9.0), (6, 10.0)]));
-        let mut view = KvView::with_shape(2, 3);
-        view.append_range_copy(&b, 0, 2).unwrap();
-        assert_eq!(view.shared_rows(), 0);
-        assert_eq!(view.tail().len(), 2);
-        assert_eq!(view.positions(), &[5, 6]);
-        assert_eq!(view.materialize().keys(0), b.keys(0));
     }
 
     #[test]

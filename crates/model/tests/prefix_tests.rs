@@ -1,7 +1,7 @@
 //! Prefix-aware batched attention identity guarantees: the two-phase
 //! grouped kernel (shared K/V rows streamed once per group) must produce
-//! **byte-identical** logits and cache states to the per-sequence kernel
-//! and to solo decoding, for every group shape — all-shared, disjoint,
+//! **byte-identical** logits and cache states to solo decoding (the
+//! reference), for every group shape — all-shared, disjoint,
 //! staggered tails, deep multi-segment prefixes, singletons — across the
 //! RoPE / GQA / ALiBi / learned-position families.
 
@@ -54,17 +54,15 @@ fn next_pos(view: &KvView) -> usize {
     view.positions().iter().max().map_or(0, |p| p + 1)
 }
 
-/// Drives `ticks` consecutive decode steps over `views` three ways —
-/// solo prefill per sequence, batched with prefix sharing, batched
-/// without — and asserts logits and cache bytes agree exactly at every
-/// tick. Membership shrinks by one sequence per tick to exercise scratch
-/// reuse across changing batch compositions.
-fn assert_three_way_identity(model: &Model, views: Vec<KvView>, ticks: usize) {
+/// Drives `ticks` consecutive decode steps over `views` two ways — solo
+/// prefill per sequence (the reference) and the grouped batched step —
+/// and asserts logits and cache bytes agree exactly at every tick.
+/// Membership shrinks by one sequence per tick to exercise scratch reuse
+/// across changing batch compositions.
+fn assert_grouped_matches_solo(model: &Model, views: Vec<KvView>, ticks: usize) {
     let mut solo = views.clone();
-    let mut shared = views.clone();
-    let mut unshared = views;
-    let mut scratch_on = BatchScratch::new();
-    let mut scratch_off = BatchScratch::new();
+    let mut grouped = views;
+    let mut scratch = BatchScratch::new();
     for tick in 0..ticks {
         // Shrink membership from the tail so later ticks run a smaller,
         // differently-shaped batch through the same scratch.
@@ -78,22 +76,15 @@ fn assert_three_way_identity(model: &Model, views: Vec<KvView>, ticks: usize) {
                 .push(model.prefill(&tokens[i..=i], &positions[i..=i], view).unwrap());
         }
 
-        let mut refs: Vec<&mut KvView> = shared[..n].iter_mut().collect();
-        let on_logits = model
-            .decode_step_batch_with(&tokens, &positions, &mut refs, &mut scratch_on, true)
+        let mut refs: Vec<&mut KvView> = grouped[..n].iter_mut().collect();
+        let grouped_logits = model
+            .decode_step_batch_with(&tokens, &positions, &mut refs, &mut scratch)
             .unwrap();
 
-        let mut refs: Vec<&mut KvView> = unshared[..n].iter_mut().collect();
-        let off_logits = model
-            .decode_step_batch_with(&tokens, &positions, &mut refs, &mut scratch_off, false)
-            .unwrap();
-
-        assert_eq!(on_logits, solo_logits, "tick {tick} prefix-shared vs solo");
-        assert_eq!(off_logits, solo_logits, "tick {tick} per-sequence vs solo");
+        assert_eq!(grouped_logits, solo_logits, "tick {tick} grouped vs solo");
         for i in 0..n {
-            assert_eq!(shared[i].materialize(), solo[i].materialize(), "tick {tick} seq {i}");
-            assert_eq!(unshared[i].materialize(), solo[i].materialize(), "tick {tick} seq {i}");
-            assert_eq!(shared[i].positions(), solo[i].positions());
+            assert_eq!(grouped[i].materialize(), solo[i].materialize(), "tick {tick} seq {i}");
+            assert_eq!(grouped[i].positions(), solo[i].positions());
         }
     }
 }
@@ -112,7 +103,7 @@ fn all_shared_groups_match_solo_bitwise() {
                     view_with(&model, &[&module], &private)
                 })
                 .collect();
-            assert_three_way_identity(&model, views, 3);
+            assert_grouped_matches_solo(&model, views, 3);
         }
     }
 }
@@ -133,7 +124,7 @@ fn disjoint_and_mixed_groups_match_solo_bitwise() {
             view_with(&model, &[&b], &[12, 31]),
             view_with(&model, &[&a, &b], &[40]),
         ];
-        assert_three_way_identity(&model, views, 2);
+        assert_grouped_matches_solo(&model, views, 2);
     }
 }
 
@@ -150,7 +141,7 @@ fn deep_multi_segment_prefixes_match_solo_bitwise() {
             view_with(&model, &[&a, &b], &[2, 3]),
             view_with(&model, &[&a], &[4]),
         ];
-        assert_three_way_identity(&model, views, 3);
+        assert_grouped_matches_solo(&model, views, 3);
     }
 }
 
@@ -180,7 +171,7 @@ fn staggered_joins_preserve_identity() {
         }
         let mut refs: Vec<&mut KvView> = batched.iter_mut().collect();
         let got = model
-            .decode_step_batch_with(&tokens, &positions, &mut refs, &mut scratch, true)
+            .decode_step_batch_with(&tokens, &positions, &mut refs, &mut scratch)
             .unwrap();
         assert_eq!(got, solo_logits, "tick {tick}");
         // Every member of the batch shares the module: one group.
@@ -203,31 +194,30 @@ fn row_traffic_stats_count_shared_rows_once_per_group() {
         .collect();
     let mut scratch = BatchScratch::new();
 
-    let run = |views: &mut Vec<KvView>, scratch: &mut BatchScratch, sharing: bool| {
-        let tokens = [1u32, 2, 3, 4];
+    let run = |views: &mut Vec<KvView>, scratch: &mut BatchScratch| {
+        let tokens: Vec<TokenId> = (1..=views.len() as TokenId).collect();
         let positions: Vec<usize> = views.iter().map(next_pos).collect();
         let mut refs: Vec<&mut KvView> = views.iter_mut().collect();
         model
-            .decode_step_batch_with(&tokens, &positions, &mut refs, scratch, sharing)
+            .decode_step_batch_with(&tokens, &positions, &mut refs, scratch)
             .unwrap();
         scratch.stats()
     };
 
-    let mut on_views = views.clone();
-    let on = run(&mut on_views, &mut scratch, true);
+    let mut group = views.clone();
+    let stats = run(&mut group, &mut scratch);
     // 6 shared rows once per group; each member reads its own 2 private
     // rows (1 prefilled + the token pushed this tick); × layers.
-    assert_eq!(on.shared_rows_read, 6 * layers);
-    assert_eq!(on.private_rows_read, 4 * 2 * layers);
-    assert_eq!(on.share_percent(), (6 * 100 / 14) as i64);
+    assert_eq!(stats.shared_rows_read, 6 * layers);
+    assert_eq!(stats.private_rows_read, 4 * 2 * layers);
+    assert_eq!(stats.share_percent(), (6 * 100 / 14) as i64);
 
-    let mut off_views = views.clone();
-    let off = run(&mut off_views, &mut scratch, false);
-    // Sharing off: every member streams all 8 of its rows privately —
-    // O(batch × context) row traffic vs O(unique) above.
-    assert_eq!(off.shared_rows_read, 0);
-    assert_eq!(off.private_rows_read, 4 * 8 * layers);
-    assert!(off.total_rows_read() > on.total_rows_read());
+    // A singleton hoists nothing: it streams all 8 of its rows privately,
+    // which is what every member would read without grouping.
+    let mut single = views[..1].to_vec();
+    let stats = run(&mut single, &mut scratch);
+    assert_eq!(stats.shared_rows_read, 0);
+    assert_eq!(stats.private_rows_read, 8 * layers);
 }
 
 #[test]
@@ -262,7 +252,7 @@ fn greedy_decode_sequences_agree_over_many_ticks() {
     let first_positions: Vec<usize> = views.iter().map(next_pos).collect();
     let mut refs: Vec<&mut KvView> = views.iter_mut().collect();
     let mut logits = model
-        .decode_step_batch_with(&[1, 1, 1], &first_positions, &mut refs, &mut scratch, true)
+        .decode_step_batch_with(&[1, 1, 1], &first_positions, &mut refs, &mut scratch)
         .unwrap();
     let mut batch_streams = vec![Vec::new(); seeds.len()];
     for _ in 0..8 {
@@ -273,7 +263,7 @@ fn greedy_decode_sequences_agree_over_many_ticks() {
         let positions: Vec<usize> = views.iter().map(next_pos).collect();
         let mut refs: Vec<&mut KvView> = views.iter_mut().collect();
         logits = model
-            .decode_step_batch_with(&tokens, &positions, &mut refs, &mut scratch, true)
+            .decode_step_batch_with(&tokens, &positions, &mut refs, &mut scratch)
             .unwrap();
     }
     assert_eq!(batch_streams, solo_streams);

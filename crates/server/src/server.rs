@@ -37,9 +37,9 @@ pub struct ServerConfig {
     /// Worker threads draining the queue (ignored when `batching` is
     /// set — continuous batching uses one scheduler thread).
     pub workers: usize,
-    /// Maximum queued (not yet picked up) requests. [`Server::submit`]
-    /// blocks the caller beyond this; [`Server::try_submit`] sheds
-    /// instead — non-blocking admission control.
+    /// Maximum queued (not yet picked up) requests. Beyond this,
+    /// [`Server::submit_request`] sheds ([`SubmitError::QueueFull`]) — or
+    /// blocks the caller, for a [`SubmitRequest::blocking`] request.
     pub queue_capacity: usize,
     /// Continuous batching: when set, requests are served by a single
     /// [`prompt_cache::BatchScheduler`] loop that admits queued requests
@@ -140,7 +140,7 @@ impl std::fmt::Display for ShedReason {
     }
 }
 
-/// Rejection returned by [`Server::try_submit`] — the request never
+/// Rejection returned by [`Server::submit_request`] — the request never
 /// entered the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
@@ -559,47 +559,6 @@ impl Server {
         }
     }
 
-    /// Submits a cached-inference request.
-    ///
-    /// **Blocks the calling thread while the queue is full** — fine for
-    /// closed-loop benchmarks, a footgun for anything latency-sensitive:
-    /// under overload every submitter stalls here with no error and no
-    /// timeout.
-    #[deprecated(note = "build a `SubmitRequest` with `.blocking(true)` and call \
-                         `Server::submit_request`")]
-    pub fn submit(&self, prompt_pml: String, options: ServeOptions) -> RequestHandle {
-        self.submit_inner(prompt_pml, options, false)
-    }
-
-    /// Submits a baseline (full-prefill) request — lets load experiments
-    /// mix both paths through the same queue. Blocks when the queue is
-    /// full.
-    #[deprecated(note = "build a `SubmitRequest` with `.baseline(true).blocking(true)` and \
-                         call `Server::submit_request`")]
-    pub fn submit_baseline(&self, prompt_pml: String, options: ServeOptions) -> RequestHandle {
-        self.submit_inner(prompt_pml, options, true)
-    }
-
-    /// Non-blocking admission: rejects immediately when the queue is at
-    /// capacity, or when the predicted queue wait ((queue depth +
-    /// in-flight) × EWMA service time ÷ slots) already exceeds the request's
-    /// [`ServeOptions::deadline`]. Rejections count toward
-    /// `pc_requests_shed_total`; the request never enters the queue.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::QueueFull`] or
-    /// [`SubmitError::PredictedDeadlineExceeded`].
-    #[deprecated(note = "build a `SubmitRequest` (non-blocking is the default) and call \
-                         `Server::submit_request`")]
-    pub fn try_submit(
-        &self,
-        prompt_pml: String,
-        options: ServeOptions,
-    ) -> Result<RequestHandle, SubmitError> {
-        self.try_submit_inner(prompt_pml, options, false)
-    }
-
     fn try_submit_inner(
         &self,
         prompt_pml: String,
@@ -986,7 +945,6 @@ fn complete_request(
                     .field("cached_tokens", response.stats.cached_tokens)
                     .field("new_tokens", response.stats.new_tokens)
                     .field("bytes_shared", response.stats.bytes_shared)
-                    .field("bytes_copied", response.stats.bytes_copied)
                     .field("used_scaffold", response.stats.used_scaffold)
             });
             if response.stats.degraded_spans > 0 {
@@ -1415,7 +1373,7 @@ pub(crate) fn render_debug_cache(engine: &PromptCache) -> String {
                 out,
                 "{{\"module\":\"{}\",\"hits\":{},\"misses\":{},\"degrades\":{},\
                  \"evictions\":{},\"relocations\":{},\"bytes_shared\":{},\
-                 \"bytes_copied\":{},\"shared_rows\":{},\"last_access_tick\":{}}}",
+                 \"shared_rows\":{},\"last_access_tick\":{}}}",
                 json_escape(&h.module),
                 h.hits,
                 h.misses,
@@ -1423,7 +1381,6 @@ pub(crate) fn render_debug_cache(engine: &PromptCache) -> String {
                 h.evictions,
                 h.relocations,
                 h.bytes_shared,
-                h.bytes_copied,
                 h.shared_rows,
                 h.last_access_tick,
             );
@@ -1443,8 +1400,8 @@ pub(crate) fn render_debug_batch(shared: &Shared) -> String {
         return "{\"enabled\":false}".to_owned();
     };
     let mut out = format!(
-        "{{\"enabled\":true,\"max_batch_size\":{},\"prefix_sharing\":{},\"sequences\":[",
-        snapshot.max_batch_size, snapshot.prefix_sharing,
+        "{{\"enabled\":true,\"max_batch_size\":{},\"sequences\":[",
+        snapshot.max_batch_size,
     );
     for (i, s) in snapshot.sequences.iter().enumerate() {
         if i > 0 {

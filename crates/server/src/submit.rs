@@ -1,11 +1,10 @@
 //! The unified request-submission API.
 //!
-//! [`SubmitRequest`] collapses the historical `submit` /
-//! `submit_baseline` / `try_submit` family into one builder, mirroring
-//! the engine's `ServeRequest` pattern: construct with the prompt, chain
-//! what you need, pass to [`Server::submit_request`] — or to the fleet's
-//! [`Router::submit`](crate::Router::submit), which accepts the same
-//! request type.
+//! [`SubmitRequest`] is one builder for every kind of submission,
+//! mirroring the engine's `ServeRequest` pattern: construct with the
+//! prompt, chain what you need, pass to [`Server::submit_request`] — or
+//! to the fleet's [`Router::submit`](crate::Router::submit), which
+//! accepts the same request type.
 //!
 //! ```ignore
 //! let req = SubmitRequest::new(prompt)
@@ -15,11 +14,10 @@
 //! ```
 //!
 //! Admission mode is an option, not a method name: the default is
-//! **non-blocking** (the old `try_submit` semantics — queue-full and
-//! predicted-deadline sheds return [`SubmitError`]); `.blocking(true)`
-//! restores the old `submit` behaviour of waiting for queue space
+//! **non-blocking** (queue-full and predicted-deadline sheds return
+//! [`SubmitError`]); `.blocking(true)` waits for queue space instead
 //! (closed-loop benchmarks) and never errors. Baseline (full-prefill)
-//! serving is `.baseline(true)` instead of a separate entry point.
+//! serving is `.baseline(true)`.
 
 use std::time::Duration;
 

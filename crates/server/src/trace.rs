@@ -74,7 +74,10 @@ pub struct ReplayReport {
     /// Of the completed requests: how many returned a *partial* response
     /// ([`prompt_cache::ServeOutcome`] cancelled/deadline-exceeded).
     pub interrupted: u64,
-    /// End-to-end latency (submission → completion) distribution.
+    /// End-to-end latency (submission → completion) distribution: each
+    /// request's own queue wait plus service time as the server measured
+    /// them — not the moment the replay collected its handle, which is
+    /// after the whole trace has been submitted.
     pub e2e: LatencyRecorder,
     /// Queue-wait distribution across all requests that produced a
     /// result (served or shed).
@@ -153,7 +156,7 @@ pub fn replay(
         let handle = server
             .submit_request(&request)
             .expect("blocking submit cannot fail");
-        pending.push((Instant::now(), handle));
+        pending.push(handle);
     }
     let e2e = LatencyRecorder::new();
     let queue = LatencyRecorder::new();
@@ -169,7 +172,7 @@ pub fn replay(
     let mut dropped = 0;
     let mut shed = 0;
     let mut interrupted = 0;
-    for (submitted, handle) in pending {
+    for handle in pending {
         match handle.wait() {
             Some(result) => {
                 queue.record(result.queue_time);
@@ -179,7 +182,7 @@ pub fn replay(
                         if response.outcome.is_interrupted() {
                             interrupted += 1;
                         }
-                        e2e.record(submitted.elapsed());
+                        e2e.record(result.queue_time + result.service_time);
                         ttft.record(response.timings.ttft);
                         for ((_, rec), (_, dur)) in
                             phases.iter().zip(response.breakdown.phases())
@@ -216,6 +219,33 @@ mod tests {
     use pc_tokenizer::{Tokenizer, WordTokenizer};
     use prompt_cache::{EngineConfig, PromptCache};
 
+    /// A worker-pool server over a one-module schema, and two prompts
+    /// that import the module.
+    fn server_and_prompts(workers: usize) -> (Server, Vec<String>) {
+        let corpus = "alpha beta gamma delta question one two";
+        let tokenizer = WordTokenizer::train(&[corpus]);
+        let vocab = tokenizer.vocab_size().max(64);
+        let engine = PromptCache::new(
+            Model::new(ModelConfig::llama_tiny(vocab), 2),
+            tokenizer,
+            EngineConfig::default(),
+        );
+        engine
+            .register_schema(
+                r#"<schema name="t"><module name="m">alpha beta gamma delta</module></schema>"#,
+            )
+            .unwrap();
+        let server = Server::start(
+            engine,
+            ServerConfig::default().workers(workers).queue_capacity(64),
+        );
+        let prompts = vec![
+            r#"<prompt schema="t"><m/>question one</prompt>"#.to_owned(),
+            r#"<prompt schema="t"><m/>question two</prompt>"#.to_owned(),
+        ];
+        (server, prompts)
+    }
+
     #[test]
     fn trace_is_deterministic_and_monotone() {
         let a = poisson_trace(50, 100.0, 3, 7);
@@ -244,27 +274,7 @@ mod tests {
 
     #[test]
     fn replay_completes_offered_load() {
-        let corpus = "alpha beta gamma delta question one two";
-        let tokenizer = WordTokenizer::train(&[corpus]);
-        let vocab = tokenizer.vocab_size().max(64);
-        let engine = PromptCache::new(
-            Model::new(ModelConfig::llama_tiny(vocab), 2),
-            tokenizer,
-            EngineConfig::default(),
-        );
-        engine
-            .register_schema(
-                r#"<schema name="t"><module name="m">alpha beta gamma delta</module></schema>"#,
-            )
-            .unwrap();
-        let server = Server::start(
-            engine,
-            ServerConfig::default().workers(2).queue_capacity(64),
-        );
-        let prompts = vec![
-            r#"<prompt schema="t"><m/>question one</prompt>"#.to_owned(),
-            r#"<prompt schema="t"><m/>question two</prompt>"#.to_owned(),
-        ];
+        let (server, prompts) = server_and_prompts(2);
         let trace = poisson_trace(20, 500.0, prompts.len(), 11);
         let report = replay(
             &server,
@@ -287,6 +297,33 @@ mod tests {
         for phase in ["tokenize", "fetch", "prefill", "sample"] {
             assert!(summary.contains(phase), "{summary}");
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn e2e_measures_each_request_not_the_trace() {
+        // 24 fast serves spread over ≥ 240 ms: a request's end-to-end time
+        // is its own queue wait + service time, so it must sit far below
+        // the trace length however late the replay collects its handle —
+        // and it can never undercut the same request's TTFT.
+        let (server, prompts) = server_and_prompts(1);
+        let trace: Vec<TraceEvent> = (0..24)
+            .map(|i| TraceEvent {
+                at: Duration::from_millis(10 * (i + 1)),
+                prompt_index: i as usize % prompts.len(),
+            })
+            .collect();
+        let trace_len = trace.last().unwrap().at;
+        let report = replay(
+            &server,
+            &prompts,
+            &trace,
+            &ServeOptions::default().max_new_tokens(1),
+        );
+        assert_eq!(report.completed, 24);
+        let e2e_p95 = report.e2e.percentile(95.0).unwrap();
+        assert!(e2e_p95 < trace_len / 10, "e2e p95 {e2e_p95:?} of a {trace_len:?} trace");
+        assert!(e2e_p95 >= report.ttft.percentile(95.0).unwrap());
         server.shutdown();
     }
 

@@ -154,6 +154,18 @@ impl<'a> Dec<'a> {
         Ok(self.u64()? as usize)
     }
 
+    /// Reads a `u32` item count, rejecting one the rest of the payload
+    /// cannot hold — so a count read off the wire is bounded before
+    /// anything is allocated from it. Every counted item takes at least
+    /// 4 bytes: a `u32` token, or a string's length prefix.
+    fn count(&mut self) -> io::Result<usize> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / 4 {
+            return Err(Self::bad("item count exceeds payload"));
+        }
+        Ok(n)
+    }
+
     fn done(&self) -> io::Result<()> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -185,9 +197,8 @@ pub enum TokenizerSpec {
 }
 
 /// A deterministic recipe for building identical engines across workers:
-/// model config + weight seed + tokenizer recipe + the engine knobs that
-/// affect outputs. `build()` in two different processes yields engines
-/// that serve byte-identical responses.
+/// model config + weight seed + tokenizer recipe. `build()` in two
+/// different processes yields engines that serve byte-identical responses.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct EngineBlueprint {
@@ -197,39 +208,17 @@ pub struct EngineBlueprint {
     pub model_seed: u64,
     /// Tokenizer recipe.
     pub tokenizer: TokenizerSpec,
-    /// Engine zero-copy knob.
-    pub zero_copy: bool,
-    /// Engine deferred-RoPE knob.
-    pub deferred_rope: bool,
 }
 
 impl EngineBlueprint {
-    /// A blueprint with the default engine knobs (both on, matching
-    /// `EngineConfig::default()`).
+    /// A blueprint for engines built with `EngineConfig::default()`.
     #[must_use]
     pub fn new(model: ModelConfig, model_seed: u64, tokenizer: TokenizerSpec) -> Self {
-        let defaults = EngineConfig::default();
         EngineBlueprint {
             model,
             model_seed,
             tokenizer,
-            zero_copy: defaults.zero_copy,
-            deferred_rope: defaults.deferred_rope,
         }
-    }
-
-    /// Sets the zero-copy knob.
-    #[must_use]
-    pub fn zero_copy(mut self, on: bool) -> Self {
-        self.zero_copy = on;
-        self
-    }
-
-    /// Sets the deferred-RoPE knob.
-    #[must_use]
-    pub fn deferred_rope(mut self, on: bool) -> Self {
-        self.deferred_rope = on;
-        self
     }
 
     /// Builds the engine this blueprint describes. Deterministic: every
@@ -238,9 +227,7 @@ impl EngineBlueprint {
     #[must_use]
     pub fn build(&self) -> PromptCache {
         let model = Model::new(self.model.clone(), self.model_seed);
-        let config = EngineConfig::default()
-            .zero_copy(self.zero_copy)
-            .deferred_rope(self.deferred_rope);
+        let config = EngineConfig::default();
         match &self.tokenizer {
             TokenizerSpec::Word { corpus } => {
                 let refs: Vec<&str> = corpus.iter().map(String::as_str).collect();
@@ -285,8 +272,6 @@ impl EngineBlueprint {
                 put_u64(buf, *vocab_size as u64);
             }
         }
-        put_bool(buf, self.zero_copy);
-        put_bool(buf, self.deferred_rope);
     }
 
     fn decode_from(d: &mut Dec<'_>) -> io::Result<Self> {
@@ -308,7 +293,7 @@ impl EngineBlueprint {
         };
         let model_seed = d.u64()?;
         let tok_tag = d.u8()?;
-        let n = d.u32()? as usize;
+        let n = d.count()?;
         let mut corpus = Vec::with_capacity(n);
         for _ in 0..n {
             corpus.push(d.string()?);
@@ -321,14 +306,10 @@ impl EngineBlueprint {
             },
             t => return Err(Dec::bad(&format!("tokenizer tag {t}"))),
         };
-        let zero_copy = d.bool()?;
-        let deferred_rope = d.bool()?;
         Ok(EngineBlueprint {
             model,
             model_seed,
             tokenizer,
-            zero_copy,
-            deferred_rope,
         })
     }
 }
@@ -672,7 +653,7 @@ impl FromWorker {
             TAG_RESULT => {
                 let id = d.u64()?;
                 let text = d.string()?;
-                let n = d.u32()? as usize;
+                let n = d.count()?;
                 let mut tokens = Vec::with_capacity(n);
                 for _ in 0..n {
                     tokens.push(d.u32()?);
@@ -719,7 +700,6 @@ mod tests {
                 vocab_size: 280,
             },
         )
-        .zero_copy(false)
     }
 
     #[test]
@@ -796,6 +776,34 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap(), b"beta");
         assert!(read_frame(&mut r).is_err(), "eof is an error");
+    }
+
+    #[test]
+    fn oversized_item_counts_are_rejected_before_allocating() {
+        // A count of 0xFFFF_FFFF in a frame a few dozen bytes long must be
+        // an `InvalidData` error, not a multi-gigabyte `Vec::with_capacity`.
+        let mut hello = ToWorker::Hello {
+            worker_id: 0,
+            blueprint: EngineBlueprint::new(
+                ModelConfig::llama_tiny(8),
+                1,
+                TokenizerSpec::Word { corpus: Vec::new() },
+            ),
+        }
+        .to_frame();
+        // An empty word corpus ends the frame with its zero line count.
+        let count_at = hello.len() - 4;
+        hello[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = ToWorker::from_frame(&hello).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let mut result = vec![TAG_RESULT];
+        put_u64(&mut result, 7);
+        put_str(&mut result, "");
+        put_u32(&mut result, u32::MAX);
+        result.extend_from_slice(&[0; 16]);
+        let err = FromWorker::from_frame(&result).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

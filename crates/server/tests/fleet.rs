@@ -263,7 +263,7 @@ fn fleet_ops_endpoints_serve_metrics_and_debug_views() {
             .shards(2)
             .ops_addr("127.0.0.1:0".parse().unwrap()),
     );
-    fleet_outputs(&router, &prompts()[..3].to_vec());
+    fleet_outputs(&router, &prompts()[..3]);
     let addr = router.ops_local_addr().expect("ops endpoint bound");
 
     let (status, metrics) = http_get(addr, "/metrics");

@@ -84,11 +84,11 @@ fn http_request(addr: SocketAddr, method: &str, path: &str) -> (String, String, 
 /// state to report.
 fn warm(server: &Server) {
     for prompt in PROMPTS {
-        assert!(submit(&server, prompt.into(), opts()).wait().unwrap().outcome.is_ok());
+        assert!(submit(server, prompt.into(), opts()).wait().unwrap().outcome.is_ok());
     }
     // Repeat one cached prompt with a deadline so the SLO tracker has a
     // completed deadline-carrying request.
-    assert!(submit(&server, PROMPTS[0].into(), opts().deadline(Duration::from_secs(30)))
+    assert!(submit(server, PROMPTS[0].into(), opts().deadline(Duration::from_secs(30)))
         .wait()
         .unwrap()
         .outcome
@@ -263,7 +263,7 @@ fn ops_plane_disabled_is_zero_overhead_and_byte_identical() {
         PROMPTS
             .iter()
             .map(|p| {
-                let r = submit(&server, (*p).into(), opts()).wait().unwrap().outcome.unwrap();
+                let r = submit(server, (*p).into(), opts()).wait().unwrap().outcome.unwrap();
                 (r.tokens, r.text)
             })
             .collect()

@@ -1,10 +1,8 @@
-//! `SubmitRequest` unification: the single builder-based entry point
-//! must behave exactly like the three PR 4/5 signatures it deprecates
-//! (`submit`, `submit_baseline`, `try_submit`), which remain as shims.
-#![allow(deprecated)]
+//! `SubmitRequest`: the builder's setters reach the engine's
+//! `ServeOptions`, and a deadline rides through `Server::submit_request`.
 
 use pc_model::{Model, ModelConfig};
-use pc_server::{Server, ServerConfig, SubmitError, SubmitRequest, WorkerFaults};
+use pc_server::{Server, ServerConfig, SubmitRequest};
 use pc_tokenizer::{Tokenizer, WordTokenizer};
 use prompt_cache::{EngineConfig, PromptCache, ServeOptions};
 use std::time::Duration;
@@ -27,90 +25,6 @@ fn engine() -> PromptCache {
 
 fn opts() -> ServeOptions {
     ServeOptions::default().max_new_tokens(3)
-}
-
-#[test]
-fn blocking_submit_request_matches_deprecated_submit() {
-    let server = Server::start(engine(), ServerConfig::default());
-    let old = server.submit(PROMPT.into(), opts()).wait().unwrap().outcome.unwrap();
-    let new = server
-        .submit_request(&SubmitRequest::new(PROMPT).options(opts()).blocking(true))
-        .unwrap()
-        .wait()
-        .unwrap()
-        .outcome
-        .unwrap();
-    assert_eq!(old.text, new.text);
-    assert_eq!(old.tokens, new.tokens);
-    server.shutdown();
-}
-
-#[test]
-fn baseline_option_matches_deprecated_submit_baseline() {
-    let server = Server::start(engine(), ServerConfig::default());
-    let old = server
-        .submit_baseline(PROMPT.into(), opts())
-        .wait()
-        .unwrap()
-        .outcome
-        .unwrap();
-    let new = server
-        .submit_request(
-            &SubmitRequest::new(PROMPT)
-                .options(opts())
-                .baseline(true)
-                .blocking(true),
-        )
-        .unwrap()
-        .wait()
-        .unwrap()
-        .outcome
-        .unwrap();
-    assert_eq!(old.text, new.text);
-    assert_eq!(old.tokens, new.tokens);
-    assert_eq!(old.stats.cached_tokens, 0, "baseline never reads the cache");
-    assert_eq!(new.stats.cached_tokens, 0, "baseline never reads the cache");
-    server.shutdown();
-}
-
-/// Pins the worker so admission decisions are observable.
-#[derive(Debug)]
-struct Stall(Duration);
-
-impl WorkerFaults for Stall {
-    fn pre_serve_delay(&self, _id: u64) -> Duration {
-        self.0
-    }
-}
-
-#[test]
-fn default_submit_request_sheds_like_deprecated_try_submit() {
-    let server = Server::start(
-        engine(),
-        ServerConfig::default().workers(1).queue_capacity(1),
-    );
-    server.set_worker_faults(Some(std::sync::Arc::new(Stall(Duration::from_millis(80)))));
-    // Fill the worker and the queue.
-    let running = server
-        .submit_request(&SubmitRequest::new(PROMPT).options(opts()).blocking(true))
-        .unwrap();
-    let queued = loop {
-        match server.submit_request(&SubmitRequest::new(PROMPT).options(opts())) {
-            Ok(handle) => break handle,
-            // The first request may not have been picked up yet; the
-            // queue slot frees the moment it is.
-            Err(SubmitError::QueueFull) => std::thread::sleep(Duration::from_millis(2)),
-            Err(e) => panic!("unexpected: {e:?}"),
-        }
-    };
-    // Both rejection paths must agree while the queue is full.
-    let old = server.try_submit(PROMPT.into(), opts());
-    let new = server.submit_request(&SubmitRequest::new(PROMPT).options(opts()));
-    assert!(matches!(old, Err(SubmitError::QueueFull)), "{old:?}");
-    assert!(matches!(new, Err(SubmitError::QueueFull)), "{new:?}");
-    running.wait().unwrap();
-    queued.wait().unwrap();
-    server.shutdown();
 }
 
 #[test]

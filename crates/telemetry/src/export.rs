@@ -63,12 +63,10 @@ pub fn help_for(name: &str) -> &'static str {
         "pc_module_evictions_total" => "Device-tier evictions of one module.",
         "pc_module_relocations_total" => "Store hits served at a non-zero placement shift (deferred-RoPE relocation).",
         "pc_module_kv_bytes_shared_total" => "Module KV bytes served zero-copy (Arc-aliased into session views).",
-        "pc_module_kv_bytes_copied_total" => "Module KV bytes memcpy'd into session views (zero_copy off).",
         "pc_module_shared_rows_total" => "KV rows of this module streamed once per prefix group by the batched kernel.",
         "pc_module_last_access_tick" => "Store logical clock at the module's most recent access.",
         // Engine KV accounting.
         "pc_kv_bytes_shared_total" => "Cached KV bytes aliased zero-copy into session views.",
-        "pc_kv_bytes_copied_total" => "Cached KV bytes memcpy'd into session views.",
         // Batching.
         "pc_batch_size" => "Sequences currently in the in-flight decode batch.",
         "pc_batch_occupancy" => "Batch occupancy observed at each scheduler step.",
