@@ -51,7 +51,7 @@ pub mod view;
 mod weights;
 
 pub use config::{Family, ModelConfig};
-pub use pc_tensor::Parallelism;
+pub use pc_tensor::{ops::gemm_arm, Parallelism};
 pub use error::ModelError;
 pub use kv::{KvCache, LayerKv};
 pub use model::{BatchScratch, BatchStepStats, Model};

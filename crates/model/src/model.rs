@@ -134,7 +134,7 @@ impl BatchScratch {
     }
 
     /// The prefix groups computed for the most recent step (empty when
-    /// prefix sharing was off or the batch was empty).
+    /// the batch was empty).
     pub fn groups(&self) -> &[PrefixGroup] {
         &self.groups
     }
@@ -353,16 +353,16 @@ impl Model {
     /// Sequence `i` contributes `tokens[i]` at `positions[i]`, its k/v
     /// states append to `caches[i]`, and entry `i` of the returned vector
     /// holds its next-token logits (length = vocab). Activations for the
-    /// whole batch stack into `[n × hidden]` blocks so every weight
-    /// matrix is traversed **once per step** instead of once per sequence
-    /// ([`pc_tensor::ops::matmul_transb_batched_par`]); attention reads
+    /// whole batch stack into `[n × hidden]` blocks and go through the
+    /// same register-tiled kernel as a prefill chunk
+    /// ([`pc_tensor::ops::matmul_transb_slices_par`]); attention reads
     /// each sequence's own segmented cache in place
     /// ([`attention_decode_batch_grouped`]), so shared module blocks stay
     /// zero-copy across batch members.
     ///
     /// **Bit-identity.** Every per-sequence output is computed by the
-    /// identical scalar code the solo [`Model::prefill`] decode step runs
-    /// (same dot kernel, same per-row norms/rope, same attention horizon),
+    /// identical code the solo [`Model::prefill`] decode step runs (same
+    /// matmul kernel, same per-row norms/rope, same attention horizon),
     /// so a batched step is byte-identical to `n` solo steps — the
     /// invariant the engine's batching tests assert exactly.
     ///
@@ -488,9 +488,9 @@ impl Model {
             normed.copy_from_slice(x);
             self.apply_norm(normed, &lw.norm1_w, &lw.norm1_b);
 
-            ops::matmul_transb_batched_par(normed, lw.wq.data(), q, n, d, d, par);
-            ops::matmul_transb_batched_par(normed, lw.wk.data(), k, n, d, kv_dim, par);
-            ops::matmul_transb_batched_par(normed, lw.wv.data(), v, n, d, kv_dim, par);
+            ops::matmul_transb_slices_par(normed, lw.wq.data(), q, n, d, d, par);
+            ops::matmul_transb_slices_par(normed, lw.wk.data(), k, n, d, kv_dim, par);
+            ops::matmul_transb_slices_par(normed, lw.wv.data(), v, n, d, kv_dim, par);
 
             if let Some(rope) = &self.rope {
                 for i in 0..n {
@@ -541,28 +541,27 @@ impl Model {
             );
             scratch.seg_pool.put(segs);
             scratch.pos_pool.put(key_pos);
-            ops::matmul_transb_batched_par(attn, lw.wo.data(), proj, n, d, d, par);
+            ops::matmul_transb_slices_par(attn, lw.wo.data(), proj, n, d, d, par);
 
             if matches!(cfg.family, Family::Falcon) {
-                self.mlp_batched(lw, normed, up, gate, down, n);
+                self.mlp(lw, normed, up, gate, down, n);
                 ops::add_assign_slice(x, proj);
                 ops::add_assign_slice(x, down);
             } else {
                 ops::add_assign_slice(x, proj);
                 normed.copy_from_slice(x);
                 self.apply_norm(normed, &lw.norm2_w, &lw.norm2_b);
-                self.mlp_batched(lw, normed, up, gate, down, n);
+                self.mlp(lw, normed, up, gate, down, n);
                 ops::add_assign_slice(x, down);
             }
         }
 
         self.apply_norm(x, &self.weights.final_norm_w, &self.weights.final_norm_b);
 
-        // Logits for every sequence in one traversal of the (large)
-        // embedding matrix.
+        // Logits for every sequence in one pass over the embedding matrix.
         let vocab = cfg.vocab_size;
         let logits = sized(&mut scratch.logits, n * vocab);
-        ops::matmul_transb_batched_par(x, self.weights.embedding.data(), logits, n, d, vocab, par);
+        ops::matmul_transb_slices_par(x, self.weights.embedding.data(), logits, n, d, vocab, par);
         Ok(logits.chunks_exact(vocab).map(<[f32]>::to_vec).collect())
     }
 
@@ -736,34 +735,6 @@ impl Model {
             ops::gelu_slice(up);
         }
         ops::matmul_transb_slices_par(up, lw.w_down.data(), down, n, ff, d, par);
-    }
-
-    /// [`Model::mlp`] with the batched (weight-row-outer) kernels — used
-    /// by [`Model::decode_step_batch`], where the `n` rows are one token
-    /// from each of `n` sequences. Bit-identical to `mlp` per row.
-    fn mlp_batched(
-        &self,
-        lw: &crate::LayerWeights,
-        input: &[f32],
-        up: &mut [f32],
-        gate: &mut [f32],
-        down: &mut [f32],
-        n: usize,
-    ) {
-        let d = self.cfg.hidden_size;
-        let ff = self.cfg.intermediate_size;
-        let par = &self.cfg.parallelism;
-        ops::matmul_transb_batched_par(input, lw.w_up.data(), up, n, d, ff, par);
-        if matches!(self.cfg.family, Family::Llama) {
-            ops::matmul_transb_batched_par(input, lw.w_gate.data(), gate, n, d, ff, par);
-            ops::silu_slice(gate);
-            for (u, &g) in up.iter_mut().zip(gate.iter()) {
-                *u *= g;
-            }
-        } else {
-            ops::gelu_slice(up);
-        }
-        ops::matmul_transb_batched_par(up, lw.w_down.data(), down, n, ff, d, par);
     }
 
     fn validate<K: KvSeq>(&self, tokens: &[TokenId], positions: &[usize], cache: &K) -> Result<()> {
@@ -1032,41 +1003,60 @@ mod tests {
         }
     }
 
+    /// One batched step over `prompts`' sequences must produce exactly
+    /// the logits and cache states solo single-token prefills produce.
+    fn assert_batched_step_matches_solo(cfg: &ModelConfig, prompts: &[&[u32]]) {
+        let model = Model::new(cfg.clone(), 17);
+
+        // Solo reference: prefill each prompt, then one more token.
+        let mut solo_caches = Vec::new();
+        let mut next_tokens = Vec::new();
+        for &prompt in prompts {
+            let positions: Vec<usize> = (0..prompt.len()).collect();
+            let mut cache = KvCache::new(cfg);
+            let logits = model.prefill(prompt, &positions, &mut cache).unwrap();
+            next_tokens.push(GreedySampler.sample(&logits));
+            solo_caches.push(cache);
+        }
+        let mut batch_caches = solo_caches.clone();
+        let positions: Vec<usize> = prompts.iter().map(|p| p.len()).collect();
+
+        let mut solo_logits = Vec::new();
+        for (i, cache) in solo_caches.iter_mut().enumerate() {
+            let logits = model.prefill(&[next_tokens[i]], &[positions[i]], cache);
+            solo_logits.push(logits.unwrap());
+        }
+
+        let mut refs: Vec<&mut KvCache> = batch_caches.iter_mut().collect();
+        let batch_logits = model
+            .decode_step_batch(&next_tokens, &positions, &mut refs)
+            .unwrap();
+
+        let case = format!("family {:?} batch {}", cfg.family, prompts.len());
+        assert_eq!(batch_logits, solo_logits, "{case}");
+        assert_eq!(batch_caches, solo_caches, "{case}");
+    }
+
     #[test]
     fn batched_decode_step_matches_solo_prefill_bitwise() {
-        // N sequences with different prompts (hence different cache
-        // lengths) advanced by one batched step must produce exactly the
-        // logits and cache states N solo single-token prefills produce.
+        // Different prompts, hence different cache lengths.
         for cfg in all_families() {
-            let model = Model::new(cfg.clone(), 17);
-            let prompts: [&[u32]; 4] = [&[5, 9], &[13, 21, 2], &[7], &[3, 1, 4, 1]];
+            assert_batched_step_matches_solo(&cfg, &[&[5, 9], &[13, 21, 2], &[7], &[3, 1, 4, 1]]);
+        }
+    }
 
-            // Solo reference: prefill each prompt, then one more token.
-            let mut solo_caches = Vec::new();
-            let mut next_tokens = Vec::new();
-            for prompt in prompts {
-                let positions: Vec<usize> = (0..prompt.len()).collect();
-                let mut cache = KvCache::new(&cfg);
-                let logits = model.prefill(prompt, &positions, &mut cache).unwrap();
-                next_tokens.push(GreedySampler.sample(&logits));
-                solo_caches.push(cache);
-            }
-            let mut batch_caches = solo_caches.clone();
-            let positions: Vec<usize> = prompts.iter().map(|p| p.len()).collect();
-
-            let mut solo_logits = Vec::new();
-            for (i, cache) in solo_caches.iter_mut().enumerate() {
-                solo_logits
-                    .push(model.prefill(&[next_tokens[i]], &[positions[i]], cache).unwrap());
-            }
-
-            let mut refs: Vec<&mut KvCache> = batch_caches.iter_mut().collect();
-            let batch_logits = model
-                .decode_step_batch(&next_tokens, &positions, &mut refs)
-                .unwrap();
-
-            assert_eq!(batch_logits, solo_logits, "family {:?}", cfg.family);
-            assert_eq!(batch_caches, solo_caches, "family {:?}", cfg.family);
+    #[test]
+    fn batched_decode_step_matches_solo_across_the_tile_edge() {
+        // Batches of 1..=9 rows put every row in a full register tile, in
+        // the one-row edge tile, or some of each; a solo step is always
+        // the edge tile.
+        let cfg = ModelConfig::llama_tiny(64);
+        let prompts: Vec<Vec<u32>> = (0..9u32)
+            .map(|s| (0..=s % 4).map(|t| (7 * s + 3 * t) % 64).collect())
+            .collect();
+        for batch in 1..=prompts.len() {
+            let prompts: Vec<&[u32]> = prompts[..batch].iter().map(Vec::as_slice).collect();
+            assert_batched_step_matches_solo(&cfg, &prompts);
         }
     }
 

@@ -1297,18 +1297,20 @@ pub(crate) fn render_metrics(shared: &Shared, engine: &PromptCache) -> String {
     text
 }
 
-/// The `/healthz` JSON: liveness, admission/queue state, and the SLO
-/// rollup (tracked deadline requests, violations, burn percentiles).
+/// The `/healthz` JSON: liveness, which matmul arm this host's CPU
+/// selected, admission/queue state, and the SLO rollup (tracked deadline
+/// requests, violations, burn percentiles).
 pub(crate) fn render_healthz(shared: &Shared) -> String {
     let draining = shared.draining.load(Ordering::Acquire);
     format!(
-        "{{\"status\":\"{}\",\"uptime_seconds\":{:.3},\
+        "{{\"status\":\"{}\",\"uptime_seconds\":{:.3},\"gemm_arm\":\"{}\",\
          \"queue_depth\":{},\"queue_capacity\":{},\"in_flight\":{},\
          \"served\":{},\"failed\":{},\"shed\":{},\"cancelled\":{},\
          \"slo\":{{\"tracked\":{},\"violations\":{},\
          \"burn_p50\":{},\"burn_p99\":{}}}}}",
         if draining { "draining" } else { "ok" },
         shared.started.elapsed().as_secs_f64(),
+        pc_model::gemm_arm(),
         shared.queue_depth.get().max(0),
         shared.queue_capacity,
         shared.in_flight.get().max(0),

@@ -153,6 +153,7 @@ fn all_four_endpoints_serve_over_plain_tcp() {
     assert_eq!(health["slo"]["violations"].as_u64(), Some(0));
     assert!(health["slo"]["burn_p50"].as_f64().unwrap() >= 0.0);
     assert!(health["uptime_seconds"].as_f64().unwrap() >= 0.0);
+    assert_eq!(health["gemm_arm"], pc_model::gemm_arm());
 
     // /debug/cache — store snapshot plus the per-module heat ranking.
     let (status, _, cache) = http_get(addr, "/debug/cache");

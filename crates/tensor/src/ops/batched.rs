@@ -1,25 +1,16 @@
-//! Row-batched decode kernels for continuous batching.
+//! The attention inner loops shared by the per-sequence and the
+//! prefix-grouped batched decode kernels in `pc-model`.
 //!
-//! During a batched decode step every in-flight sequence contributes
-//! exactly one token, so the activations stack into an `[m × k]` block
-//! with one row per sequence. The plain kernels
-//! ([`super::matmul_transb_slices`]) walk the whole weight matrix once
-//! *per activation row*; for a decode batch that order re-streams the
-//! (large, shared) weights `m` times from memory. The batched variant
-//! inverts the loop nest — weight row outer, batch row inner — so one
-//! traversal of the weight matrix serves the entire batch while the
-//! per-sequence activation rows (small, cache-resident) are revisited.
-//!
-//! **Bit-identity invariant.** Every output element is still computed by
-//! the identical `dot_unrolled(a_row, b_row)` call the solo kernels use,
-//! in the identical floating-point order; only the order in which
-//! *independent* elements are produced changes. Batched results are
-//! therefore bit-identical to `m` independent single-row calls — the
-//! property the engine's batched-vs-solo equality tests rest on.
-
-use super::matmul::dot_unrolled;
-use crate::par::{run_tasks, Parallelism};
-use std::ops::Range;
+//! The crate's determinism contract (DESIGN.md §5):
+//! *each output element is reduced in one fixed order; kernels may
+//! reorder only independent elements.* For attention that order is
+//! strictly sequential — one accumulator, ascending index — and it lives
+//! in the three functions below, so a batched tick that groups rows by
+//! shared prefix and a solo decode step run the same function on each
+//! (query, key) pair and agree bit for bit. The weight matmuls keep the
+//! same contract with a different fixed order (`ops/matmul.rs`), and a
+//! decode batch needs no kernel of its own there: its `m` stacked rows go
+//! through the one `A·Bᵀ` kernel prefill uses.
 
 /// Strictly sequential dot product — one accumulator, ascending index,
 /// no unrolling. This is the float-operation order of the attention
@@ -77,122 +68,12 @@ pub fn dot_rotated(q: &[f32], k: &[f32], cos: &[f32], sin: &[f32], sin_sign: f32
     dot
 }
 
-/// `C[m,n] = A[m,k] · B[n,k]ᵀ` with the weight traversal shared across
-/// the batch: each of `B`'s `n` rows is loaded once and dotted against
-/// every one of the `m` batch rows before moving to the next weight row.
-///
-/// Bit-identical to calling [`super::matmul_transb_slices`] once per row
-/// of `A` (and hence to the solo decode path).
-///
-/// # Panics
-///
-/// Debug-asserts the slice lengths; callers are the model engine, which
-/// guarantees layouts.
-pub fn matmul_transb_batched(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    batched_transb_rows(a, b, c, 0..m, k, n);
-}
-
-/// [`matmul_transb_batched`] with batch rows split across `par` threads.
-/// Each thread runs its own weight traversal over its row subset, so the
-/// sharing is per-thread; results stay bit-identical at any thread count
-/// because each output element is owned by exactly one thread running the
-/// identical scalar code.
-pub fn matmul_transb_batched_par(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    par: &Parallelism,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(c.len(), m * n);
-    let threads = par.threads_for(m * k * n).min(m).max(1);
-    if threads <= 1 {
-        batched_transb_rows(a, b, c, 0..m, k, n);
-        return;
-    }
-    let per = m.div_ceil(threads);
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = c
-        .chunks_mut(per * n)
-        .enumerate()
-        .map(|(chunk_idx, c_rows)| {
-            let first = chunk_idx * per;
-            let rows = first..first + c_rows.len() / n;
-            Box::new(move || batched_transb_rows(a, b, c_rows, rows, k, n))
-                as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    run_tasks(tasks, threads);
-}
-
-/// Weight-row-outer kernel body: output rows `rows` of `A·Bᵀ` into
-/// `c_rows` (local row 0 = global row `rows.start`). Shared by the serial
-/// and parallel entry points.
-#[inline]
-fn batched_transb_rows(
-    a: &[f32],
-    b: &[f32],
-    c_rows: &mut [f32],
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-) {
-    for j in 0..n {
-        let b_row = &b[j * k..(j + 1) * k];
-        for (local, i) in rows.clone().enumerate() {
-            c_rows[local * n + j] = dot_unrolled(&a[i * k..(i + 1) * k], b_row);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::matmul_transb_slices;
 
     fn wave(len: usize, step: f32) -> Vec<f32> {
         (0..len).map(|i| (i as f32 * step).sin()).collect()
-    }
-
-    #[test]
-    fn batched_matches_per_row_solo_calls_bitwise() {
-        for (m, k, n) in [(1usize, 8usize, 4usize), (2, 16, 9), (7, 24, 13), (8, 5, 3)] {
-            let a = wave(m * k, 0.37);
-            let b = wave(n * k, 0.19);
-            let mut batched = vec![f32::NAN; m * n];
-            matmul_transb_batched(&a, &b, &mut batched, m, k, n);
-            // Reference: each batch row served alone, as the solo decode
-            // path would.
-            for i in 0..m {
-                let mut solo = vec![f32::NAN; n];
-                matmul_transb_slices(&a[i * k..(i + 1) * k], &b, &mut solo, 1, k, n);
-                assert_eq!(&batched[i * n..(i + 1) * n], &solo[..], "row {i} ({m},{k},{n})");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_batched_is_bit_identical() {
-        let (m, k, n) = (7, 17, 11);
-        let a = wave(m * k, 0.41);
-        let b = wave(n * k, 0.23);
-        let mut serial = vec![0.0f32; m * n];
-        matmul_transb_batched(&a, &b, &mut serial, m, k, n);
-        for threads in [2usize, 3, 4, 8, 16] {
-            let par = Parallelism {
-                num_threads: threads,
-                min_work: 0,
-            };
-            let mut parallel = vec![f32::NAN; m * n];
-            matmul_transb_batched_par(&a, &b, &mut parallel, m, k, n, &par);
-            assert_eq!(serial, parallel, "threads {threads}");
-        }
     }
 
     #[test]
@@ -248,17 +129,5 @@ mod tests {
         let plain = dot_seq(&q, &k);
         let rotated = dot_rotated(&q, &k, &cos, &sin, 1.0);
         assert!((plain - rotated).abs() < 1e-6);
-    }
-
-    #[test]
-    fn single_row_batch_matches_plain_kernel() {
-        let (k, n) = (16, 8);
-        let a = wave(k, 0.29);
-        let b = wave(n * k, 0.31);
-        let mut batched = vec![f32::NAN; n];
-        matmul_transb_batched(&a, &b, &mut batched, 1, k, n);
-        let mut plain = vec![f32::NAN; n];
-        matmul_transb_slices(&a, &b, &mut plain, 1, k, n);
-        assert_eq!(batched, plain);
     }
 }

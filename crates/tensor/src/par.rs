@@ -259,11 +259,30 @@ where
     debug_assert!(row_width > 0 && out.len().is_multiple_of(row_width));
     let rows = out.len() / row_width;
     let threads = threads.max(1).min(rows);
-    if threads <= 1 {
+    parallel_output_blocks(out, row_width, rows.div_ceil(threads), threads, f);
+}
+
+/// [`parallel_output_chunks`] with the chunk height chosen by the caller:
+/// chunks of `rows_per_task` rows (the last may be shorter). A kernel that
+/// works in bands of several rows passes a multiple of its band height, so
+/// only the last chunk ends off a band boundary.
+pub fn parallel_output_blocks<T, F>(
+    out: &mut [T],
+    row_width: usize,
+    rows_per_task: usize,
+    threads: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    if out.is_empty() {
+        return;
+    }
+    if threads <= 1 || out.len() <= rows_per_task * row_width {
         f(0, out);
         return;
     }
-    let rows_per_task = rows.div_ceil(threads);
     let f = &f;
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
         .chunks_mut(rows_per_task * row_width)
