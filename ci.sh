@@ -10,9 +10,11 @@ cargo build --release
 # every crate's unit tests plus the identity, resilience, chaos, ops-plane,
 # persistence and fleet suites under crates/*/tests.
 cargo test -q
-# The matmul arms must equal the per-element reference in the optimised
-# codegen that ships, not only in the debug build above.
+# The matmul arms must equal the per-element reference, and the attention
+# tile its per-row oracle, in the optimised codegen that ships, not only in
+# the debug build above.
 cargo test -q --release -p pc-tensor
+cargo test -q --release -p pc-model
 # benchmark/ is a separate package that binds to the public API by path: a
 # deletion that breaks its compile surface, or a serve that stops answering
 # correctly on any of its four workloads, fails here.

@@ -65,8 +65,8 @@ pub struct ModuleHeat {
     pub relocations: u64,
     /// Bytes served zero-copy (`Arc`-aliased into session views).
     pub bytes_shared: u64,
-    /// KV rows of this module streamed once per prefix group by the
-    /// batched two-phase kernel (row × layer units, matching
+    /// KV rows of this module streamed once per tile of prefix-group
+    /// members by the batched attention kernel (row × layer units, matching
     /// `pc_kv_rows_shared_read_total`).
     pub shared_rows: u64,
     /// Store logical clock at the most recent access (0 = never).

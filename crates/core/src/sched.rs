@@ -67,7 +67,7 @@ struct BatchMetrics {
     tokens: Counter,
     /// Batched decode steps executed.
     steps: Counter,
-    /// KV rows streamed once per prefix group by the two-phase kernel.
+    /// KV rows streamed once per tile of prefix-group members.
     shared_rows: Counter,
     /// KV rows streamed for a single sequence (tails, unshared caches).
     private_rows: Counter,

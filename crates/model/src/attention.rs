@@ -1,34 +1,50 @@
 //! Multi-head attention over a KV cache with explicit position IDs.
 //!
-//! The kernel below is what both code paths in the paper share: baseline
-//! prefill, cached inference, and decoding all funnel through
-//! [`attention_chunk`]. Causality is defined by **cache order** (a query may
-//! attend to every token cached before it plus the chunk prefix up to
-//! itself), while positional information comes exclusively from the
-//! **position IDs** riding on the cache — exactly the separation that lets
-//! Prompt Cache serve discontinuous, out-of-order position layouts.
+//! Every attention call in the engine runs one tile body (`attend_body`):
+//! baseline prefill, suffix prefill over cached modules, module encoding
+//! and the solo decode loop enter through [`attention_chunk_segments`], the
+//! server's batched decode ticks through
+//! [`attention_decode_batch_grouped`]. Causality is defined by **cache
+//! order** (a query may attend to every token cached before it plus the
+//! chunk prefix up to itself), while positional information comes
+//! exclusively from the **position IDs** riding on the cache — exactly the
+//! separation that lets Prompt Cache serve discontinuous, out-of-order
+//! position layouts.
+//!
+//! **Determinism contract** (DESIGN.md §5): *each output element is reduced
+//! in one fixed order; kernels may reorder only independent elements.* A
+//! tile is up to eight query rows of one head that read the same run of
+//! segments. *Lanes of a tile are different queries; each lane is one
+//! `dot_seq` / `axpy_seq`:* a score is `0 + q₀k₀ + q₁k₁ + …` with a
+//! separate multiply and add, an output element accumulates `p·v` in
+//! ascending cache order — the order of [`pc_tensor::ops::dot_seq`],
+//! [`pc_tensor::ops::dot_rotated`] and [`pc_tensor::ops::axpy_seq`], which
+//! the tests hold the tile to. What a tile interleaves is only the
+//! independent chains of its lanes and of the key rows in flight, so tile
+//! width, segmentation, grouping, thread count and instruction set never
+//! show in the output bits.
 
 use crate::pos::{AlibiTable, RopeTable};
 use crate::view::PrefixGroup;
 use crate::ModelConfig;
-use pc_tensor::ops::{axpy_seq, dot_rotated, dot_seq};
-use pc_tensor::par::{parallel_output_chunks, run_tasks};
+use pc_tensor::ops::{has_avx2, softmax_slice};
+use pc_tensor::par::{parallel_output_blocks, run_tasks};
+use std::array::from_fn;
 
 /// A physical KV segment as seen by the kernels: `(keys, values, shift)`.
 /// `shift` is the deferred-RoPE placement shift for the segment's key rows
-/// — `0` means the keys are already rotated for their placed positions
-/// (the legacy path), non-zero means every key row must be rotated by
-/// `R(shift)` on the fly during the score pass. Value rows are
-/// position-free and are never touched by the shift.
+/// — `0` means the keys are stored rotated for their placed positions
+/// (fresh tail rows, baked-position families), non-zero means every key
+/// row is rotated by `R(shift)` on the fly during the score pass. Value
+/// rows are position-free and are never touched by the shift.
 pub type KvSegmentSlices<'a> = (&'a [f32], &'a [f32], isize);
 
-/// Resolves a segment's rotation row once: `None` for shift 0 (use the
-/// plain [`dot_seq`] path — bit-identical to the legacy kernel), else the
-/// `(cos, sin, sign)` row feeding [`dot_rotated`]. With no RoPE table
-/// (ALiBi / learned families) the key rows are position-free, so a shifted
-/// placement needs no rotation — the position remap carried by the view's
-/// flat position list is the whole relocation.
-#[inline]
+/// Resolves a segment's rotation row once: `None` for shift 0 (the stored
+/// key rows are scored as they are), else the `(cos, sin, sign)` row of
+/// `R(shift)`. With no RoPE table (ALiBi / learned families) the key rows
+/// are position-free, so a shifted placement needs no rotation — the
+/// position remap carried by the view's flat position list is the whole
+/// relocation.
 fn segment_rotation(rope: Option<&RopeTable>, shift: isize) -> Option<(&[f32], &[f32], f32)> {
     match (rope, shift) {
         (_, 0) | (None, _) => None,
@@ -36,14 +52,78 @@ fn segment_rotation(rope: Option<&RopeTable>, shift: isize) -> Option<(&[f32], &
     }
 }
 
-/// One score: `q · R(shift)k`, dispatching between the legacy sequential
-/// dot and the fused rotate-on-read dot.
-#[inline]
-fn score_dot(q_head: &[f32], k_head: &[f32], rot: Option<(&[f32], &[f32], f32)>) -> f32 {
-    match rot {
-        None => dot_seq(q_head, k_head),
-        Some((cos, sin, sign)) => dot_rotated(q_head, k_head, cos, sin, sign),
+/// Query rows per full tile. A solo decode step, a private tail and a
+/// lone leftover row are the same body at one lane.
+pub(crate) const LANES: usize = 8;
+
+/// Key rows in flight in the score pass: with `L` lanes each, `KEYS × L`
+/// independent add chains hide the latency a lone `dot_seq` waits out.
+const KEYS: usize = 4;
+
+/// Reusable buffers of the tile: one score row per lane, the tile's raw
+/// dots (key-major), the packed query tile and the rotated key heads in
+/// flight. Callers keep one across layers (and ticks); contents are
+/// meaningless between calls.
+#[derive(Debug, Default)]
+pub struct AttnScratch {
+    scores: Vec<f32>,
+    dots: Vec<f32>,
+    qt: Vec<f32>,
+    rotated: Vec<f32>,
+}
+
+/// Grows `buf` to at least `len` and returns the `len`-prefix. Contents
+/// beyond what the caller overwrites are stale by design — every user,
+/// here and in the batched step, writes its window before reading it.
+pub(crate) fn sized(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
+    &mut buf[..len]
+}
+
+/// What one kernel call hands every tile: the query rows (`[rows ×
+/// hidden]`), shapes, scale, position tables.
+#[derive(Clone, Copy)]
+struct Kernel<'a> {
+    q: &'a [f32],
+    num_heads: usize,
+    head_dim: usize,
+    hidden: usize,
+    kv_dim: usize,
+    kv_group: usize,
+    scale: f32,
+    rope: Option<&'a RopeTable>,
+    alibi: Option<&'a AlibiTable>,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(cfg: &ModelConfig, q: &'a [f32], rope: Option<&'a RopeTable>, alibi: Option<&'a AlibiTable>) -> Self {
+        Kernel {
+            q,
+            num_heads: cfg.num_heads,
+            head_dim: cfg.head_dim(),
+            hidden: cfg.hidden_size,
+            kv_dim: cfg.kv_dim(),
+            kv_group: cfg.kv_group_size(),
+            scale: 1.0 / (cfg.head_dim() as f32).sqrt(),
+            rope,
+            alibi,
+        }
+    }
+}
+
+/// One query row of a tile.
+#[derive(Clone, Copy)]
+struct Lane<'a> {
+    /// Position id of the query token (ALiBi bias lookup).
+    q_pos: usize,
+    /// Position id of every row of its cache.
+    key_positions: &'a [usize],
+    /// It attends to cache rows `0..visible`.
+    visible: usize,
+    /// The segments holding its rows behind the tile's shared run.
+    tail: &'a [KvSegmentSlices<'a>],
 }
 
 /// Computes attention outputs for a chunk of `n` new tokens over a
@@ -77,33 +157,23 @@ pub fn attention_chunk(
     alibi: Option<&AlibiTable>,
     out: &mut [f32],
 ) {
-    attention_chunk_segments(
-        cfg,
-        q,
-        q_positions,
-        &[(keys, values, 0)],
-        key_positions,
-        base,
-        None,
-        alibi,
-        out,
-    );
+    let segments = [(keys, values, 0)];
+    attention_chunk_segments(cfg, q, q_positions, &segments, key_positions, base, None, alibi, out);
 }
 
 /// Computes attention outputs for a chunk of `n` new tokens over a KV
 /// cache stored as an ordered list of physical segments.
 ///
-/// Each `(keys, values)` segment holds a contiguous run of token rows,
-/// `[rows × kv_dim]`; logically the cache is their concatenation, and
+/// Each `(keys, values, shift)` segment holds a contiguous run of token
+/// rows, `[rows × kv_dim]`; logically the cache is their concatenation, and
 /// `key_positions` spans the full logical length. This is the kernel that
 /// lets the serve path consume `Arc`-shared module blocks in place: no
 /// materialisation into a flat buffer is ever needed (paper §3.4 —
 /// attention states are reused by pointer, not by copy).
 ///
-/// The per-row math walks segments with a single global key index `j`, so
-/// the float operation sequence is identical to the contiguous kernel's —
-/// segmentation is invisible in the output bits, which the equality tests
-/// assert exactly.
+/// Both passes of a tile walk the segments with a single global key index,
+/// so the float operation sequence is a contiguous cache's — segmentation
+/// is invisible in the output bits, which the equality tests assert.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_chunk_segments(
     cfg: &ModelConfig,
@@ -116,95 +186,53 @@ pub fn attention_chunk_segments(
     alibi: Option<&AlibiTable>,
     out: &mut [f32],
 ) {
-    let n = q_positions.len();
-    let d = cfg.hidden_size;
-    let kv_dim = cfg.kv_dim();
-    let scale = 1.0 / (cfg.head_dim() as f32).sqrt();
-    let total = key_positions.len();
-    debug_assert_eq!(q.len(), n * d);
-    debug_assert_eq!(out.len(), n * d);
-    debug_assert_eq!(
-        segments.iter().map(|(k, _, _)| k.len()).sum::<usize>(),
-        total * kv_dim
-    );
-    debug_assert!(segments
-        .iter()
-        .all(|(k, v, _)| k.len() == v.len() && k.len() % kv_dim.max(1) == 0));
-    debug_assert!(base + n <= total);
-    if n == 0 {
-        return;
-    }
-
-    // One query row is independent of every other, so rows parallelise
-    // with bit-identical results (no cross-row reductions): serial and
-    // parallel paths run the same `attention_rows` over disjoint output
-    // chunks. Decode (n = 1) and tiny chunks stay on the calling thread
-    // via the `min_work` threshold.
-    let work = n * total * d;
-    let threads = cfg.parallelism.threads_for(work).min(n.max(1)).max(1);
-    parallel_output_chunks(out, d, threads, |first_row, out_chunk| {
-        attention_rows(
-            cfg,
-            q,
-            q_positions,
-            segments,
-            key_positions,
-            base,
-            rope,
-            alibi,
-            scale,
-            first_row,
-            out_chunk,
-        );
-    });
+    let scratch = &mut AttnScratch::default();
+    attention_chunk_segments_with(cfg, q, q_positions, segments, key_positions, base, rope, alibi, scratch, out);
 }
 
-/// The per-sequence walk of [`attention_decode_batch_grouped`] for groups
-/// that share nothing: sequence rows `first_seq ..` backing `out_chunk`,
-/// each through the same [`attention_row`] the solo decode path uses with
-/// the same `visible = cache length` horizon — which is what makes a
-/// batched step bit-identical to serving each sequence alone.
+/// [`attention_chunk_segments`] with caller-owned scratch — what the
+/// forward pass calls once per layer, so a decode step allocates its score
+/// row once and not per layer. Chunk rows go through the tile [`LANES`] at
+/// a time: the rows of a tile read the same segments, row `i` up to its
+/// causal horizon `base + i + 1`.
 #[allow(clippy::too_many_arguments)]
-fn attention_seq_rows(
+pub(crate) fn attention_chunk_segments_with(
     cfg: &ModelConfig,
     q: &[f32],
     q_positions: &[usize],
-    segs: &[KvSegmentSlices<'_>],
-    seg_bounds: &[usize],
-    seq_key_positions: &[&[usize]],
+    segments: &[KvSegmentSlices<'_>],
+    key_positions: &[usize],
+    base: usize,
     rope: Option<&RopeTable>,
     alibi: Option<&AlibiTable>,
-    scale: f32,
-    first_seq: usize,
-    out_chunk: &mut [f32],
-    scores: &mut [f32],
+    scratch: &mut AttnScratch,
+    out: &mut [f32],
 ) {
-    let d = cfg.hidden_size;
-    for (local, o_row) in out_chunk.chunks_exact_mut(d).enumerate() {
-        let s = first_seq + local;
-        let key_positions = seq_key_positions[s];
-        let visible = key_positions.len();
-        o_row.fill(0.0);
-        attention_row(
-            cfg,
-            &q[s * d..(s + 1) * d],
-            q_positions[s],
-            &segs[seg_bounds[s]..seg_bounds[s + 1]],
-            key_positions,
-            visible,
-            rope,
-            alibi,
-            scale,
-            scores,
-            o_row,
-        );
+    let (n, d, kv_dim, total) = (q_positions.len(), cfg.hidden_size, cfg.kv_dim(), key_positions.len());
+    debug_assert!(q.len() == n * d && out.len() == n * d && base + n <= total);
+    debug_assert_eq!(segments.iter().map(|(k, _, _)| k.len()).sum::<usize>(), total * kv_dim);
+    debug_assert!(segments.iter().all(|(k, v, _)| k.len() == v.len() && k.len() % kv_dim.max(1) == 0));
+    let kn = Kernel::new(cfg, q, rope, alibi);
+    let lane_of = |i: usize| Lane { q_pos: q_positions[i], key_positions, visible: base + i + 1, tail: &[] };
+
+    // Query rows are independent (no cross-row reductions), so serial and
+    // parallel paths run the same `attend_rows`, the latter over disjoint
+    // output chunks that start on tile boundaries. Decode (n = 1) and tiny
+    // chunks stay on the calling thread via the `min_work` threshold.
+    let threads = cfg.parallelism.threads_for(n * total * d).min(n).max(1);
+    if threads == 1 {
+        return attend_rows(&kn, 0, segments, lane_of, out, scratch);
     }
+    let per = n.div_ceil(threads).next_multiple_of(LANES);
+    parallel_output_blocks(out, d, per, threads, |first_row, out_chunk| {
+        attend_rows(&kn, first_row, segments, lane_of, out_chunk, &mut AttnScratch::default());
+    });
 }
 
 /// Batched decode attention — one query row **per sequence**, each over
 /// its *own* segmented KV cache (which already holds the new token's
-/// k/v) — as a prefix-aware two-phase kernel that streams each **shared**
-/// K/V row once per group instead of once per sequence.
+/// k/v) — as a prefix-aware kernel that streams each **shared** K/V row
+/// once per tile of group members instead of once per sequence.
 ///
 /// The per-sequence segment lists arrive in CSR form to keep the hot
 /// loop allocation-free: `segs` is every sequence's segments back to
@@ -214,28 +242,22 @@ fn attention_seq_rows(
 /// * `q_positions` — position id of each sequence's new token.
 /// * `seq_key_positions` — per sequence, the position ids of every cached
 ///   token (length = that cache's logical length).
-/// * `scores` — caller-owned score scratch, grown to fit and reused
-///   across layers/ticks (contents are meaningless on entry and exit).
+/// * `scratch` — caller-owned tile scratch, reused across layers/ticks.
 /// * `out` — output rows, `[nseqs × hidden]`, overwritten.
 ///
 /// `groups` partitions the batch rows into contiguous runs (see
 /// [`crate::view::group_adjacent_prefixes`]); within a run, the first
-/// `prefix_rows` cached rows of every member are pointer-identical. For
-/// those rows the loop nest is interchanged — key/value row outer, group
-/// member inner — so the shared rows make one trip through the cache
-/// hierarchy while every member's query is applied to them. Private
-/// tails then run per sequence, and groups that share nothing take the
-/// per-sequence walk (`attention_seq_rows`).
+/// `prefix_rows` cached rows of every member are pointer-identical. Up to
+/// eight members make one tile over those rows — each shared key or
+/// value row is loaded once and applied to every member's query — and
+/// each member then continues alone, at one lane, over its private tail.
+/// A member of a group that shares nothing is all tail: the one-lane tile
+/// over its whole cache, which is also what a solo decode step runs.
 ///
-/// **Why the outputs stay byte-identical.** Per (sequence, head) the
-/// kernel keeps a private score row and output accumulator, and both
-/// phases advance the same global key index `j` a flat walk would:
-/// phase 1 covers `j < prefix_rows` in ascending order, phase 2 continues
-/// `j = prefix_rows..visible`. Every score is produced by the same
-/// [`dot_seq`]`* scale (+ bias)` operations, softmax sees the same values
-/// in the same slots, and every accumulation is the same [`axpy_seq`] in
-/// ascending `j` — the interchange only reorders *independent* writes
-/// across sequences, never the float sequence within one accumulator.
+/// **Why the outputs stay byte-identical.** Per (sequence, head) the tile
+/// keeps a private score row and output accumulator, and its two runs —
+/// rows `0..prefix_rows`, then the tail — advance the key index a flat walk
+/// would; tiling only interleaves *independent* chains (module doc).
 #[allow(clippy::too_many_arguments)]
 pub fn attention_decode_batch_grouped(
     cfg: &ModelConfig,
@@ -247,312 +269,347 @@ pub fn attention_decode_batch_grouped(
     groups: &[PrefixGroup],
     rope: Option<&RopeTable>,
     alibi: Option<&AlibiTable>,
-    scores: &mut Vec<f32>,
+    scratch: &mut AttnScratch,
     out: &mut [f32],
 ) {
-    let nseqs = q_positions.len();
-    let d = cfg.hidden_size;
-    debug_assert_eq!(q.len(), nseqs * d);
-    debug_assert_eq!(out.len(), nseqs * d);
-    debug_assert_eq!(seg_bounds.len(), nseqs + 1);
-    debug_assert_eq!(seq_key_positions.len(), nseqs);
+    let (nseqs, d) = (q_positions.len(), cfg.hidden_size);
+    debug_assert!(q.len() == nseqs * d && out.len() == nseqs * d);
+    debug_assert!(seg_bounds.len() == nseqs + 1 && seq_key_positions.len() == nseqs);
     debug_assert_eq!(groups.iter().map(|g| g.len).sum::<usize>(), nseqs);
-    if nseqs == 0 {
-        return;
-    }
-    let scale = 1.0 / (cfg.head_dim() as f32).sqrt();
-
-    // A shared group keeps one score row per member live at once; a
-    // non-shared group reuses a single row across its members.
-    let need = |g: &PrefixGroup| {
-        let stride = group_stride(seq_key_positions, g).max(1);
-        if g.is_shared() {
-            g.len * stride
-        } else {
-            stride
-        }
+    let kn = Kernel::new(cfg, q, rope, alibi);
+    let group = |g: &PrefixGroup, out_chunk: &mut [f32], scratch: &mut AttnScratch| {
+        let shared = &segs[seg_bounds[g.start]..][..g.prefix_segments];
+        let lane_of = |s: usize| Lane {
+            q_pos: q_positions[s],
+            key_positions: seq_key_positions[s],
+            visible: seq_key_positions[s].len(),
+            tail: &segs[seg_bounds[s] + g.prefix_segments..seg_bounds[s + 1]],
+        };
+        attend_rows(&kn, g.start, shared, lane_of, out_chunk, scratch);
     };
-    let total: usize = groups.iter().map(need).sum();
-    if scores.len() < total {
-        scores.resize(total, 0.0);
-    }
 
-    // Groups touch disjoint output/score ranges (runs are contiguous), so
-    // they parallelise by plain slice splitting — same bit-identity
-    // argument as per-sequence parallelism.
+    // Groups own disjoint, contiguous output ranges, so they parallelise
+    // by plain slice splitting, one scratch per task.
     let work: usize = seq_key_positions.iter().map(|kp| kp.len() * d).sum();
     let threads = cfg.parallelism.threads_for(work).min(groups.len()).max(1);
-    if threads <= 1 {
-        let mut out_rest: &mut [f32] = out;
-        let mut off = 0usize;
-        for g in groups {
-            let (out_chunk, rest) = out_rest.split_at_mut(g.len * d);
-            out_rest = rest;
-            let len = need(g);
-            attention_group(
-                cfg, q, q_positions, segs, seg_bounds, seq_key_positions, g, rope, alibi,
-                scale, &mut scores[off..off + len], out_chunk,
-            );
-            off += len;
-        }
-        return;
-    }
     let mut out_rest: &mut [f32] = out;
-    let mut scores_rest: &mut [f32] = scores;
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(groups.len());
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
     for g in groups {
         let (out_chunk, rest) = out_rest.split_at_mut(g.len * d);
         out_rest = rest;
-        let (score_chunk, rest) = scores_rest.split_at_mut(need(g));
-        scores_rest = rest;
-        tasks.push(Box::new(move || {
-            attention_group(
-                cfg, q, q_positions, segs, seg_bounds, seq_key_positions, g, rope, alibi,
-                scale, score_chunk, out_chunk,
-            );
-        }) as Box<dyn FnOnce() + Send + '_>);
+        if threads == 1 {
+            group(g, out_chunk, scratch);
+        } else {
+            let group = &group;
+            tasks.push(Box::new(move || group(g, out_chunk, &mut AttnScratch::default())));
+        }
     }
     run_tasks(tasks, threads);
 }
 
-/// Longest cache (visible rows) among a group's members — the score-row
-/// stride of the grouped kernel.
-fn group_stride(seq_key_positions: &[&[usize]], g: &PrefixGroup) -> usize {
-    seq_key_positions[g.start..g.start + g.len]
-        .iter()
-        .map(|kp| kp.len())
-        .max()
-        .unwrap_or(0)
-}
-
-/// The two-phase kernel body for one prefix group. `out_chunk` holds the
-/// group's output rows (member `mi` = batch row `g.start + mi`);
-/// `scores` holds `len × stride` score rows for a shared group.
-#[allow(clippy::too_many_arguments)]
-fn attention_group(
-    cfg: &ModelConfig,
-    q: &[f32],
-    q_positions: &[usize],
-    segs: &[KvSegmentSlices<'_>],
-    seg_bounds: &[usize],
-    seq_key_positions: &[&[usize]],
-    g: &PrefixGroup,
-    rope: Option<&RopeTable>,
-    alibi: Option<&AlibiTable>,
-    scale: f32,
-    scores: &mut [f32],
-    out_chunk: &mut [f32],
+/// Runs the query rows backing `out_rows` — rows `first ..` of `kn.q` —
+/// through the tile, [`LANES`] at a time: full tiles at [`LANES`] lanes, a
+/// lone row at one. `lane_of(row)` describes one row, and every row reads
+/// `shared` before its own tail. Serial and parallel entry points run
+/// exactly this on tile-aligned chunks.
+fn attend_rows<'a>(
+    kn: &Kernel<'_>,
+    first: usize,
+    shared: &[KvSegmentSlices<'_>],
+    lane_of: impl Fn(usize) -> Lane<'a>,
+    out_rows: &mut [f32],
+    scratch: &mut AttnScratch,
 ) {
-    let d = cfg.hidden_size;
-    if !g.is_shared() {
-        // Nothing to hoist: run the members through the per-sequence walk
-        // (a batch of singletons, batch size 1 included, runs only this).
-        attention_seq_rows(
-            cfg, q, q_positions, segs, seg_bounds, seq_key_positions, rope, alibi, scale,
-            g.start, out_chunk, scores,
-        );
-        return;
-    }
-
-    let hd = cfg.head_dim();
-    let kv_dim = cfg.kv_dim();
-    let kv_group = cfg.kv_group_size();
-    let stride = group_stride(seq_key_positions, g);
-    let m0 = g.start;
-    let shared = &segs[seg_bounds[m0]..seg_bounds[m0] + g.prefix_segments];
-    for o_row in out_chunk.chunks_exact_mut(d) {
-        o_row.fill(0.0);
-    }
-    for h in 0..cfg.num_heads {
-        let kv_h = h / kv_group;
-
-        // Score phase 1 — shared prefix, loop-interchanged: each key row
-        // is read once and dotted against every member's query. A shifted
-        // segment's rotation row is resolved once and applied inside the
-        // fused dot, so the interchange still reads each key row once.
-        let mut j = 0usize;
-        for &(keys, _, shift) in shared {
-            let rot = segment_rotation(rope, shift);
-            for k_row in keys.chunks_exact(kv_dim) {
-                let k_head = &k_row[kv_h * hd..(kv_h + 1) * hd];
-                for mi in 0..g.len {
-                    let s = m0 + mi;
-                    let q_head = &q[s * d + h * hd..s * d + (h + 1) * hd];
-                    let score = &mut scores[mi * stride + j];
-                    *score = score_dot(q_head, k_head, rot) * scale;
-                    if let Some(alibi) = alibi {
-                        *score += alibi.bias(h, q_positions[s], seq_key_positions[s][j]);
-                    }
-                }
-                j += 1;
-            }
+    let d = kn.hidden;
+    for (t, out) in out_rows.chunks_mut(LANES * d).enumerate() {
+        let (row0, m) = (first + t * LANES, out.len() / d);
+        let lanes: [Lane<'a>; LANES] = from_fn(|l| lane_of(row0 + l.min(m - 1)));
+        let tile = Tile { q: &kn.q[row0 * d..(row0 + m) * d], shared, lanes: &lanes[..m] };
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: `has_avx2` just reported that this CPU supports AVX2.
+            unsafe { attend_avx2(kn, &tile, out, scratch) };
+            continue;
         }
-        debug_assert_eq!(j, g.prefix_rows);
-
-        // Score phase 2 — private remainder per member, then softmax over
-        // the member's full score row (identical values in identical slots
-        // to the per-sequence walk).
-        for mi in 0..g.len {
-            let s = m0 + mi;
-            let key_positions = seq_key_positions[s];
-            let visible = key_positions.len();
-            let q_head = &q[s * d + h * hd..s * d + (h + 1) * hd];
-            let row_scores = &mut scores[mi * stride..mi * stride + visible];
-            let mut j = g.prefix_rows;
-            for &(keys, _, shift) in &segs[seg_bounds[s] + g.prefix_segments..seg_bounds[s + 1]] {
-                if j >= visible {
-                    break;
-                }
-                let rot = segment_rotation(rope, shift);
-                let rows = (keys.len() / kv_dim).min(visible - j);
-                for r in 0..rows {
-                    let k_head = &keys[r * kv_dim + kv_h * hd..r * kv_dim + (kv_h + 1) * hd];
-                    let score = &mut row_scores[j];
-                    *score = score_dot(q_head, k_head, rot) * scale;
-                    if let Some(alibi) = alibi {
-                        *score += alibi.bias(h, q_positions[s], key_positions[j]);
-                    }
-                    j += 1;
-                }
-            }
-            debug_assert_eq!(j, visible);
-            pc_tensor::ops::softmax_slice(row_scores);
-        }
-
-        // Value phase 1 — shared prefix, loop-interchanged: each value row
-        // is read once and accumulated into every member's output. Value
-        // rows are position-free, so the shift never enters this phase.
-        let mut j = 0usize;
-        for &(_, values, _) in shared {
-            for v_row in values.chunks_exact(kv_dim) {
-                let v_head = &v_row[kv_h * hd..(kv_h + 1) * hd];
-                for (mi, o_row) in out_chunk.chunks_exact_mut(d).enumerate() {
-                    axpy_seq(&mut o_row[h * hd..(h + 1) * hd], scores[mi * stride + j], v_head);
-                }
-                j += 1;
-            }
-        }
-
-        // Value phase 2 — private remainder per member.
-        for (mi, o_row) in out_chunk.chunks_exact_mut(d).enumerate() {
-            let s = m0 + mi;
-            let visible = seq_key_positions[s].len();
-            let o_head = &mut o_row[h * hd..(h + 1) * hd];
-            let mut j = g.prefix_rows;
-            for &(_, values, _) in &segs[seg_bounds[s] + g.prefix_segments..seg_bounds[s + 1]] {
-                if j >= visible {
-                    break;
-                }
-                let rows = (values.len() / kv_dim).min(visible - j);
-                for r in 0..rows {
-                    let v_head = &values[r * kv_dim + kv_h * hd..r * kv_dim + (kv_h + 1) * hd];
-                    axpy_seq(o_head, scores[mi * stride + j], v_head);
-                    j += 1;
-                }
-            }
-        }
+        attend_portable(kn, &tile, out, scratch);
     }
 }
 
-/// Attention for the contiguous query rows `first_row ..` backing
-/// `out_chunk`. Both the serial and the parallel entry points run exactly
-/// this code, which is what makes thread count invisible in the output
-/// bits.
-#[allow(clippy::too_many_arguments)]
-fn attention_rows(
-    cfg: &ModelConfig,
-    q: &[f32],
-    q_positions: &[usize],
-    segments: &[KvSegmentSlices<'_>],
-    key_positions: &[usize],
-    base: usize,
-    rope: Option<&RopeTable>,
-    alibi: Option<&AlibiTable>,
-    scale: f32,
-    first_row: usize,
-    out_chunk: &mut [f32],
-) {
-    let d = cfg.hidden_size;
-    let total = key_positions.len();
-    let mut scores = vec![0.0f32; total];
-    for (local, o_row) in out_chunk.chunks_exact_mut(d).enumerate() {
-        let i = first_row + local;
-        o_row.fill(0.0);
-        attention_row(
-            cfg,
-            &q[i * d..(i + 1) * d],
-            q_positions[i],
-            segments,
-            key_positions,
-            base + i + 1,
-            rope,
-            alibi,
-            scale,
-            &mut scores,
-            o_row,
-        );
-    }
+/// One tile's inputs: `m = lanes.len()` query rows (`q` holds them, `[m ×
+/// hidden]`) that all read `shared` before their own tails.
+struct Tile<'a> {
+    q: &'a [f32],
+    shared: &'a [KvSegmentSlices<'a>],
+    lanes: &'a [Lane<'a>],
 }
 
-/// Attention for one query row over the first `visible` cached tokens.
+/// [`attend_body`] compiled for AVX2 — the arm [`pc_tensor::ops::gemm_arm`]
+/// names, both kernels on the one [`has_avx2`] decision. `avx2` only, never
+/// `fma`: a separate multiply and add round exactly as the portable arm
+/// does, so hosts running different arms still produce the same bytes.
 ///
-/// The score and value passes both advance one global key index `j`
-/// across the segment list, touching exactly the rows a flat cache would
-/// in exactly the same order — segment boundaries only change which slice
-/// a row is read from, never the arithmetic.
-#[allow(clippy::too_many_arguments)]
-fn attention_row(
-    cfg: &ModelConfig,
-    q_row: &[f32],
-    q_pos: usize,
-    segments: &[KvSegmentSlices<'_>],
-    key_positions: &[usize],
-    visible: usize,
-    rope: Option<&RopeTable>,
-    alibi: Option<&AlibiTable>,
-    scale: f32,
-    scores: &mut [f32],
-    o_row: &mut [f32],
-) {
-    let hd = cfg.head_dim();
-    let kv_dim = cfg.kv_dim();
-    let group = cfg.kv_group_size();
-    for h in 0..cfg.num_heads {
-        let q_head = &q_row[h * hd..(h + 1) * hd];
-        let kv_h = h / group;
-        let scores = &mut scores[..visible];
-        let mut j = 0usize;
-        for &(keys, _, shift) in segments {
-            if j >= visible {
-                break;
-            }
-            let rot = segment_rotation(rope, shift);
-            let rows = (keys.len() / kv_dim).min(visible - j);
-            for r in 0..rows {
-                let k_head = &keys[r * kv_dim + kv_h * hd..r * kv_dim + (kv_h + 1) * hd];
-                let s = &mut scores[j];
-                *s = score_dot(q_head, k_head, rot) * scale;
-                if let Some(alibi) = alibi {
-                    *s += alibi.bias(h, q_pos, key_positions[j]);
-                }
-                j += 1;
-            }
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn attend_avx2(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32], scratch: &mut AttnScratch) {
+    attend_lanes(kn, tile, out, scratch);
+}
+
+/// [`attend_body`] compiled for the build's baseline target: the only arm
+/// on a CPU without AVX2 and on every target that is not x86-64.
+fn attend_portable(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32], scratch: &mut AttnScratch) {
+    attend_lanes(kn, tile, out, scratch);
+}
+
+/// The two instantiations of the tile: [`LANES`] lanes, or one.
+#[inline(always)]
+fn attend_lanes(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32], scratch: &mut AttnScratch) {
+    if tile.lanes.len() == 1 {
+        attend_body::<1>(kn, tile, out, scratch);
+    } else {
+        attend_body::<LANES>(kn, tile, out, scratch);
+    }
+}
+
+/// The tile: attention outputs of its `m ≤ L` query rows (`out` holds `m`
+/// rows of `hidden`), head by head. Lane `l` attends to cache rows
+/// `0..lanes[l].visible`: first to as many of the rows of `shared` — which
+/// every lane reads, so each is loaded once for the tile — then, alone, to
+/// `lanes[l].tail`. Lanes past `m` repeat the last one and are never
+/// stored. Score pass, [`softmax_slice`] on each lane's contiguous score
+/// row, value pass; the module doc has the order of every reduction.
+#[inline(always)]
+fn attend_body<const L: usize>(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32], scratch: &mut AttnScratch) {
+    let Tile { q, shared, lanes } = *tile;
+    let (d, hd, m) = (kn.hidden, kn.head_dim, lanes.len());
+    debug_assert!((1..=L).contains(&m) && q.len() == m * d && out.len() == m * d);
+    debug_assert!(lanes.iter().all(|lane| (1..=lane.key_positions.len()).contains(&lane.visible)));
+    let lane = |l: usize| &lanes[l.min(m - 1)];
+    let shared_rows = shared.iter().map(|(k, _, _)| k.len()).sum::<usize>() / kn.kv_dim;
+    // Lane `l` reads shared rows `0..seen[l]`, then `own(l)` rows of its
+    // tail, which are cache rows `shared_rows..visible`.
+    let seen: [usize; L] = from_fn(|l| lane(l).visible.min(shared_rows));
+    let own = |l: usize| lanes[l].visible - seen[l];
+    let stride = lanes.iter().map(|lane| lane.visible).max().unwrap_or(0);
+    let scores = sized(&mut scratch.scores, L * stride);
+    let dots = sized(&mut scratch.dots, L * stride);
+    let (qt, _) = sized(&mut scratch.qt, L * hd).as_chunks_mut::<L>();
+    let rotated = sized(&mut scratch.rotated, KEYS * hd);
+    out.fill(0.0);
+    for h in 0..kn.num_heads {
+        let q_head = |l: usize| &q[l * d + h * hd..][..hd];
+        for (e, col) in qt.iter_mut().enumerate() {
+            *col = from_fn(|l| q_head(l.min(m - 1))[e]);
         }
-        pc_tensor::ops::softmax_slice(scores);
-        let o_head = &mut o_row[h * hd..(h + 1) * hd];
-        let mut j = 0usize;
-        for &(_, values, _) in segments {
-            if j >= visible {
-                break;
+        score_run::<L>(kn, h, qt, shared, 0, &seen, lanes, scores, stride, dots, rotated);
+        for (l, lane) in lanes.iter().enumerate() {
+            let row = &mut scores[l * stride..][..lane.visible];
+            if own(l) > 0 {
+                let (q1, _) = q_head(l).as_chunks::<1>();
+                let lane = std::slice::from_ref(lane);
+                score_run::<1>(kn, h, q1, lane[0].tail, shared_rows, &[own(l)], lane, row, 0, dots, rotated);
             }
-            let rows = (values.len() / kv_dim).min(visible - j);
-            for r in 0..rows {
-                let v_head = &values[r * kv_dim + kv_h * hd..r * kv_dim + (kv_h + 1) * hd];
-                axpy_seq(o_head, scores[j], v_head);
-                j += 1;
+            softmax_slice(row);
+        }
+        value_run::<L>(kn, h, shared, &seen, scores, stride, out, m);
+        for (l, lane) in lanes.iter().enumerate() {
+            if own(l) > 0 {
+                let probs = &scores[l * stride + shared_rows..];
+                value_run::<1>(kn, h, lane.tail, &[own(l)], probs, 0, &mut out[l * d..(l + 1) * d], 1);
             }
         }
     }
+}
+
+/// Scores of one run of cache rows, `first ..`: lane `l` — packed query
+/// `qt[e][l]` — against the first `rows[l]` rows of `segments`, written to
+/// `scores[l · stride + first ..]` as `dot · scale`, plus the ALiBi bias.
+/// The raw dots of the whole tile land key-major in `dots` first; rows
+/// past a lane's own horizon are computed too and never read.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn score_run<const L: usize>(
+    kn: &Kernel<'_>,
+    h: usize,
+    qt: &[[f32; L]],
+    segments: &[KvSegmentSlices<'_>],
+    first: usize,
+    rows: &[usize; L],
+    lanes: &[Lane<'_>],
+    scores: &mut [f32],
+    stride: usize,
+    dots: &mut [f32],
+    rotated: &mut [f32],
+) {
+    let most = rows.iter().copied().max().unwrap_or(0);
+    let (dots, _) = dots.as_chunks_mut::<L>();
+    let mut j = 0;
+    for &(keys, _, shift) in segments {
+        if j >= most {
+            break;
+        }
+        let rot = segment_rotation(kn.rope, shift);
+        let n = (keys.len() / kn.kv_dim).min(most - j);
+        let whole = n - n % KEYS;
+        for r in (0..whole).step_by(KEYS) {
+            score_keys::<L, KEYS>(kn, h, qt, keys, r, rot, rotated, &mut dots[j + r..]);
+        }
+        for r in whole..n {
+            score_keys::<L, 1>(kn, h, qt, keys, r, rot, rotated, &mut dots[j + r..]);
+        }
+        j += n;
+    }
+    debug_assert_eq!(j, most);
+    for (l, lane) in lanes.iter().enumerate() {
+        let row = &mut scores[l * stride + first..][..rows[l]];
+        for (s, dot) in row.iter_mut().zip(dots.iter()) {
+            *s = dot[l] * kn.scale;
+        }
+        if let Some(alibi) = kn.alibi {
+            for (s, &k_pos) in row.iter_mut().zip(&lane.key_positions[first..]) {
+                *s += alibi.bias(h, lane.q_pos, k_pos);
+            }
+        }
+    }
+}
+
+/// `K` key rows (`r ..` of `keys`) against `L` lanes at once: lane `l`'s
+/// accumulator for key `kk` sees `0 + q₀k₀ + q₁k₁ + …`, exactly
+/// `dot_seq`'s sequence, while the `K × L` chains overlap. A shifted
+/// segment's key heads are rotated once, by `dot_rotated`'s expressions,
+/// and reused for every lane. Dots leave key-major, a whole vector of
+/// lanes per store — transposing here instead makes the compiler
+/// scalarise the accumulation.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn score_keys<const L: usize, const K: usize>(
+    kn: &Kernel<'_>,
+    h: usize,
+    qt: &[[f32; L]],
+    keys: &[f32],
+    r: usize,
+    rot: Option<(&[f32], &[f32], f32)>,
+    rotated: &mut [f32],
+    dots: &mut [[f32; L]],
+) {
+    let hd = qt.len();
+    let k_off = h / kn.kv_group * hd;
+    // Filled by plain loops: `array::from_fn` here costs the one-lane arm
+    // about a tenth of a decode step.
+    let mut heads: [&[f32]; K] = [&[]; K];
+    for kk in 0..K {
+        heads[kk] = &keys[(r + kk) * kn.kv_dim + k_off..][..hd];
+    }
+    if let Some((cos, sin, sign)) = rot {
+        let half = cos.len();
+        for (kk, dst) in rotated.chunks_exact_mut(hd).take(K).enumerate() {
+            let k = heads[kk];
+            for i in 0..half {
+                let s = sign * sin[i];
+                dst[i] = k[i] * cos[i] - k[i + half] * s;
+                dst[i + half] = k[i] * s + k[i + half] * cos[i];
+            }
+        }
+        for kk in 0..K {
+            heads[kk] = &rotated[kk * hd..][..hd];
+        }
+    }
+    let mut acc = [[0.0f32; L]; K];
+    for (e, qv) in qt.iter().enumerate() {
+        for kk in 0..K {
+            let ke = heads[kk][e];
+            for l in 0..L {
+                acc[kk][l] += qv[l] * ke;
+            }
+        }
+    }
+    dots[..K].copy_from_slice(&acc);
+}
+
+/// The value pass of one run for head `h`: `out[l][h] += Σ_r probs[l ·
+/// stride + r] · v_r` over the first `rows[l]` rows `r` of `segments`, for
+/// lanes `l < m`, in register slices of the head — 8 elements wide, 16 at
+/// one lane, a scalar remainder when `head_dim % 8 ≠ 0`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn value_run<const L: usize>(
+    kn: &Kernel<'_>,
+    h: usize,
+    segments: &[KvSegmentSlices<'_>],
+    rows: &[usize; L],
+    probs: &[f32],
+    stride: usize,
+    out: &mut [f32],
+    m: usize,
+) {
+    let mut e = 0;
+    while e < kn.head_dim {
+        e += match kn.head_dim - e {
+            16.. if L == 1 => value_tile::<L, 16>(kn, h, e, segments, rows, probs, stride, out, m),
+            8.. => value_tile::<L, 8>(kn, h, e, segments, rows, probs, stride, out, m),
+            _ => value_tile::<L, 1>(kn, h, e, segments, rows, probs, stride, out, m),
+        };
+    }
+}
+
+/// [`value_run`] for elements `e..e + W` of the head; returns `W`. One
+/// register accumulator per lane, loaded from `out` and stored back once;
+/// each value row is loaded once for all lanes over the rows all of them
+/// see, then the few ragged rows under a per-lane test — ascending `r` per
+/// output element, `axpy_seq`'s order.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn value_tile<const L: usize, const W: usize>(
+    kn: &Kernel<'_>,
+    h: usize,
+    e: usize,
+    segments: &[KvSegmentSlices<'_>],
+    rows: &[usize; L],
+    probs: &[f32],
+    stride: usize,
+    out: &mut [f32],
+    m: usize,
+) -> usize {
+    let (d, v_off, o_off) = (kn.hidden, h / kn.kv_group * kn.head_dim + e, h * kn.head_dim + e);
+    let (mut common, mut end) = (rows[0], rows[0]);
+    for &n in &rows[1..] {
+        (common, end) = (common.min(n), end.max(n));
+    }
+    // Every lane's row cut to the same `end`: with `r < end` tested once
+    // per value row, none of the `L` loads below needs its own check.
+    let lane_probs: [&[f32]; L] = from_fn(|l| &probs[l * stride..][..end]);
+    let mut acc = [[0.0f32; W]; L];
+    for l in 0..L {
+        if l < m {
+            acc[l].copy_from_slice(&out[l * d + o_off..][..W]);
+        }
+    }
+    let mut r = 0;
+    'rows: for &(_, values, _) in segments {
+        for v_row in values.chunks_exact(kn.kv_dim) {
+            if r >= end {
+                break 'rows;
+            }
+            let v: [f32; W] = v_row[v_off..][..W].try_into().expect("W elements");
+            for l in 0..L {
+                if r < common || r < rows[l] {
+                    let p = lane_probs[l][r];
+                    for x in 0..W {
+                        acc[l][x] += p * v[x];
+                    }
+                }
+            }
+            r += 1;
+        }
+    }
+    for l in 0..L {
+        if l < m {
+            out[l * d + o_off..][..W].copy_from_slice(&acc[l]);
+        }
+    }
+    W
 }
 
 #[cfg(test)]
@@ -813,5 +870,276 @@ mod tests {
         let lb = parallel.forward(&tokens, &positions, &mut b).unwrap();
         assert_eq!(la.data(), lb.data());
         assert_eq!(a, b);
+    }
+
+    // ---- the tile against the per-row walk it replaced -----------------
+
+    use pc_tensor::ops::{axpy_seq, dot_rotated, dot_seq};
+    use pc_tensor::Parallelism;
+    use proptest::prelude::*;
+
+    /// The oracle: attention for one query row over the first `visible`
+    /// cached rows, one scalar [`dot_seq`] / [`dot_rotated`] per key and
+    /// one [`axpy_seq`] per value row — the kernel every path ran before
+    /// the tile, kept to define the bits the tile must produce.
+    #[allow(clippy::too_many_arguments)]
+    fn attention_row(
+        cfg: &ModelConfig,
+        q_row: &[f32],
+        q_pos: usize,
+        segments: &[KvSegmentSlices<'_>],
+        key_positions: &[usize],
+        visible: usize,
+        rope: Option<&RopeTable>,
+        alibi: Option<&AlibiTable>,
+    ) -> Vec<f32> {
+        let (hd, kv_dim) = (cfg.head_dim(), cfg.kv_dim());
+        let scale = 1.0 / (hd as f32).sqrt();
+        let mut o_row = vec![0.0f32; cfg.hidden_size];
+        let mut scores = vec![0.0f32; visible];
+        for h in 0..cfg.num_heads {
+            let q_head = &q_row[h * hd..(h + 1) * hd];
+            let kv_h = h / cfg.kv_group_size();
+            let mut j = 0usize;
+            for &(keys, _, shift) in segments {
+                let rot = segment_rotation(rope, shift);
+                for k_row in keys.chunks_exact(kv_dim).take(visible - j) {
+                    let k_head = &k_row[kv_h * hd..(kv_h + 1) * hd];
+                    scores[j] = scale
+                        * match rot {
+                            None => dot_seq(q_head, k_head),
+                            Some((cos, sin, sign)) => dot_rotated(q_head, k_head, cos, sin, sign),
+                        };
+                    if let Some(alibi) = alibi {
+                        scores[j] += alibi.bias(h, q_pos, key_positions[j]);
+                    }
+                    j += 1;
+                }
+            }
+            assert_eq!(j, visible);
+            softmax_slice(&mut scores);
+            let mut j = 0usize;
+            for &(_, values, _) in segments {
+                for v_row in values.chunks_exact(kv_dim).take(visible - j) {
+                    axpy_seq(&mut o_row[h * hd..(h + 1) * hd], scores[j], &v_row[kv_h * hd..(kv_h + 1) * hd]);
+                    j += 1;
+                }
+            }
+        }
+        o_row
+    }
+
+    /// Deterministic test data from one generated seed (splitmix64).
+    struct Dice(u64);
+
+    impl Dice {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn pick(&mut self, lo: usize, hi: usize) -> usize {
+            lo + (self.next() % (hi - lo + 1) as u64) as usize
+        }
+
+        /// `len` floats in `[-2, 2)`.
+        fn floats(&mut self, len: usize) -> Vec<f32> {
+            (0..len).map(|_| (self.next() >> 40) as f32 / (1u64 << 22) as f32 - 2.0).collect()
+        }
+
+        /// `len` position ids, discontinuous and out of order.
+        fn positions(&mut self, len: usize) -> Vec<usize> {
+            (0..len).map(|_| self.pick(0, 99)).collect()
+        }
+    }
+
+    /// `rows` rows of keys and values, cut into `pieces` segments at random
+    /// points — repeats make empty segments, neighbours 1-row ones — about
+    /// half of them carrying a non-zero shift.
+    struct Rows {
+        keys: Vec<f32>,
+        values: Vec<f32>,
+        cuts: Vec<(usize, usize, isize)>,
+    }
+
+    impl Rows {
+        fn new(dice: &mut Dice, kv_dim: usize, rows: usize, pieces: usize) -> Self {
+            let mut at: Vec<usize> = (1..pieces).map(|_| dice.pick(0, rows)).collect();
+            at.extend([0, rows]);
+            at.sort_unstable();
+            let cuts = at
+                .windows(2)
+                .map(|w| (w[0] * kv_dim, w[1] * kv_dim, [0, 0, -37, -2, 5, 64][dice.pick(0, 5)]))
+                .collect();
+            Rows { keys: dice.floats(rows * kv_dim), values: dice.floats(rows * kv_dim), cuts }
+        }
+
+        fn segments(&self) -> impl Iterator<Item = KvSegmentSlices<'_>> {
+            self.cuts.iter().map(|&(a, b, shift)| (&self.keys[a..b], &self.values[a..b], shift))
+        }
+    }
+
+    /// A Llama (RoPE), MPT (ALiBi) or Falcon (RoPE, parallel block) shape
+    /// with `heads` query heads over a kv-head count that divides them.
+    fn shape(family: usize, heads: usize, kv_pick: usize, hd: usize) -> (ModelConfig, Option<RopeTable>, Option<AlibiTable>) {
+        let divisors: Vec<usize> = (1..=heads).filter(|&k| heads.is_multiple_of(k)).collect();
+        let base = [ModelConfig::llama_tiny(8), ModelConfig::mpt_tiny(8), ModelConfig::falcon_tiny(8)][family].clone();
+        let cfg = ModelConfig {
+            hidden_size: heads * hd,
+            num_heads: heads,
+            num_kv_heads: divisors[kv_pick % divisors.len()],
+            ..base
+        };
+        let rope = (family != 1).then(|| RopeTable::new(hd, 128, 10_000.0));
+        let alibi = (family == 1).then(|| AlibiTable::new(heads));
+        (cfg, rope, alibi)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs one tile on the portable arm and, when the CPU has it, on the
+    /// AVX2 arm — called directly, no switch forces an arm — and holds both
+    /// to `expect`.
+    fn assert_arms_equal(kn: &Kernel<'_>, tile: &Tile<'_>, expect: &[f32]) {
+        let mut out = vec![f32::NAN; expect.len()];
+        attend_portable(kn, tile, &mut out, &mut AttnScratch::default());
+        assert_eq!(bits(&out), bits(expect), "portable arm, {} lanes", tile.lanes.len());
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            out.fill(f32::NAN);
+            // SAFETY: `has_avx2` just reported that this CPU supports AVX2.
+            unsafe { attend_avx2(kn, tile, &mut out, &mut AttnScratch::default()) };
+            assert_eq!(bits(&out), bits(expect), "avx2 arm, {} lanes", tile.lanes.len());
+        }
+    }
+
+    const HEAD_DIMS: [usize; 5] = [2, 6, 8, 16, 24];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+        /// Prefill, suffix prefill and module encoding: every chunk row
+        /// equals the per-row oracle at any segmentation, shift pattern and
+        /// thread count, and so does each arm on the chunk's first tile and
+        /// on its last row alone.
+        #[test]
+        fn chunk_rows_equal_the_per_row_oracle(
+            (family, heads, kv_pick, hd) in (0usize..3, 1usize..=4, 0usize..4, 0usize..5),
+            (n, base, seed) in (1usize..=20, 0usize..=40, any::<u64>()),
+        ) {
+            let (cfg, rope, alibi) = shape(family, heads, kv_pick, HEAD_DIMS[hd]);
+            let (rope, alibi) = (rope.as_ref(), alibi.as_ref());
+            let (d, total) = (cfg.hidden_size, base + n);
+            let dice = &mut Dice(seed);
+            let pieces = dice.pick(1, 6);
+            let rows = Rows::new(dice, cfg.kv_dim(), total, pieces);
+            let segments: Vec<_> = rows.segments().collect();
+            let (q, key_positions) = (dice.floats(n * d), dice.positions(total));
+            let q_positions = &key_positions[base..];
+            let expect: Vec<f32> = (0..n)
+                .flat_map(|i| attention_row(&cfg, &q[i * d..(i + 1) * d], q_positions[i], &segments, &key_positions, base + i + 1, rope, alibi))
+                .collect();
+
+            for threads in [1usize, 2, 3] {
+                let cfg = ModelConfig { parallelism: Parallelism { num_threads: threads, min_work: 0 }, ..cfg.clone() };
+                let mut got = vec![f32::NAN; n * d];
+                attention_chunk_segments(&cfg, &q, q_positions, &segments, &key_positions, base, rope, alibi, &mut got);
+                prop_assert_eq!(bits(&got), bits(&expect), "threads {}", threads);
+            }
+
+            let kn = Kernel::new(&cfg, &q, rope, alibi);
+            let lanes: Vec<Lane<'_>> = (0..n)
+                .map(|i| Lane { q_pos: q_positions[i], key_positions: &key_positions, visible: base + i + 1, tail: &[] })
+                .collect();
+            let m = n.min(LANES);
+            assert_arms_equal(&kn, &Tile { q: &q[..m * d], shared: &segments, lanes: &lanes[..m] }, &expect[..m * d]);
+            assert_arms_equal(&kn, &Tile { q: &q[(n - 1) * d..], shared: &segments, lanes: &lanes[n - 1..] }, &expect[(n - 1) * d..]);
+        }
+
+        /// The grouped decode tick: batches that cross the lane width, mixed
+        /// shared groups and singletons, ragged private tails — every
+        /// sequence equals the oracle over its own whole cache, i.e. being
+        /// served alone; each arm agrees on every group's first tile.
+        #[test]
+        fn grouped_decode_equals_serving_each_sequence_alone(
+            (family, heads, kv_pick, hd) in (0usize..3, 1usize..=4, 0usize..4, 0usize..5),
+            (nseqs, seed) in (1usize..=11, any::<u64>()),
+        ) {
+            let (cfg, rope, alibi) = shape(family, heads, kv_pick, HEAD_DIMS[hd]);
+            let (rope, alibi) = (rope.as_ref(), alibi.as_ref());
+            let (d, kv_dim) = (cfg.hidden_size, cfg.kv_dim());
+            let dice = &mut Dice(seed);
+
+            // Groups: a shared one has 1–3 prefix segments over 0..=40 rows,
+            // the others are singletons over a private cache only.
+            let mut groups: Vec<PrefixGroup> = Vec::new();
+            let mut prefixes: Vec<Rows> = Vec::new();
+            let mut start = 0;
+            while start < nseqs {
+                let shared = dice.pick(0, 2) > 0;
+                let len = if shared { dice.pick(1, nseqs - start) } else { 1 };
+                let (prefix_segments, prefix_rows) = if shared { (dice.pick(1, 3), dice.pick(0, 40)) } else { (0, 0) };
+                groups.push(PrefixGroup { start, len, prefix_segments, prefix_rows });
+                prefixes.push(Rows::new(dice, kv_dim, prefix_rows, prefix_segments));
+                start += len;
+            }
+            let group_of = |s: usize| groups.iter().position(|g| (g.start..g.start + g.len).contains(&s)).unwrap();
+            let tails: Vec<Rows> = (0..nseqs)
+                .map(|_| {
+                    let (rows, pieces) = (dice.pick(1, 9), dice.pick(1, 2));
+                    Rows::new(dice, kv_dim, rows, pieces)
+                })
+                .collect();
+            let key_positions: Vec<Vec<usize>> = (0..nseqs)
+                .map(|s| dice.positions(groups[group_of(s)].prefix_rows + tails[s].keys.len() / kv_dim))
+                .collect();
+            let (q, q_positions) = (dice.floats(nseqs * d), dice.positions(nseqs));
+
+            let (mut segs, mut seg_bounds) = (Vec::new(), vec![0usize]);
+            for (s, tail) in tails.iter().enumerate() {
+                let g = group_of(s);
+                segs.extend(prefixes[g].segments().take(groups[g].prefix_segments));
+                segs.extend(tail.segments());
+                seg_bounds.push(segs.len());
+            }
+            let seq_key_positions: Vec<&[usize]> = key_positions.iter().map(|kp| &kp[..]).collect();
+            let expect: Vec<f32> = (0..nseqs)
+                .flat_map(|s| {
+                    let own = &segs[seg_bounds[s]..seg_bounds[s + 1]];
+                    attention_row(&cfg, &q[s * d..(s + 1) * d], q_positions[s], own, seq_key_positions[s], seq_key_positions[s].len(), rope, alibi)
+                })
+                .collect();
+
+            for threads in [1usize, 2] {
+                let cfg = ModelConfig { parallelism: Parallelism { num_threads: threads, min_work: 0 }, ..cfg.clone() };
+                let mut got = vec![f32::NAN; nseqs * d];
+                attention_decode_batch_grouped(
+                    &cfg, &q, &q_positions, &segs, &seg_bounds, &seq_key_positions, &groups, rope, alibi,
+                    &mut AttnScratch::default(), &mut got,
+                );
+                prop_assert_eq!(bits(&got), bits(&expect), "threads {}", threads);
+            }
+
+            let kn = Kernel::new(&cfg, &q, rope, alibi);
+            for g in &groups {
+                let members = g.start..g.start + g.len.min(LANES);
+                let lanes: Vec<Lane<'_>> = members.clone()
+                    .map(|s| Lane {
+                        q_pos: q_positions[s],
+                        key_positions: seq_key_positions[s],
+                        visible: seq_key_positions[s].len(),
+                        tail: &segs[seg_bounds[s] + g.prefix_segments..seg_bounds[s + 1]],
+                    })
+                    .collect();
+                let shared = &segs[seg_bounds[g.start]..][..g.prefix_segments];
+                let rows = members.start * d..members.end * d;
+                assert_arms_equal(&kn, &Tile { q: &q[rows.clone()], shared, lanes: &lanes }, &expect[rows]);
+            }
+        }
     }
 }

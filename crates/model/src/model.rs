@@ -1,6 +1,8 @@
 //! The transformer model: embedding, blocks, logits, decoding.
 
-use crate::attention::{attention_chunk_segments, attention_decode_batch_grouped};
+use crate::attention::{
+    attention_chunk_segments_with, attention_decode_batch_grouped, sized, AttnScratch, LANES,
+};
 use crate::pos::{AlibiTable, RopeTable};
 use crate::sampler::Sampler;
 use crate::view::{group_adjacent_prefixes, KvSeq, PrefixGroup};
@@ -11,9 +13,47 @@ use pc_tensor::Tensor;
 use std::time::{Duration, Instant};
 
 /// Per-layer attention/MLP timing is sampled on every `N`-th forward pass
-/// (per [`Telemetry::should_sample`]) so the hot loop stays free of clock
-/// reads in the common case.
+/// or batched decode step (per [`Telemetry::should_sample`]) so the hot
+/// loop stays free of clock reads in the common case.
 const LAYER_TIMING_SAMPLE_EVERY: u64 = 16;
+
+/// The attention and MLP halves of one pass, summed over its layers, for
+/// the `pc_model_attention_seconds` / `pc_model_mlp_seconds` histograms. A
+/// pass that is not sampled reads no clock.
+struct LayerTiming {
+    sampled: bool,
+    attention: Duration,
+    mlp: Duration,
+}
+
+impl LayerTiming {
+    fn new(telemetry: &Telemetry) -> Self {
+        LayerTiming {
+            sampled: telemetry.should_sample(LAYER_TIMING_SAMPLE_EVERY),
+            attention: Duration::ZERO,
+            mlp: Duration::ZERO,
+        }
+    }
+
+    fn start(&self) -> Option<Instant> {
+        self.sampled.then(Instant::now)
+    }
+
+    /// Adds the time since `start` to one of the two halves.
+    fn lap(half: &mut Duration, start: Option<Instant>) {
+        if let Some(start) = start {
+            *half += start.elapsed();
+        }
+    }
+
+    fn record(self, telemetry: &Telemetry) {
+        if self.sampled {
+            let observe = |name, half: Duration| telemetry.latency_histogram(name).observe(half.as_secs_f64());
+            observe("pc_model_attention_seconds", self.attention);
+            observe("pc_model_mlp_seconds", self.mlp);
+        }
+    }
+}
 
 /// Recyclable allocation for the per-layer CSR segment list. The `Vec`
 /// is stored with `'static` slice lifetimes **only while empty** and
@@ -70,12 +110,13 @@ impl PosListPool {
 }
 
 /// KV row-traffic accounting for one batched decode step, summed across
-/// layers. "Shared" rows were streamed once per prefix group by the
-/// two-phase kernel (each read served every group member); "private"
-/// rows were read for exactly one sequence.
+/// layers. "Shared" rows were streamed once per prefix group — once per
+/// eight members of a wider one — by the tiled kernel (each read served
+/// every member of the tile); "private" rows were read for exactly one
+/// sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStepStats {
-    /// Rows read once per group over shared prefixes.
+    /// Rows read once per tile of group members over shared prefixes.
     pub shared_rows_read: u64,
     /// Rows read for a single sequence (tails + unshared caches).
     pub private_rows_read: u64,
@@ -114,7 +155,7 @@ pub struct BatchScratch {
     gate: Vec<f32>,
     down: Vec<f32>,
     logits: Vec<f32>,
-    scores: Vec<f32>,
+    attn_scratch: AttnScratch,
     seg_bounds: Vec<usize>,
     groups: Vec<PrefixGroup>,
     seg_pool: SegListPool,
@@ -138,16 +179,6 @@ impl BatchScratch {
     pub fn groups(&self) -> &[PrefixGroup] {
         &self.groups
     }
-}
-
-/// Grows `buf` to at least `len` and returns the `len`-prefix. Contents
-/// beyond what the caller overwrites are stale by design — every user
-/// below fully writes its window before reading.
-fn sized(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-    &mut buf[..len]
 }
 
 /// A decoder-only transformer with seeded random weights.
@@ -189,7 +220,8 @@ impl Model {
 
     /// Attaches a telemetry handle; per-layer attention/MLP timings are
     /// recorded into `pc_model_attention_seconds` /
-    /// `pc_model_mlp_seconds` histograms on sampled forward passes.
+    /// `pc_model_mlp_seconds` histograms on sampled forward passes and
+    /// batched decode steps.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -387,10 +419,11 @@ impl Model {
     /// pointer-identical segments (see [`group_adjacent_prefixes`]) are
     /// grouped once per tick — the shared segments are frozen for the
     /// tick's duration, decode rows only ever land in private tails — and
-    /// attention runs through the two-phase
+    /// attention runs through the tiled
     /// [`attention_decode_batch_grouped`] kernel, which streams each
-    /// shared K/V row **once per group** instead of once per sequence;
-    /// rows that share nothing walk their own cache. Every output element
+    /// shared K/V row **once per tile of up to eight group members**
+    /// instead of once per sequence; rows that share nothing are the same
+    /// tile at one lane over their own cache. Every output element
     /// sees the float operations of solo decoding in the same order, so
     /// the step is bit-identical to it. [`BatchScratch::stats`] reports
     /// the shared-vs-private row traffic.
@@ -460,7 +493,8 @@ impl Model {
         for g in &scratch.groups {
             let members = caches[g.start..g.start + g.len].iter();
             if g.is_shared() {
-                shared_rows += g.prefix_rows as u64;
+                // Once per tile of up to `LANES` members.
+                shared_rows += (g.prefix_rows * g.len.div_ceil(LANES)) as u64;
                 for c in members {
                     private_rows += (c.len() - g.prefix_rows) as u64;
                 }
@@ -483,8 +517,12 @@ impl Model {
         let gate = sized(&mut scratch.gate, n * ff);
         let down = sized(&mut scratch.down, n * d);
 
+        // Sampled like a forward pass: the server's decode ticks run here.
+        let mut timing = LayerTiming::new(&self.telemetry);
+
         for (layer_idx, lw) in self.weights.layers.iter().enumerate() {
             // --- attention path ---
+            let attn_start = timing.start();
             normed.copy_from_slice(x);
             self.apply_norm(normed, &lw.norm1_w, &lw.norm1_b);
 
@@ -536,13 +574,15 @@ impl Model {
                 &scratch.groups,
                 self.rope.as_ref(),
                 self.alibi.as_ref(),
-                &mut scratch.scores,
+                &mut scratch.attn_scratch,
                 attn,
             );
             scratch.seg_pool.put(segs);
             scratch.pos_pool.put(key_pos);
             ops::matmul_transb_slices_par(attn, lw.wo.data(), proj, n, d, d, par);
+            LayerTiming::lap(&mut timing.attention, attn_start);
 
+            let mlp_start = timing.start();
             if matches!(cfg.family, Family::Falcon) {
                 self.mlp(lw, normed, up, gate, down, n);
                 ops::add_assign_slice(x, proj);
@@ -554,7 +594,9 @@ impl Model {
                 self.mlp(lw, normed, up, gate, down, n);
                 ops::add_assign_slice(x, down);
             }
+            LayerTiming::lap(&mut timing.mlp, mlp_start);
         }
+        timing.record(&self.telemetry);
 
         self.apply_norm(x, &self.weights.final_norm_w, &self.weights.final_norm_b);
 
@@ -610,15 +652,16 @@ impl Model {
         let mut up = vec![0.0f32; n * ff];
         let mut gate = vec![0.0f32; n * ff];
         let mut down = vec![0.0f32; n * d];
+        // One segment list and one attention scratch serve every layer.
+        let mut seg_pool = SegListPool::default();
+        let mut attn_scratch = AttnScratch::default();
 
         // Timing is sampled: most passes skip every clock read below.
-        let timed = self.telemetry.should_sample(LAYER_TIMING_SAMPLE_EVERY);
-        let mut attn_time = Duration::ZERO;
-        let mut mlp_time = Duration::ZERO;
+        let mut timing = LayerTiming::new(&self.telemetry);
 
         for (layer_idx, lw) in self.weights.layers.iter().enumerate() {
             // --- attention path ---
-            let attn_start = timed.then(Instant::now);
+            let attn_start = timing.start();
             normed.copy_from_slice(&x);
             self.apply_norm(&mut normed, &lw.norm1_w, &lw.norm1_b);
 
@@ -648,8 +691,9 @@ impl Model {
 
             // The kernel reads the cache as physical segments in place —
             // shared module blocks in a `KvView` are never copied here.
-            let kv_segments = cache.layer_segments(layer_idx);
-            attention_chunk_segments(
+            let mut kv_segments = seg_pool.take();
+            cache.layer_segments_into(layer_idx, &mut kv_segments);
+            attention_chunk_segments_with(
                 cfg,
                 &q,
                 positions,
@@ -658,44 +702,33 @@ impl Model {
                 base,
                 self.rope.as_ref(),
                 self.alibi.as_ref(),
+                &mut attn_scratch,
                 &mut attn,
             );
+            seg_pool.put(kv_segments);
             ops::matmul_transb_slices_par(&attn, lw.wo.data(), &mut proj, n, d, d, par);
-            if let Some(t) = attn_start {
-                attn_time += t.elapsed();
-            }
+            LayerTiming::lap(&mut timing.attention, attn_start);
 
             if matches!(cfg.family, Family::Falcon) {
                 // Parallel block: MLP reads the same normed input; both
                 // paths add to the residual stream together.
-                let mlp_start = timed.then(Instant::now);
+                let mlp_start = timing.start();
                 self.mlp(lw, &normed, &mut up, &mut gate, &mut down, n);
-                if let Some(t) = mlp_start {
-                    mlp_time += t.elapsed();
-                }
+                LayerTiming::lap(&mut timing.mlp, mlp_start);
                 ops::add_assign_slice(&mut x, &proj);
                 ops::add_assign_slice(&mut x, &down);
             } else {
                 ops::add_assign_slice(&mut x, &proj);
-                let mlp_start = timed.then(Instant::now);
+                let mlp_start = timing.start();
                 normed.copy_from_slice(&x);
                 self.apply_norm(&mut normed, &lw.norm2_w, &lw.norm2_b);
                 self.mlp(lw, &normed, &mut up, &mut gate, &mut down, n);
-                if let Some(t) = mlp_start {
-                    mlp_time += t.elapsed();
-                }
+                LayerTiming::lap(&mut timing.mlp, mlp_start);
                 ops::add_assign_slice(&mut x, &down);
             }
         }
 
-        if timed {
-            self.telemetry
-                .latency_histogram("pc_model_attention_seconds")
-                .observe(attn_time.as_secs_f64());
-            self.telemetry
-                .latency_histogram("pc_model_mlp_seconds")
-                .observe(mlp_time.as_secs_f64());
-        }
+        timing.record(&self.telemetry);
 
         self.apply_norm(&mut x, &self.weights.final_norm_w, &self.weights.final_norm_b);
         Ok(x)
@@ -988,18 +1021,26 @@ mod tests {
 
     #[test]
     fn layer_timing_recorded_when_telemetry_enabled() {
-        let telemetry = Telemetry::new();
-        let cfg = ModelConfig::llama_tiny(64);
-        let model = Model::new(cfg.clone(), 1).with_telemetry(telemetry.clone());
-        let mut cache = KvCache::new(&cfg);
-        // First forward pass is always sampled (`should_sample` fires on 0).
-        model.forward(&[1, 2, 3], &[0, 1, 2], &mut cache).unwrap();
-        let snap = telemetry.snapshot();
-        let names: Vec<&str> = snap.histograms.iter().map(|h| h.name.as_str()).collect();
-        assert!(names.contains(&"pc_model_attention_seconds"), "{names:?}");
-        assert!(names.contains(&"pc_model_mlp_seconds"), "{names:?}");
-        for h in &snap.histograms {
-            assert_eq!(h.count, 1);
+        // A forward pass and a batched decode step — the server's ticks —
+        // feed the same two histograms.
+        for batched in [false, true] {
+            let telemetry = Telemetry::new();
+            let cfg = ModelConfig::llama_tiny(64);
+            let model = Model::new(cfg.clone(), 1).with_telemetry(telemetry.clone());
+            let mut cache = KvCache::new(&cfg);
+            // The first pass is always sampled (`should_sample` fires on 0).
+            if batched {
+                model.decode_step_batch(&[1], &[0], &mut [&mut cache]).unwrap();
+            } else {
+                model.forward(&[1, 2, 3], &[0, 1, 2], &mut cache).unwrap();
+            }
+            let snap = telemetry.snapshot();
+            let names: Vec<&str> = snap.histograms.iter().map(|h| h.name.as_str()).collect();
+            assert!(names.contains(&"pc_model_attention_seconds"), "{names:?}");
+            assert!(names.contains(&"pc_model_mlp_seconds"), "{names:?}");
+            for h in &snap.histograms {
+                assert_eq!(h.count, 1, "batched {batched}");
+            }
         }
     }
 

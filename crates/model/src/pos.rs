@@ -102,9 +102,10 @@ impl RopeTable {
     }
 
     /// The table row for a relative `shift`: the `|Δ|` cos/sin rows plus
-    /// the sine sign (`-1.0` for backward shifts). Attention kernels feed
-    /// these straight into `pc_tensor::ops::dot_rotated` so every key row
-    /// of a shifted segment reuses one row lookup.
+    /// the sine sign (`-1.0` for backward shifts). The attention tile
+    /// rotates each key head of a shifted segment with them, by the
+    /// expressions of `pc_tensor::ops::dot_rotated`, so every key row of
+    /// the segment reuses one row lookup.
     ///
     /// # Panics
     ///

@@ -6,7 +6,7 @@
 //! private mutable **tail** that owns everything computed for this request
 //! — filled parameters, uncached prompt text, and decoded tokens. The
 //! attention kernel consumes the segments in place via
-//! [`KvSeq::layer_segments`], so assembling a session cache from cached
+//! [`KvSeq::layer_segments_into`], so assembling a session cache from cached
 //! modules is pure pointer arithmetic: no KV bytes are copied and N
 //! concurrent sessions of one schema share a single physical copy of each
 //! module.
@@ -55,20 +55,21 @@ pub trait KvSeq {
     /// tail for views).
     fn push_token_layer(&mut self, layer: usize, k_row: &[f32], v_row: &[f32]);
 
-    /// The layer's cached rows as ordered `(keys, values, position_shift)`
-    /// segments whose concatenation is the logical `[len × kv_dim]`
-    /// buffer. A non-zero shift marks a deferred-RoPE segment: its key
-    /// rows are stored rotated at canonical (normalised) positions and the
+    /// Appends the layer's cached rows to `out` as ordered
+    /// `(keys, values, position_shift)` segments whose concatenation is
+    /// the logical `[len × kv_dim]` buffer — the form the forward pass and
+    /// the batched decode step read, refilling one list per layer. A
+    /// non-zero shift marks a deferred-RoPE segment: its key rows are
+    /// stored rotated at canonical (normalised) positions and the
     /// attention kernel must compose the extra `R(shift)` rotation on
     /// read. Value rows are position-free and never shift.
-    fn layer_segments(&self, layer: usize) -> Vec<(&[f32], &[f32], isize)>;
+    fn layer_segments_into<'s>(&'s self, layer: usize, out: &mut Vec<(&'s [f32], &'s [f32], isize)>);
 
-    /// Appends the layer's `(keys, values, position_shift)` segments to
-    /// `out` instead of allocating a fresh list — the hot-loop variant of
-    /// [`KvSeq::layer_segments`] used by the batched decode path, which
-    /// reuses one flat segment buffer across layers and ticks.
-    fn layer_segments_into<'s>(&'s self, layer: usize, out: &mut Vec<(&'s [f32], &'s [f32], isize)>) {
-        out.extend(self.layer_segments(layer));
+    /// [`KvSeq::layer_segments_into`] into a fresh list.
+    fn layer_segments(&self, layer: usize) -> Vec<(&[f32], &[f32], isize)> {
+        let mut segs = Vec::new();
+        self.layer_segments_into(layer, &mut segs);
+        segs
     }
 
     /// Pointer identity of shared (frozen) segment `i`, or `None` past the
@@ -104,10 +105,6 @@ impl KvSeq for KvCache {
 
     fn push_token_layer(&mut self, layer: usize, k_row: &[f32], v_row: &[f32]) {
         KvCache::push_token_layer(self, layer, k_row, v_row);
-    }
-
-    fn layer_segments(&self, layer: usize) -> Vec<(&[f32], &[f32], isize)> {
-        vec![(self.keys(layer), self.values(layer), 0)]
     }
 
     fn layer_segments_into<'s>(&'s self, layer: usize, out: &mut Vec<(&'s [f32], &'s [f32], isize)>) {
@@ -444,12 +441,6 @@ impl KvSeq for KvView {
         self.tail.push_token_layer(layer, k_row, v_row);
     }
 
-    fn layer_segments(&self, layer: usize) -> Vec<(&[f32], &[f32], isize)> {
-        let mut segs = Vec::with_capacity(self.segments.len() + 1);
-        self.layer_segments_into(layer, &mut segs);
-        segs
-    }
-
     fn layer_segments_into<'s>(&'s self, layer: usize, out: &mut Vec<(&'s [f32], &'s [f32], isize)>) {
         let d = self.tail.kv_dim();
         out.reserve(self.segments.len() + 1);
@@ -499,10 +490,10 @@ pub fn shared_prefix(views: &[&KvView]) -> (usize, usize) {
 
 /// One contiguous run of batch rows whose caches share a leading run of
 /// pointer-identical segments — the unit the prefix-aware batched
-/// attention kernel streams shared K/V rows once for. Runs are contiguous
-/// by construction (the scheduler keeps same-prefix sequences adjacent),
-/// which lets the kernel split its output and score buffers per group
-/// with no row scatter.
+/// attention kernel tiles: its members are the lanes that read the shared
+/// K/V rows together. Runs are contiguous by construction (the scheduler
+/// keeps same-prefix sequences adjacent), which lets the kernel split its
+/// output per group with no row scatter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixGroup {
     /// First batch row of the run.

@@ -72,12 +72,12 @@ pub fn help_for(name: &str) -> &'static str {
         "pc_batch_occupancy" => "Batch occupancy observed at each scheduler step.",
         "pc_batch_steps_total" => "Batched decode steps executed.",
         "pc_tokens_generated_total" => "Tokens generated across all batched sequences.",
-        "pc_kv_rows_shared_read_total" => "KV rows streamed once per prefix group by the two-phase kernel.",
+        "pc_kv_rows_shared_read_total" => "KV rows streamed once per tile of prefix-group members.",
         "pc_kv_rows_private_read_total" => "KV rows streamed for a single sequence (tails, unshared caches).",
         "pc_batch_share_ratio" => "Shared fraction of the last tick's KV row reads, in percent.",
         // Model + arena.
-        "pc_model_attention_seconds" => "Sampled attention time per forward pass.",
-        "pc_model_mlp_seconds" => "Sampled MLP time per forward pass.",
+        "pc_model_attention_seconds" => "Sampled attention time per forward pass or batched decode step.",
+        "pc_model_mlp_seconds" => "Sampled MLP time per forward pass or batched decode step.",
         "pc_arena_bytes" => "Bytes held by the buffered-concatenation arena.",
         "pc_arena_rows" => "Rows held by the buffered-concatenation arena.",
         // Sharded fleet: router-level request lifecycle.

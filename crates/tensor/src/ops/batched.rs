@@ -1,23 +1,27 @@
-//! The attention inner loops shared by the per-sequence and the
-//! prefix-grouped batched decode kernels in `pc-model`.
+//! The definition of attention's float-operation order: the three
+//! reductions the attention tile in `pc-model` is held to, bit for bit.
 //!
 //! The crate's determinism contract (DESIGN.md §5):
 //! *each output element is reduced in one fixed order; kernels may
 //! reorder only independent elements.* For attention that order is
-//! strictly sequential — one accumulator, ascending index — and it lives
-//! in the three functions below, so a batched tick that groups rows by
-//! shared prefix and a solo decode step run the same function on each
-//! (query, key) pair and agree bit for bit. The weight matmuls keep the
-//! same contract with a different fixed order (`ops/matmul.rs`), and a
-//! decode batch needs no kernel of its own there: its `m` stacked rows go
-//! through the one `A·Bᵀ` kernel prefill uses.
+//! strictly sequential — one accumulator, ascending index — and the three
+//! functions below are its definition. What a kernel may interleave is
+//! whole reductions: *lanes of a tile are different queries; each lane is
+//! one `dot_seq` / `axpy_seq`.* `pc-model`'s tile runs up to eight queries
+//! (and four key rows) side by side, every accumulator seeing exactly the
+//! sequence written here, and its property tests compare it with `==`
+//! against a per-row walk that calls these functions — so prefill, a
+//! batched tick that groups rows by shared prefix and a solo decode step
+//! agree bit for bit. The weight matmuls keep the same contract with a
+//! different fixed order (`ops/matmul.rs`), and a decode batch needs no
+//! kernel of its own there: its `m` stacked rows go through the one `A·Bᵀ`
+//! kernel prefill uses.
 
 /// Strictly sequential dot product — one accumulator, ascending index,
-/// no unrolling. This is the float-operation order of the attention
-/// score pass, factored out so the per-sequence and the prefix-shared
-/// batched kernels execute *the same function* on each (query, key) pair
-/// and bit-identity between them holds by construction rather than by
-/// parallel maintenance of two loops.
+/// separate multiply and add, no unrolling. This is the float-operation
+/// order of the attention score pass: every lane of the attention tile
+/// reduces its (query, key) pair in exactly this sequence, so tile width,
+/// grouping and instruction set never show in a score's bits.
 #[inline]
 pub fn dot_seq(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -29,8 +33,9 @@ pub fn dot_seq(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Strictly sequential `acc[i] += p * row[i]` — the attention value
-/// accumulation step, shared between the kernels for the same reason as
-/// [`dot_seq`].
+/// accumulation step: each output element of the tile accumulates its
+/// value rows in this order, ascending cache index, as [`dot_seq`] fixes
+/// the score's.
 #[inline]
 pub fn axpy_seq(acc: &mut [f32], p: f32, row: &[f32]) {
     debug_assert_eq!(acc.len(), row.len());

@@ -17,7 +17,7 @@ pub use activation::{gelu, gelu_scalar, gelu_slice, silu, silu_scalar, silu_slic
 pub use batched::{axpy_seq, dot_rotated, dot_seq};
 pub use elementwise::{add, add_assign_slice, mul, scale, scale_slice};
 pub use matmul::{
-    gemm_arm, matmul, matmul_slices, matmul_slices_par, matmul_transb, matmul_transb_slices,
+    gemm_arm, has_avx2, matmul, matmul_slices, matmul_slices_par, matmul_transb, matmul_transb_slices,
     matmul_transb_slices_par, matvec, vecmat_transb,
 };
 pub use norm::{layer_norm, layer_norm_slice, rms_norm, rms_norm_slice};
