@@ -10,11 +10,13 @@ cargo build --release
 # every crate's unit tests plus the identity, resilience, chaos, ops-plane,
 # persistence and fleet suites under crates/*/tests.
 cargo test -q
-# The matmul arms must equal the per-element reference, and the attention
-# tile its per-row oracle, in the optimised codegen that ships, not only in
-# the debug build above.
+# The matmul, `exp`, softmax and activation arms must equal their scalar
+# definitions, the attention tile its per-row oracle, and the heap BPE
+# encoder its rank-replay oracle, in the optimised codegen that ships, not
+# only in the debug build above.
 cargo test -q --release -p pc-tensor
 cargo test -q --release -p pc-model
+cargo test -q --release -p pc-tokenizer
 # benchmark/ is a separate package that binds to the public API by path: a
 # deletion that breaks its compile surface, or a serve that stops answering
 # correctly on any of its four workloads, fails here.

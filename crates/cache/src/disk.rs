@@ -99,7 +99,8 @@ impl DiskConfig {
 /// Segment file header length (magic + version).
 const SEGMENT_HEADER_LEN: u64 = 8;
 const INDEX_MAGIC: &[u8; 4] = b"PCIX";
-const INDEX_VERSION: u32 = 1;
+/// Moves with [`SEGMENT_VERSION`]: an index of another version is stale.
+const INDEX_VERSION: u32 = 2;
 
 /// Outcome of a [`DiskTier::get`].
 #[derive(Debug)]

@@ -48,8 +48,11 @@ use pc_model::KvCache;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"PCSG";
-/// Segment format version (bumped on any incompatible layout change).
-pub const SEGMENT_VERSION: u32 = 1;
+/// Segment format version: bumped on any incompatible layout change, and
+/// when the engine's numerics are redefined (version 2: the in-repo `exp`
+/// behind softmax and the activations), so modules encoded under the old
+/// definition are dropped at open instead of being served beside new ones.
+pub const SEGMENT_VERSION: u32 = 2;
 /// Magic opening every record, as a little-endian u32 (`b"PCRD"`).
 pub const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"PCRD");
 /// Fixed record header size in bytes (magic through checksum).

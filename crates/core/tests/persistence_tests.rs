@@ -176,3 +176,58 @@ fn int8_restart_stays_within_the_quantization_bound() {
     assert_eq!(warm.stats.degraded_spans, 0, "quantized states validate and serve");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_version_1_store_opens_cold_and_is_repopulated() {
+    // The format version also marks the engine's numerics (version 2: the
+    // in-repo `exp`). A directory written before that must not be mixed
+    // with freshly encoded modules: it opens empty, without error, and
+    // registration fills it again.
+    use pc_cache::segment::{checksum_bytes, SEGMENT_VERSION};
+    assert_ne!(SEGMENT_VERSION, 1);
+    let dir = temp_dir("v1");
+    let healthy;
+    let persisted;
+    {
+        let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+        engine.register_schema(SCHEMA).unwrap();
+        healthy = serve(&engine);
+        persisted = engine.snapshot().unwrap();
+        assert!(persisted >= 2);
+    }
+    // Stamp every segment header and the INDEX (checksum kept valid) as
+    // version 1, which is all that tells an old directory from a new one.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        if path.file_name().unwrap() == "INDEX" {
+            let body = bytes.len() - 8;
+            let sum = checksum_bytes(&[&bytes[..body]]);
+            bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+    assert_eq!(
+        engine.restore().unwrap(),
+        0,
+        "nothing of version 1 is adopted"
+    );
+    engine.register_schema(SCHEMA).unwrap();
+    assert_eq!(engine.store_stats().disk_hits, 0, "registration re-encoded");
+    let cold = serve(&engine);
+    assert_eq!(cold.stats.degraded_spans, 0);
+    assert_eq!(cold.tokens, healthy.tokens);
+    assert_eq!(engine.snapshot().unwrap(), persisted);
+    drop(engine);
+
+    let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+    assert_eq!(
+        engine.restore().unwrap(),
+        persisted,
+        "repopulated at version 2"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

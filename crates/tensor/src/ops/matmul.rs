@@ -243,8 +243,9 @@ fn transb_portable(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
 }
 
 /// Whether this process runs the AVX2 compilation of its kernels: the one
-/// decision behind the `A·Bᵀ` kernel here and the attention tile in
-/// `pc-model`, so the two can never disagree. Always `false` off x86-64.
+/// decision behind the `A·Bᵀ` kernel here, the attention tile in
+/// `pc-model` and the `exp` kernels (softmax, SiLU, GELU), so they can
+/// never disagree. Always `false` off x86-64.
 pub fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     return std::arch::is_x86_feature_detected!("avx2");
@@ -252,10 +253,11 @@ pub fn has_avx2() -> bool {
     return false;
 }
 
-/// Which compilation of the two hand-tiled kernels this process runs —
-/// the `A·Bᵀ` kernel and `pc-model`'s attention tile, both on
-/// [`has_avx2`] — `"avx2"` or `"portable"`, chosen by what the CPU
-/// reports. Both produce the same bits; only their speed differs.
+/// Which compilation of its three hand-written kernels this process runs —
+/// the `A·Bᵀ` kernel, `pc-model`'s attention tile and [`exp`](super::exp)
+/// with the softmax and activations built on it, all on [`has_avx2`] —
+/// `"avx2"` or `"portable"`, chosen by what the CPU reports. Both produce
+/// the same bits; only their speed differs.
 pub fn gemm_arm() -> &'static str {
     if has_avx2() {
         "avx2"

@@ -8,6 +8,7 @@
 mod activation;
 mod batched;
 mod elementwise;
+mod exp;
 mod matmul;
 mod norm;
 mod reduce;
@@ -16,6 +17,7 @@ mod softmax;
 pub use activation::{gelu, gelu_scalar, gelu_slice, silu, silu_scalar, silu_slice};
 pub use batched::{axpy_seq, dot_rotated, dot_seq};
 pub use elementwise::{add, add_assign_slice, mul, scale, scale_slice};
+pub use exp::exp;
 pub use matmul::{
     gemm_arm, has_avx2, matmul, matmul_slices, matmul_slices_par, matmul_transb, matmul_transb_slices,
     matmul_transb_slices_par, matvec, vecmat_transb,

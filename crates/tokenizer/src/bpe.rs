@@ -8,7 +8,8 @@
 //! this down).
 
 use crate::{SpecialToken, TokenId, Tokenizer};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// A trained byte-level BPE tokenizer.
 ///
@@ -142,25 +143,52 @@ fn apply_merge(seq: &mut Vec<u32>, pair: (u32, u32), merged: u32) {
 }
 
 impl Tokenizer for BpeTokenizer {
+    /// Applies the lowest-rank applicable merge, all its occurrences left
+    /// to right, until none applies — training replay, so encoding is
+    /// canonical — in `O(n log n)`: tokens sit in a doubly linked list over
+    /// byte positions, candidate merges in a min-heap keyed
+    /// `(rank, position)`, and a merge writes its token at the left
+    /// position, unlinks the right one and queues the two pairs it forms.
+    /// A queued candidate whose tokens have since changed is skipped when
+    /// it surfaces. This pops merges in replay order because a merged token
+    /// only forms pairs learned after it — of higher rank than anything
+    /// queued for the current one — and overlapping occurrences (`aaa`)
+    /// surface leftmost first.
     fn encode(&self, text: &str) -> Vec<TokenId> {
-        let mut seq: Vec<u32> = text.bytes().map(u32::from).collect();
-        // Repeatedly apply the lowest-rank applicable merge, exactly like
-        // training replay, so encoding is canonical.
-        loop {
-            let mut best: Option<((u32, u32), (u32, u32))> = None;
-            for w in seq.windows(2) {
-                if let Some(&(rank, merged)) = self.merges.get(&(w[0], w[1])) {
-                    if best.is_none_or(|(_, (r, _))| rank < r) {
-                        best = Some(((w[0], w[1]), (rank, merged)));
-                    }
-                }
+        const UNLINKED: u32 = u32::MAX;
+        let mut tokens: Vec<u32> = text.bytes().map(u32::from).collect();
+        let n = tokens.len();
+        // `n` and `usize::MAX` (before position 0) both mean "no neighbour".
+        let mut next: Vec<usize> = (1..=n).collect();
+        let mut prev: Vec<usize> = (0..n).map(|i| i.wrapping_sub(1)).collect();
+        let candidate = |tokens: &[u32], i: usize, j: usize| {
+            let (left, right) = (tokens[i], tokens[j]);
+            self.merges
+                .get(&(left, right))
+                .map(|&(rank, merged)| Reverse((rank, i, left, right, merged)))
+        };
+        let mut heap: BinaryHeap<_> = (1..n).filter_map(|j| candidate(&tokens, j - 1, j)).collect();
+        while let Some(Reverse((_, i, left, right, merged))) = heap.pop() {
+            let j = next[i];
+            if tokens[i] != left || j == n || tokens[j] != right {
+                continue;
             }
-            match best {
-                Some((pair, (_, merged))) => apply_merge(&mut seq, pair, merged),
-                None => break,
+            tokens[i] = merged;
+            tokens[j] = UNLINKED;
+            next[i] = next[j];
+            if next[i] < n {
+                prev[next[i]] = i;
+                heap.extend(candidate(&tokens, i, next[i]));
+            }
+            if prev[i] < n {
+                heap.extend(candidate(&tokens, prev[i], i));
             }
         }
-        seq.into_iter().map(|t| self.internal_to_public(t)).collect()
+        tokens
+            .into_iter()
+            .filter(|&t| t != UNLINKED)
+            .map(|t| self.internal_to_public(t))
+            .collect()
     }
 
     fn decode(&self, ids: &[TokenId]) -> String {
@@ -195,6 +223,53 @@ impl Tokenizer for BpeTokenizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition `encode` is held to: rescan the whole text for the
+    /// lowest-rank applicable merge, apply it everywhere left to right,
+    /// repeat. Quadratic — this was the encoder until the heap replaced it.
+    fn encode_by_rank_replay(tok: &BpeTokenizer, text: &str) -> Vec<TokenId> {
+        let mut seq: Vec<u32> = text.bytes().map(u32::from).collect();
+        loop {
+            let mut best: Option<((u32, u32), (u32, u32))> = None;
+            for w in seq.windows(2) {
+                if let Some(&(rank, merged)) = tok.merges.get(&(w[0], w[1])) {
+                    if best.is_none_or(|(_, (r, _))| rank < r) {
+                        best = Some(((w[0], w[1]), (rank, merged)));
+                    }
+                }
+            }
+            match best {
+                Some((pair, (_, merged))) => apply_merge(&mut seq, pair, merged),
+                None => break,
+            }
+        }
+        seq.into_iter().map(|t| tok.internal_to_public(t)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+        /// A random corpus over a merge-dense alphabet, trained to a random
+        /// size, then random texts — empty, one byte, runs of one byte,
+        /// non-ASCII — encode exactly as the rank-replay definition says.
+        #[test]
+        fn heap_encode_equals_rank_replay(
+            corpus in proptest::collection::vec("[abcé ]{0,40}", 1..6),
+            merges in 0usize..60,
+            texts in proptest::collection::vec("[abcd é猫]{0,48}", 1..8),
+            (run_of, run_len) in (0usize..4, 0usize..40),
+        ) {
+            let corpus: Vec<&str> = corpus.iter().map(String::as_str).collect();
+            let tok = BpeTokenizer::train(&corpus, SpecialToken::ALL.len() + 256 + merges);
+            let run = ["a", "b", " ", "é"][run_of].repeat(run_len);
+            let fixed = ["", "a", "aaa", "abcabcabc", run.as_str()];
+            for text in texts.iter().map(String::as_str).chain(fixed) {
+                prop_assert_eq!(tok.encode(text), encode_by_rank_replay(&tok, text), "{:?}", text);
+                prop_assert_eq!(tok.decode(&tok.encode(text)), text);
+            }
+        }
+    }
 
     #[test]
     fn byte_level_round_trip() {
