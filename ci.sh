@@ -17,6 +17,10 @@ cargo test -q
 cargo test -q --release -p pc-tensor
 cargo test -q --release -p pc-model
 cargo test -q --release -p pc-tokenizer
+# Relocated modules: the fidelity bounds of a canonical entry served at
+# three offsets, and every session segment aliasing its one store entry,
+# in the same optimised codegen.
+cargo test -q --release -p prompt-cache --test deferred_rope_tests --test zero_copy_tests
 # benchmark/ is a separate package that binds to the public API by path: a
 # deletion that breaks its compile surface, or a serve that stops answering
 # correctly on any of its four workloads, fails here.

@@ -60,8 +60,8 @@ pub struct ModuleHeat {
     /// Device-tier evictions of this module.
     pub evictions: u64,
     /// Hits served at a non-zero placement shift: the canonical entry was
-    /// reused at an offset other than the one it was encoded at, via
-    /// deferred-RoPE rotate-on-read. A subset of `hits`.
+    /// reused at an offset other than the one it was encoded at (deferred
+    /// RoPE: read in place, the query rotated). A subset of `hits`.
     pub relocations: u64,
     /// Bytes served zero-copy (`Arc`-aliased into session views).
     pub bytes_shared: u64,
@@ -145,7 +145,7 @@ impl CacheAnalytics {
     }
 
     /// Records a hit served at a non-zero placement shift (the engine
-    /// relocated the canonical entry via deferred-RoPE rotate-on-read).
+    /// relocated the canonical entry, deferred RoPE).
     /// Call alongside — not instead of — the hit recorded by the store.
     pub fn record_relocation(&self, key: &ModuleKey) {
         self.counters(key).relocations.fetch_add(1, Ordering::Relaxed);

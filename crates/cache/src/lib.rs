@@ -34,12 +34,15 @@
 //!   relocations, bytes served zero-copy, and batched shared-row
 //!   attribution, exported as labeled Prometheus series and a
 //!   heat ranking.
-//! * [`rotated`] — a bounded LRU of materialised rotated module views
-//!   ([`RotatedViewCache`]), serving hot deferred-RoPE placements without
-//!   re-rotating keys on every read.
 //! * [`shard`] — consistent-hash schema→worker ownership ([`ShardMap`],
 //!   rendezvous hashing) for the sharded serving fleet: deterministic,
 //!   balanced, and stable under worker loss.
+//!
+//! Each module is stored exactly once, at canonical positions. Serving it
+//! at another offset (deferred RoPE) is the attention tile's business in
+//! `pc-model` — it rotates the query, not the stored keys — so this crate
+//! holds no per-placement copies and nothing here needs invalidating when
+//! a module moves.
 
 #![warn(missing_docs)]
 
@@ -50,7 +53,6 @@ pub mod disk;
 mod eviction;
 pub mod memory;
 pub mod quant;
-pub mod rotated;
 pub mod segment;
 pub mod shard;
 mod store;
@@ -59,10 +61,9 @@ pub use analytics::{CacheAnalytics, ModuleHeat};
 pub use arena::ConcatArena;
 pub use disk::{DiskConfig, DiskEntryInfo, DiskGet, DiskTier};
 pub use eviction::{EvictionPolicy, ModuleStats};
-pub use rotated::{rotate_range, RotatedKey, RotatedViewCache};
 pub use segment::ColdEncoding;
 pub use shard::ShardMap;
 pub use store::{
-    FetchFault, FetchFaultInjector, ModuleKey, ModuleSnapshot, ModuleStore, PromotionHook,
-    StoreConfig, StoreStats, Tier,
+    FetchFault, FetchFaultInjector, ModuleKey, ModuleSnapshot, ModuleStore, StoreConfig,
+    StoreStats, Tier,
 };

@@ -28,12 +28,6 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 
-/// Callback invoked (outside the store lock) whenever a module is
-/// promoted from disk back into memory — the engine uses it to drop
-/// cached rotated views, whose source values may differ after a
-/// quantized round trip.
-pub type PromotionHook = Arc<dyn Fn(&ModuleKey) + Send + Sync>;
-
 /// Identifies one encoded module: schema name + module path. Union
 /// members are distinct keys; parameterised modules are stored with their
 /// `<unk>` placeholders, so one key serves all argument values.
@@ -289,8 +283,6 @@ struct Inner {
     faults: Option<Arc<dyn FetchFaultInjector>>,
     /// The persistent tier, present iff [`StoreConfig::disk`].
     disk: Option<DiskTier>,
-    /// Called (after the lock is released) on every disk → host promote.
-    promote_hook: Option<PromotionHook>,
     /// Store-scoped lifecycle events (demote/restore/disk_corrupt).
     flight: Option<Arc<FlightRecorder>>,
 }
@@ -453,12 +445,6 @@ impl ModuleStore {
         self.inner.lock().flight = flight;
     }
 
-    /// Installs (or clears) the [`PromotionHook`] called after every
-    /// disk → host promote. Invoked outside the store lock.
-    pub fn set_promotion_hook(&self, hook: Option<PromotionHook>) {
-        self.inner.lock().promote_hook = hook;
-    }
-
     /// The per-module analytics table, if enabled via
     /// [`StoreConfig::module_analytics`]. The engine and scheduler use
     /// this to attribute zero-copy bytes, degrades, and batched
@@ -467,14 +453,17 @@ impl ModuleStore {
         self.analytics.as_ref()
     }
 
-    /// Inserts (or replaces) a module's encoded states.
+    /// Inserts (or replaces) a module's encoded states and returns the
+    /// stored allocation, so a caller serving the states it just inserted
+    /// aliases the entry instead of keeping a copy.
     /// `recompute_cost` feeds cost-aware eviction; pass the encode time or
     /// FLOPs in any consistent unit.
     ///
     /// With [`StoreConfig::host_capacity_bytes`] bounded, an insert that
     /// pushes the host tier over capacity demotes policy-picked victims
     /// to the disk tier (or drops them when none is configured).
-    pub fn insert(&self, key: ModuleKey, cache: KvCache, recompute_cost: f64) {
+    pub fn insert(&self, key: ModuleKey, cache: KvCache, recompute_cost: f64) -> Arc<KvCache> {
+        let cache = Arc::new(cache);
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let size = cache.size_bytes();
@@ -492,7 +481,7 @@ impl ModuleStore {
         inner.entries.insert(
             key.clone(),
             Entry {
-                cache: Arc::new(cache),
+                cache: Arc::clone(&cache),
                 stats: ModuleStats {
                     last_access: clock,
                     access_count: 0,
@@ -511,6 +500,7 @@ impl ModuleStore {
         self.enforce_host_capacity(&mut inner, &key);
         self.metrics.modules.set(inner.entries.len() as i64);
         self.metrics.device_bytes.set(inner.device_used as i64);
+        cache
     }
 
     /// Demotes (or, with no disk tier, drops) non-device-resident host
@@ -605,29 +595,15 @@ impl ModuleStore {
     /// Figure 3 where modules stream from CPU memory each request.
     /// A lookup that misses memory falls through to the disk tier (when
     /// configured): the record is verified, decoded, promoted back into
-    /// host memory (counted as a hit, a disk hit, and a promotion), and
-    /// the promotion hook fires after the lock is released. A corrupt
-    /// disk record is dropped and reported as a miss — the degrade path.
+    /// host memory (counted as a hit, a disk hit, and a promotion). A
+    /// corrupt disk record is dropped and reported as a miss — the
+    /// degrade path.
+    #[allow(clippy::too_many_lines)]
     pub fn get(&self, key: &ModuleKey, tier: Tier) -> Option<Arc<KvCache>> {
         let mut guard = self.inner.lock();
-        let (result, hook) = self.get_locked(&mut guard, key, tier);
-        drop(guard);
-        if let Some(hook) = hook {
-            hook(key);
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn get_locked(
-        &self,
-        inner: &mut Inner,
-        key: &ModuleKey,
-        tier: Tier,
-    ) -> (Option<Arc<KvCache>>, Option<PromotionHook>) {
+        let inner = &mut *guard;
         inner.clock += 1;
         let clock = inner.clock;
-        let mut hook = None;
         // Fault injection (harnesses only): an injected miss hides the
         // entry; injected corruption damages it in place so the checksum
         // verification below exercises the real detection path.
@@ -640,7 +616,7 @@ impl ModuleStore {
                     if let Some(a) = &self.analytics {
                         a.record_miss(key, clock);
                     }
-                    return (None, None);
+                    return None;
                 }
                 FetchFault::Corrupt => {
                     Self::corrupt_entry(inner, key);
@@ -696,7 +672,6 @@ impl ModuleStore {
                         );
                     }
                     self.enforce_host_capacity(inner, key);
-                    hook = inner.promote_hook.clone();
                     // Fall through to the normal hit path below.
                 }
                 DiskGet::Corrupt => {
@@ -718,7 +693,7 @@ impl ModuleStore {
                     if let Some(a) = &self.analytics {
                         a.record_miss(key, clock);
                     }
-                    return (None, None);
+                    return None;
                 }
                 DiskGet::Missing => {
                     inner.stats.misses += 1;
@@ -726,7 +701,7 @@ impl ModuleStore {
                     if let Some(a) = &self.analytics {
                         a.record_miss(key, clock);
                     }
-                    return (None, None);
+                    return None;
                 }
             }
         }
@@ -752,7 +727,7 @@ impl ModuleStore {
                 if let Some(a) = &self.analytics {
                     a.record_miss(key, clock);
                 }
-                return (None, None);
+                return None;
             }
         }
         inner.stats.hits += 1;
@@ -766,7 +741,7 @@ impl ModuleStore {
         let entry = inner.entries.get_mut(key).expect("checked above");
         entry.stats.last_access = clock;
         entry.stats.access_count += 1;
-        (Some(Arc::clone(&entry.cache)), hook)
+        Some(Arc::clone(&entry.cache))
     }
 
     /// `count_device_hit` distinguishes real lookups from prefetch, which
@@ -1016,87 +991,77 @@ impl ModuleStore {
     /// Promotes every disk-only module back into host memory (the
     /// restore half of warm restart), stopping early if the host
     /// capacity bound would be exceeded. Corrupt records are dropped and
-    /// skipped. Returns how many modules were promoted; the promotion
-    /// hook fires for each after the lock is released.
+    /// skipped. Returns how many modules were promoted.
     ///
     /// # Errors
     ///
     /// `InvalidInput` when no disk tier is configured.
     pub fn restore_all(&self) -> io::Result<usize> {
-        let mut promoted = Vec::new();
-        let hook;
-        {
-            let mut guard = self.inner.lock();
-            let inner = &mut *guard;
-            let Some(disk) = inner.disk.as_mut() else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "no disk tier configured",
-                ));
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let Some(disk) = inner.disk.as_mut() else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "no disk tier configured",
+            ));
+        };
+        inner.clock += 1;
+        let clock = inner.clock;
+        let cap = self.config.host_capacity_bytes;
+        let mut keys: Vec<ModuleKey> = disk
+            .keys()
+            .into_iter()
+            .filter(|k| !inner.entries.contains_key(k))
+            .collect();
+        keys.sort_by(|a, b| (&a.schema, &a.path).cmp(&(&b.schema, &b.path)));
+        let mut promoted = 0;
+        for key in keys {
+            let DiskGet::Module(cache, cost) = disk.get(&key) else {
+                // Missing (raced) or corrupt (dropped by the tier):
+                // skip; a later lookup degrades to re-encode.
+                inner.stats.disk_corruptions += 1;
+                self.metrics.disk_corruptions.inc();
+                continue;
             };
-            inner.clock += 1;
-            let clock = inner.clock;
-            let cap = self.config.host_capacity_bytes;
-            let mut keys: Vec<ModuleKey> = disk
-                .keys()
-                .into_iter()
-                .filter(|k| !inner.entries.contains_key(k))
-                .collect();
-            keys.sort_by(|a, b| (&a.schema, &a.path).cmp(&(&b.schema, &b.path)));
-            for key in keys {
-                let DiskGet::Module(cache, cost) = disk.get(&key) else {
-                    // Missing (raced) or corrupt (dropped by the tier):
-                    // skip; a later lookup degrades to re-encode.
-                    inner.stats.disk_corruptions += 1;
-                    self.metrics.disk_corruptions.inc();
-                    continue;
-                };
-                let cache = *cache;
-                let size = cache.size_bytes();
-                if cap > 0 && inner.host_used + size > cap {
-                    break; // warm what fits; leave the rest on disk
-                }
-                let _ = disk.remove(&key);
-                let checksum = content_checksum(&cache);
-                inner.entries.insert(
-                    key.clone(),
-                    Entry {
-                        cache: Arc::new(cache),
-                        stats: ModuleStats {
-                            last_access: clock,
-                            access_count: 0,
-                            size_bytes: size,
-                            recompute_cost: cost,
-                        },
-                        on_device: false,
-                        checksum,
-                    },
+            let cache = *cache;
+            let size = cache.size_bytes();
+            if cap > 0 && inner.host_used + size > cap {
+                break; // warm what fits; leave the rest on disk
+            }
+            let _ = disk.remove(&key);
+            let checksum = content_checksum(&cache);
+            if let Some(flight) = &inner.flight {
+                flight.record(
+                    FlightEvent::new(STORE_SCOPE, "restore")
+                        .field("module", module_label(&key))
+                        .field("bytes", size),
                 );
-                inner.host_used += size;
-                inner.stats.promotions += 1;
-                self.metrics.promotions.inc();
-                self.metrics.host_bytes.add(size as i64);
-                if let Some(flight) = &inner.flight {
-                    flight.record(
-                        FlightEvent::new(STORE_SCOPE, "restore")
-                            .field("module", module_label(&key))
-                            .field("bytes", size),
-                    );
-                }
-                promoted.push(key);
             }
-            self.metrics.modules.set(inner.entries.len() as i64);
-            self.metrics
-                .disk_bytes
-                .set(inner.disk.as_ref().expect("present").live_bytes() as i64);
-            hook = inner.promote_hook.clone();
+            inner.entries.insert(
+                key,
+                Entry {
+                    cache: Arc::new(cache),
+                    stats: ModuleStats {
+                        last_access: clock,
+                        access_count: 0,
+                        size_bytes: size,
+                        recompute_cost: cost,
+                    },
+                    on_device: false,
+                    checksum,
+                },
+            );
+            inner.host_used += size;
+            inner.stats.promotions += 1;
+            self.metrics.promotions.inc();
+            self.metrics.host_bytes.add(size as i64);
+            promoted += 1;
         }
-        if let Some(hook) = hook {
-            for key in &promoted {
-                hook(key);
-            }
-        }
-        Ok(promoted.len())
+        self.metrics.modules.set(inner.entries.len() as i64);
+        self.metrics
+            .disk_bytes
+            .set(inner.disk.as_ref().expect("present").live_bytes() as i64);
+        Ok(promoted)
     }
 
     /// Flushes the disk tier's index, if one is configured (no-op
@@ -1794,25 +1759,11 @@ mod tests {
     }
 
     #[test]
-    fn promotion_hook_fires_on_disk_promote() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let one = module(4).size_bytes();
-        let disk = temp_disk("hook");
-        let dir = disk.dir.clone();
-        let store = ModuleStore::new(
-            StoreConfig::default().host_capacity_bytes(one).disk(disk),
-        );
-        let fired = Arc::new(AtomicUsize::new(0));
-        let fired2 = Arc::clone(&fired);
-        store.set_promotion_hook(Some(Arc::new(move |_k: &ModuleKey| {
-            fired2.fetch_add(1, Ordering::SeqCst);
-        })));
-        store.insert(key("a"), module(4), 1.0);
-        store.insert(key("b"), module(4), 1.0); // demotes a
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-        store.get(&key("a"), Tier::Host); // disk promote
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn insert_returns_the_stored_allocation() {
+        let store = ModuleStore::new(StoreConfig::default());
+        let stored = store.insert(key("a"), module(4), 1.0);
+        let fetched = store.get(&key("a"), Tier::Host).unwrap();
+        assert!(Arc::ptr_eq(&stored, &fetched), "insert handed back a copy");
     }
 
     #[test]

@@ -8,10 +8,7 @@ use crate::response::{Response, ServeOutcome, ServeStats, Timings, TtftBreakdown
 use crate::scaffold::Scaffold;
 use crate::{EngineError, Result};
 use parking_lot::RwLock;
-use pc_cache::{
-    rotate_range, FetchFaultInjector, ModuleKey, ModuleStore, RotatedKey, RotatedViewCache,
-    StoreConfig, StoreStats, Tier,
-};
+use pc_cache::{FetchFaultInjector, ModuleKey, ModuleStore, StoreConfig, StoreStats, Tier};
 use pc_model::{
     is_shift_invariant, GreedySampler, KvCache, KvSeq, KvView, Model, Sampler, TemperatureSampler,
     TokenId,
@@ -411,12 +408,6 @@ pub struct PromptCache {
     store: ModuleStore,
     schemas: RwLock<HashMap<String, RegisteredSchema>>,
     metrics: EngineMetrics,
-    /// Materialised rotated views of hot deferred-RoPE placements (see
-    /// [`pc_cache::RotatedViewCache`]): bounded, invalidated whenever a
-    /// module's canonical entry is replaced — including disk-tier
-    /// promotions, whose dequantized values may differ from the views'
-    /// sources (hence the `Arc`: the store's promotion hook holds one).
-    rotated: Arc<RotatedViewCache>,
 }
 
 impl PromptCache {
@@ -429,14 +420,6 @@ impl PromptCache {
         let store = ModuleStore::with_telemetry(config.store.clone(), &config.telemetry);
         let model = model.with_telemetry(config.telemetry.clone());
         let metrics = EngineMetrics::resolve(&config.telemetry);
-        let rotated = Arc::new(RotatedViewCache::new(64, 2));
-        // A module promoted from disk was dequantized (fp16/int8 cold
-        // storage) or at minimum re-decoded; any cached rotated views of
-        // its previous in-memory states must not survive the swap.
-        let hook_views = Arc::clone(&rotated);
-        store.set_promotion_hook(Some(Arc::new(move |key| {
-            hook_views.invalidate_module(key);
-        })));
         PromptCache {
             model: Arc::new(model),
             tokenizer: Arc::new(tokenizer),
@@ -444,7 +427,6 @@ impl PromptCache {
             store,
             schemas: RwLock::new(HashMap::new()),
             metrics,
-            rotated,
         }
     }
 
@@ -456,18 +438,14 @@ impl PromptCache {
     /// of the module, and prompts resolve with *packed* placement (union
     /// members drop the group's max-length padding, RAG chunks land in
     /// retrieval order). Placements that match the canonical positions
-    /// read the stored keys as they are; shifted placements rotate keys on
-    /// read and count as `relocations` in the cache analytics.
+    /// read the stored keys as they are; shifted placements read the same
+    /// stored keys against a query the attention tile rotates by
+    /// `R(−shift)`, and count as `relocations` in the cache analytics.
     /// Learned-position models cannot be relocated: their modules are
     /// stored with positions baked in and are valid only at the exact
     /// positions they were encoded at.
     pub fn deferred_rope_effective(&self) -> bool {
         is_shift_invariant(self.model.config().position_scheme())
-    }
-
-    /// Number of materialised rotated placement views currently cached.
-    pub fn rotated_views(&self) -> usize {
-        self.rotated.len()
     }
 
     /// The underlying model.
@@ -728,9 +706,7 @@ impl PromptCache {
             cached_tokens += cache.len();
             spans += 1;
             let cost = pc_model::flops::model_prefill_flops(self.model.config(), cache.len());
-            let key = self.span_key(&schema.name, i);
-            self.rotated.invalidate_module(&key);
-            self.store.insert(key, cache, cost as f64);
+            self.store.insert(self.span_key(&schema.name, i), cache, cost as f64);
         }
 
         self.schemas.write().insert(
@@ -794,7 +770,6 @@ impl PromptCache {
                         .and_then(|s| s.parse::<usize>().ok())
                         .is_some_and(|i| i >= span_count);
                     if stale {
-                        self.rotated.invalidate_module(&key);
                         self.store.remove(&key);
                     }
                 }
@@ -832,9 +807,6 @@ impl PromptCache {
     /// Drops a schema and all of its cached states.
     pub fn unregister_schema(&self, name: &str) {
         self.schemas.write().remove(name);
-        for key in self.store_keys_for(name) {
-            self.rotated.invalidate_module(&key);
-        }
         self.store.remove_schema(name);
     }
 
@@ -1084,7 +1056,8 @@ impl PromptCache {
     /// placement mode the schema was stored in. Packed placement goes
     /// with position-independent storage: parts land at a running cursor
     /// in prompt order and each cached span's placement shift (placed −
-    /// canonical start) is absorbed by the rotate-on-read kernels.
+    /// canonical start) is absorbed by the attention tile, which rotates
+    /// the query instead of the stored keys.
     /// Baked-position schemas (learned-position models) must place every
     /// module at the layout positions it was encoded at.
     fn resolve(&self, entry: &RegisteredSchema, prompt: &pc_pml::Prompt) -> Result<ResolvedPrompt> {
@@ -1219,16 +1192,7 @@ impl PromptCache {
                 ranges.push((cursor, states.len()));
             }
             for (s, e) in ranges {
-                // Hot placement: serve the materialised rotation at shift
-                // 0 — bit-identical to the fused rotate-on-read path, no
-                // per-score rotation work.
-                let hot = (shift != 0)
-                    .then(|| self.rotated_view(&key, s, e, shift, &states))
-                    .flatten();
-                match hot {
-                    Some(rot) => self.push_cached(&mut out, &key, rot, 0, e - s, 0)?,
-                    None => self.push_cached(&mut out, &key, Arc::clone(&states), s, e, shift)?,
-                }
+                self.push_cached(&mut out, &key, Arc::clone(&states), s, e, shift)?;
                 out.row_tokens.extend_from_slice(&toks[s..e]);
             }
         }
@@ -1577,40 +1541,6 @@ impl PromptCache {
         self.resolve(Self::registered(&schemas, &prompt.schema)?, prompt)
     }
 
-    /// Consults the rotated-view cache for a shifted placement of rows
-    /// `start..end` of module `key`. A hit returns the materialised view
-    /// (rows rotated by `R(shift)`, positions placed) to serve at shift 0;
-    /// a miss counts the fused-path use and, once the placement crosses
-    /// the hot threshold, materialises and caches the view — returning it
-    /// immediately so the promoting serve already benefits. `None` means
-    /// keep the fused rotate-on-read path. Position-free families (no
-    /// RoPE table) never materialise: their fused path does no extra work.
-    fn rotated_view(
-        &self,
-        key: &ModuleKey,
-        start: usize,
-        end: usize,
-        shift: isize,
-        states: &Arc<KvCache>,
-    ) -> Option<Arc<KvCache>> {
-        let rope = self.model.rope()?;
-        let rkey = RotatedKey {
-            module: key.clone(),
-            start,
-            end,
-            shift,
-        };
-        if let Some(rot) = self.rotated.get(&rkey) {
-            return Some(rot);
-        }
-        if self.rotated.note_use(&rkey) {
-            let rot = Arc::new(rotate_range(states, start, end, shift, rope));
-            self.rotated.insert(rkey, Arc::clone(&rot));
-            return Some(rot);
-        }
-        None
-    }
-
     /// Builds the effective interruption token for one serve call: the
     /// caller's token (or an inert one) narrowed by the per-call budget.
     fn effective_cancel(options: &ServeOptions) -> CancelToken {
@@ -1687,12 +1617,9 @@ impl PromptCache {
             offset += n;
             let cost =
                 pc_model::flops::model_prefill_flops(self.model.config(), part.len());
-            let key = self.span_key(schema, i);
-            // The canonical entry is being replaced: any materialised
-            // rotated views of it are stale by pointer identity.
-            self.rotated.invalidate_module(&key);
-            self.store.insert(key, part.clone(), cost as f64);
-            let part = Arc::new(part);
+            // Serve the healed entry itself: the request aliases the
+            // store's allocation, as a hit would.
+            let part = self.store.insert(self.span_key(schema, i), part, cost as f64);
             if i == span_index {
                 requested = Some(Arc::clone(&part));
             }

@@ -9,11 +9,13 @@
 //! 2. learned-position models (GPT-2) are not shift-invariant, so the
 //!    engine stores them with baked positions without being told to;
 //! 3. relocation does not duplicate store entries: one canonical entry
-//!    per module however many offsets it is served at.
+//!    per module however many offsets it is served at, aliased by every
+//!    placement.
 
 use pc_model::{fidelity, Family, KvView, Model, ModelConfig};
 use pc_tokenizer::WordTokenizer;
 use prompt_cache::{EngineConfig, PromptCache, ServeOptions, ServeRequest, Served};
+use std::sync::Arc;
 
 const CORPUS: &str = "the miami coast has warm beaches surf and sun all year \
     plan a detailed trip of days for a traveler who loves the water \
@@ -125,12 +127,17 @@ fn learned_positions_fall_back_to_legacy_placement() {
 
 /// Serving one module at several distinct offsets keeps exactly one
 /// store entry for it — relocation happens at read time, never by
-/// encoding a per-position duplicate. Hot placements are additionally
-/// served from the bounded rotated-view cache.
+/// encoding a per-position duplicate — and every placement, repeated or
+/// not, reads that one entry by pointer: no per-placement copy exists.
 #[test]
 fn relocation_does_not_duplicate_store_entries() {
     let engine = engine_for(Family::Llama);
     let entries_after_registration = engine.store().len();
+    let store_states: Vec<_> = engine
+        .schema_span_states("doc")
+        .into_iter()
+        .flatten()
+        .collect();
     let opts = ServeOptions::default().max_new_tokens(2);
     // Three placements: canonical, and two relocations behind different
     // amounts of prompt text.
@@ -139,22 +146,31 @@ fn relocation_does_not_duplicate_store_entries() {
         r#"<prompt schema="doc">please <beach/>highlight surf spots</prompt>"#,
         r#"<prompt schema="doc">you are a helpful travel assistant <beach/>highlight</prompt>"#,
     ];
+    let mut shifts = Vec::new();
     for prompt in prompts {
         for _ in 0..3 {
-            let r = engine
-                .serve(&ServeRequest::new(prompt).options(opts.clone()))
-                .map(Served::into_response)
+            let served = engine
+                .serve(&ServeRequest::new(prompt).options(opts.clone()).session(true))
                 .unwrap();
-            assert!(r.stats.cached_tokens > 0, "placement missed the cache");
+            assert!(served.response.stats.cached_tokens > 0, "placement missed the cache");
+            let view = served.session.expect("session requested");
+            assert!(!view.segments().is_empty());
+            for seg in view.segments() {
+                assert!(
+                    store_states.iter().any(|s| Arc::ptr_eq(seg.cache(), s)),
+                    "a segment at shift {} does not alias the store entry",
+                    seg.shift()
+                );
+                shifts.push(seg.shift());
+            }
         }
     }
+    shifts.sort_unstable();
+    shifts.dedup();
+    assert_eq!(shifts.len(), 3, "three distinct placements: {shifts:?}");
     assert_eq!(
         engine.store().len(),
         entries_after_registration,
         "per-position duplicates were stored"
     );
-    // The repeated shifted placements turned hot and were materialised
-    // into the bounded rotated-view cache.
-    assert!(engine.rotated_views() >= 1);
-    assert!(engine.rotated_views() <= 64);
 }

@@ -17,12 +17,14 @@
 //! segments. *Lanes of a tile are different queries; each lane is one
 //! `dot_seq` / `axpy_seq`:* a score is `0 + q₀k₀ + q₁k₁ + …` with a
 //! separate multiply and add, an output element accumulates `p·v` in
-//! ascending cache order — the order of [`pc_tensor::ops::dot_seq`],
-//! [`pc_tensor::ops::dot_rotated`] and [`pc_tensor::ops::axpy_seq`], which
-//! the tests hold the tile to. What a tile interleaves is only the
-//! independent chains of its lanes and of the key rows in flight, so tile
-//! width, segmentation, grouping, thread count and instruction set never
-//! show in the output bits.
+//! ascending cache order — the order of [`pc_tensor::ops::dot_seq`] and
+//! [`pc_tensor::ops::axpy_seq`], which the tests hold the tile to. A key
+//! row of a segment placed at shift `Δ` is scored against the query
+//! rotated by `R(−Δ)` (`q·R(Δ)k = (R(−Δ)q)·k`): the score is
+//! `dot_seq(apply_shift(q, −Δ), k)` over the stored, canonical key bytes.
+//! What a tile interleaves is only the independent chains of its lanes
+//! and of the key rows in flight, so tile width, segmentation, grouping,
+//! thread count and instruction set never show in the output bits.
 
 use crate::pos::{AlibiTable, RopeTable};
 use crate::view::PrefixGroup;
@@ -34,21 +36,23 @@ use std::array::from_fn;
 /// A physical KV segment as seen by the kernels: `(keys, values, shift)`.
 /// `shift` is the deferred-RoPE placement shift for the segment's key rows
 /// — `0` means the keys are stored rotated for their placed positions
-/// (fresh tail rows, baked-position families), non-zero means every key
-/// row is rotated by `R(shift)` on the fly during the score pass. Value
-/// rows are position-free and are never touched by the shift.
+/// (fresh tail rows, baked-position families), non-zero means the keys
+/// sit `shift` positions from their placement and the score pass rotates
+/// the *query* by `R(−shift)` instead. Key and value bytes are read as
+/// stored, never rotated or copied.
 pub type KvSegmentSlices<'a> = (&'a [f32], &'a [f32], isize);
 
-/// Resolves a segment's rotation row once: `None` for shift 0 (the stored
-/// key rows are scored as they are), else the `(cos, sin, sign)` row of
-/// `R(shift)`. With no RoPE table (ALiBi / learned families) the key rows
+/// Resolves a segment's query rotation once: `None` for shift 0 (the
+/// queries score the stored keys as they are), else the `(cos, sin, sign)`
+/// row of `R(−shift)` — the row [`RopeTable::apply_shift`] uses for
+/// `−shift`. With no RoPE table (ALiBi / learned families) the key rows
 /// are position-free, so a shifted placement needs no rotation — the
 /// position remap carried by the view's flat position list is the whole
 /// relocation.
 fn segment_rotation(rope: Option<&RopeTable>, shift: isize) -> Option<(&[f32], &[f32], f32)> {
     match (rope, shift) {
         (_, 0) | (None, _) => None,
-        (Some(rope), shift) => Some(rope.shift_row(shift)),
+        (Some(rope), shift) => Some(rope.shift_row(-shift)),
     }
 }
 
@@ -61,9 +65,9 @@ pub(crate) const LANES: usize = 8;
 const KEYS: usize = 4;
 
 /// Reusable buffers of the tile: one score row per lane, the tile's raw
-/// dots (key-major), the packed query tile and the rotated key heads in
-/// flight. Callers keep one across layers (and ticks); contents are
-/// meaningless between calls.
+/// dots (key-major), the packed query tile and its rotation for the
+/// shifted segment being scored. Callers keep one across layers (and
+/// ticks); contents are meaningless between calls.
 #[derive(Debug, Default)]
 pub struct AttnScratch {
     scores: Vec<f32>,
@@ -396,7 +400,7 @@ fn attend_body<const L: usize>(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32]
     let scores = sized(&mut scratch.scores, L * stride);
     let dots = sized(&mut scratch.dots, L * stride);
     let (qt, _) = sized(&mut scratch.qt, L * hd).as_chunks_mut::<L>();
-    let rotated = sized(&mut scratch.rotated, KEYS * hd);
+    let rotated = sized(&mut scratch.rotated, L * hd);
     out.fill(0.0);
     for h in 0..kn.num_heads {
         let q_head = |l: usize| &q[l * d + h * hd..][..hd];
@@ -426,6 +430,8 @@ fn attend_body<const L: usize>(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32]
 /// Scores of one run of cache rows, `first ..`: lane `l` — packed query
 /// `qt[e][l]` — against the first `rows[l]` rows of `segments`, written to
 /// `scores[l · stride + first ..]` as `dot · scale`, plus the ALiBi bias.
+/// A segment at shift `Δ` is scored with the query tile rotated by
+/// `R(−Δ)` into `rotated`, once per run of segments sharing that shift.
 /// The raw dots of the whole tile land key-major in `dots` first; rows
 /// past a lane's own horizon are computed too and never read.
 #[inline(always)]
@@ -445,19 +451,29 @@ fn score_run<const L: usize>(
 ) {
     let most = rows.iter().copied().max().unwrap_or(0);
     let (dots, _) = dots.as_chunks_mut::<L>();
+    let (rotated, _) = rotated.as_chunks_mut::<L>();
+    let rotated = &mut rotated[..qt.len()];
+    // The shift `rotated` currently holds the query for (0: none yet).
+    let mut turned = 0;
     let mut j = 0;
     for &(keys, _, shift) in segments {
         if j >= most {
             break;
         }
-        let rot = segment_rotation(kn.rope, shift);
         let n = (keys.len() / kn.kv_dim).min(most - j);
-        let whole = n - n % KEYS;
-        for r in (0..whole).step_by(KEYS) {
-            score_keys::<L, KEYS>(kn, h, qt, keys, r, rot, rotated, &mut dots[j + r..]);
-        }
-        for r in whole..n {
-            score_keys::<L, 1>(kn, h, qt, keys, r, rot, rotated, &mut dots[j + r..]);
+        // One call per query buffer, not one call on a buffer picked at
+        // run time: that pick cost the one-lane tile about a tenth of a
+        // decode step (the score loop no longer kept the query in
+        // registers).
+        match segment_rotation(kn.rope, shift) {
+            None => score_segment(kn, h, qt, keys, n, &mut dots[j..]),
+            Some(row) => {
+                if turned != shift {
+                    rotate_queries(qt, row, rotated);
+                    turned = shift;
+                }
+                score_segment(kn, h, rotated, keys, n, &mut dots[j..]);
+            }
         }
         j += n;
     }
@@ -475,23 +491,60 @@ fn score_run<const L: usize>(
     }
 }
 
+/// The dots of the first `n` key rows of one segment against the packed
+/// query tile `q`, [`KEYS`] rows at a time, into `dots[..n]`.
+#[inline(always)]
+fn score_segment<const L: usize>(
+    kn: &Kernel<'_>,
+    h: usize,
+    q: &[[f32; L]],
+    keys: &[f32],
+    n: usize,
+    dots: &mut [[f32; L]],
+) {
+    let whole = n - n % KEYS;
+    for r in (0..whole).step_by(KEYS) {
+        score_keys::<L, KEYS>(kn, h, q, keys, r, &mut dots[r..]);
+    }
+    for r in whole..n {
+        score_keys::<L, 1>(kn, h, q, keys, r, &mut dots[r..]);
+    }
+}
+
+/// The packed query tile `qt` rotated by one `(cos, sin, sign)` row into
+/// `out`, every lane by [`RopeTable::apply_shift`]'s expressions: with
+/// `s = sign · sin[i]`, `x' = x·c − y·s` and `y' = x·s + y·c` over the
+/// rotate-half pairs `(i, i + half)`.
+#[inline(always)]
+fn rotate_queries<const L: usize>(qt: &[[f32; L]], (cos, sin, sign): (&[f32], &[f32], f32), out: &mut [[f32; L]]) {
+    let half = cos.len();
+    // Every slice cut to `half` up front, so the loop carries no bounds
+    // checks and vectorises (over `i` at one lane, over lanes at `L`).
+    let (xs, ys) = qt.split_at(half);
+    let (out_x, out_y) = out.split_at_mut(half);
+    let (sin, ys, out_y) = (&sin[..half], &ys[..half], &mut out_y[..half]);
+    for i in 0..half {
+        let (c, s) = (cos[i], sign * sin[i]);
+        for l in 0..L {
+            let (x, y) = (xs[i][l], ys[i][l]);
+            out_x[i][l] = x * c - y * s;
+            out_y[i][l] = x * s + y * c;
+        }
+    }
+}
+
 /// `K` key rows (`r ..` of `keys`) against `L` lanes at once: lane `l`'s
 /// accumulator for key `kk` sees `0 + q₀k₀ + q₁k₁ + …`, exactly
-/// `dot_seq`'s sequence, while the `K × L` chains overlap. A shifted
-/// segment's key heads are rotated once, by `dot_rotated`'s expressions,
-/// and reused for every lane. Dots leave key-major, a whole vector of
-/// lanes per store — transposing here instead makes the compiler
-/// scalarise the accumulation.
+/// `dot_seq`'s sequence, while the `K × L` chains overlap. Dots leave
+/// key-major, a whole vector of lanes per store — transposing here
+/// instead makes the compiler scalarise the accumulation.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn score_keys<const L: usize, const K: usize>(
     kn: &Kernel<'_>,
     h: usize,
     qt: &[[f32; L]],
     keys: &[f32],
     r: usize,
-    rot: Option<(&[f32], &[f32], f32)>,
-    rotated: &mut [f32],
     dots: &mut [[f32; L]],
 ) {
     let hd = qt.len();
@@ -501,20 +554,6 @@ fn score_keys<const L: usize, const K: usize>(
     let mut heads: [&[f32]; K] = [&[]; K];
     for kk in 0..K {
         heads[kk] = &keys[(r + kk) * kn.kv_dim + k_off..][..hd];
-    }
-    if let Some((cos, sin, sign)) = rot {
-        let half = cos.len();
-        for (kk, dst) in rotated.chunks_exact_mut(hd).take(K).enumerate() {
-            let k = heads[kk];
-            for i in 0..half {
-                let s = sign * sin[i];
-                dst[i] = k[i] * cos[i] - k[i + half] * s;
-                dst[i + half] = k[i] * s + k[i + half] * cos[i];
-            }
-        }
-        for kk in 0..K {
-            heads[kk] = &rotated[kk * hd..][..hd];
-        }
     }
     let mut acc = [[0.0f32; L]; K];
     for (e, qv) in qt.iter().enumerate() {
@@ -780,10 +819,12 @@ mod tests {
     }
 
     #[test]
-    fn shifted_segment_matches_materialised_rotation_bitwise() {
-        // A segment carrying shift Δ must produce the same bits as first
-        // rotating every key head by R(Δ) into a flat buffer and running
-        // the legacy shift-0 kernel over it.
+    fn shifted_segment_rotates_the_query() {
+        // A segment carrying shift Δ is scored as `dot_seq(apply_shift(q,
+        // −Δ), k)` over its stored keys — bit for bit the per-row oracle.
+        // Rotating every key head by R(Δ) instead and running the shift-0
+        // kernel approximates the same real numbers, so the two agree to
+        // within float rounding: 1e-5 here, on outputs of magnitude ≤ 1.
         let cfg = ModelConfig {
             hidden_size: 8,
             num_heads: 2,
@@ -791,7 +832,8 @@ mod tests {
             ..ModelConfig::llama_tiny(8)
         };
         let rope = crate::pos::RopeTable::new(cfg.head_dim(), 512, 10_000.0);
-        let kv_dim = cfg.kv_dim();
+        let max_shift = rope.max_position() as isize - 1;
+        let (d, kv_dim) = (cfg.hidden_size, cfg.kv_dim());
         let total = 6usize;
         let n = 2usize;
         let base = total - n;
@@ -799,37 +841,18 @@ mod tests {
             (0..total * kv_dim).map(|i| ((i * 37 % 19) as f32 - 9.0) * 0.13).collect();
         let values: Vec<f32> =
             (0..total * kv_dim).map(|i| ((i * 53 % 23) as f32 - 11.0) * 0.07).collect();
-        let q: Vec<f32> =
-            (0..n * cfg.hidden_size).map(|i| ((i * 41 % 17) as f32 - 8.0) * 0.11).collect();
+        let q: Vec<f32> = (0..n * d).map(|i| ((i * 41 % 17) as f32 - 8.0) * 0.11).collect();
         let q_positions: Vec<usize> = (base..total).collect();
         let key_positions: Vec<usize> = (0..total).collect();
         // First 4 rows are a "module" whose keys are canonical (shift Δ
         // pending); last 2 rows are the fresh tail at shift 0.
         let split = 4 * kv_dim;
-        for shift in [5isize, 120, -3] {
-            let mut rotated = keys.clone();
-            for row in rotated[..split].chunks_exact_mut(kv_dim) {
-                for head in row.chunks_exact_mut(cfg.head_dim()) {
-                    rope.apply_shift(head, shift);
-                }
-            }
-            let mut expect = vec![0.0f32; n * cfg.hidden_size];
-            attention_chunk_segments(
-                &cfg,
-                &q,
-                &q_positions,
-                &[(&rotated, &values, 0)],
-                &key_positions,
-                base,
-                None,
-                None,
-                &mut expect,
-            );
+        for shift in [5isize, 120, -3, max_shift, -max_shift] {
             let segs: Vec<KvSegmentSlices<'_>> = vec![
                 (&keys[..split], &values[..split], shift),
                 (&keys[split..], &values[split..], 0),
             ];
-            let mut got = vec![0.0f32; n * cfg.hidden_size];
+            let mut got = vec![0.0f32; n * d];
             attention_chunk_segments(
                 &cfg,
                 &q,
@@ -841,9 +864,35 @@ mod tests {
                 None,
                 &mut got,
             );
-            let expect_bits: Vec<u32> = expect.iter().map(|f| f.to_bits()).collect();
-            let got_bits: Vec<u32> = got.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(got_bits, expect_bits, "shift {shift}");
+            let expect: Vec<f32> = (0..n)
+                .flat_map(|i| {
+                    let q_row = &q[i * d..(i + 1) * d];
+                    attention_row(&cfg, q_row, q_positions[i], &segs, &key_positions, base + i + 1, Some(&rope), None)
+                })
+                .collect();
+            assert_eq!(bits(&got), bits(&expect), "shift {shift}");
+
+            let mut rotated = keys.clone();
+            for row in rotated[..split].chunks_exact_mut(kv_dim) {
+                for head in row.chunks_exact_mut(cfg.head_dim()) {
+                    rope.apply_shift(head, shift);
+                }
+            }
+            let mut key_side = vec![0.0f32; n * d];
+            attention_chunk_segments(
+                &cfg,
+                &q,
+                &q_positions,
+                &[(&rotated, &values, 0)],
+                &key_positions,
+                base,
+                None,
+                None,
+                &mut key_side,
+            );
+            for (a, b) in got.iter().zip(&key_side) {
+                assert!((a - b).abs() <= 1e-5, "shift {shift}: {a} vs key-side {b}");
+            }
         }
     }
 
@@ -874,14 +923,16 @@ mod tests {
 
     // ---- the tile against the per-row walk it replaced -----------------
 
-    use pc_tensor::ops::{axpy_seq, dot_rotated, dot_seq};
+    use pc_tensor::ops::{axpy_seq, dot_seq};
     use pc_tensor::Parallelism;
     use proptest::prelude::*;
 
     /// The oracle: attention for one query row over the first `visible`
-    /// cached rows, one scalar [`dot_seq`] / [`dot_rotated`] per key and
-    /// one [`axpy_seq`] per value row — the kernel every path ran before
-    /// the tile, kept to define the bits the tile must produce.
+    /// cached rows, one scalar [`dot_seq`] per key — against the query
+    /// head turned by [`RopeTable::apply_shift`]`(−Δ)` for a segment at
+    /// shift `Δ` — and one [`axpy_seq`] per value row: the per-row walk
+    /// every path ran before the tile, kept to define the bits the tile
+    /// must produce.
     #[allow(clippy::too_many_arguments)]
     fn attention_row(
         cfg: &ModelConfig,
@@ -902,14 +953,13 @@ mod tests {
             let kv_h = h / cfg.kv_group_size();
             let mut j = 0usize;
             for &(keys, _, shift) in segments {
-                let rot = segment_rotation(rope, shift);
+                let mut q_seg = q_head.to_vec();
+                if let Some(rope) = rope.filter(|_| shift != 0) {
+                    rope.apply_shift(&mut q_seg, -shift);
+                }
                 for k_row in keys.chunks_exact(kv_dim).take(visible - j) {
                     let k_head = &k_row[kv_h * hd..(kv_h + 1) * hd];
-                    scores[j] = scale
-                        * match rot {
-                            None => dot_seq(q_head, k_head),
-                            Some((cos, sin, sign)) => dot_rotated(q_head, k_head, cos, sin, sign),
-                        };
+                    scores[j] = scale * dot_seq(&q_seg, k_head);
                     if let Some(alibi) = alibi {
                         scores[j] += alibi.bias(h, q_pos, key_positions[j]);
                     }

@@ -243,9 +243,9 @@ impl Model {
     }
 
     /// The model's RoPE table, if the family uses rotary positions —
-    /// `None` for ALiBi/learned families. The engine hands this to the
-    /// deferred-RoPE read path (shifted [`crate::KvView`] segments and
-    /// materialised rotated views).
+    /// `None` for ALiBi/learned families. The forward pass hands it to the
+    /// attention tile, which scores shifted [`crate::KvView`] segments
+    /// (deferred RoPE) by rotating the query with it.
     pub fn rope(&self) -> Option<&RopeTable> {
         self.rope.as_ref()
     }

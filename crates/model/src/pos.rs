@@ -103,9 +103,9 @@ impl RopeTable {
 
     /// The table row for a relative `shift`: the `|Δ|` cos/sin rows plus
     /// the sine sign (`-1.0` for backward shifts). The attention tile
-    /// rotates each key head of a shifted segment with them, by the
-    /// expressions of `pc_tensor::ops::dot_rotated`, so every key row of
-    /// the segment reuses one row lookup.
+    /// scores a segment placed at shift `Δ` by rotating its query tile
+    /// with the row of `−Δ`, by [`RopeTable::apply_shift`]'s expressions,
+    /// so the segment's stored keys are read as they are.
     ///
     /// # Panics
     ///

@@ -19,7 +19,6 @@
 //!
 //! [`Model`]: crate::Model
 
-use crate::pos::RopeTable;
 use crate::{KvCache, ModelError, Result};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -61,8 +60,8 @@ pub trait KvSeq {
     /// the batched decode step read, refilling one list per layer. A
     /// non-zero shift marks a deferred-RoPE segment: its key rows are
     /// stored rotated at canonical (normalised) positions and the
-    /// attention kernel must compose the extra `R(shift)` rotation on
-    /// read. Value rows are position-free and never shift.
+    /// attention kernel scores them against the query rotated by
+    /// `R(−shift)`. Value rows are position-free and never shift.
     fn layer_segments_into<'s>(&'s self, layer: usize, out: &mut Vec<(&'s [f32], &'s [f32], isize)>);
 
     /// [`KvSeq::layer_segments_into`] into a fresh list.
@@ -187,7 +186,8 @@ impl KvSegment {
 
     /// Placement shift: placed position = stored position + shift. Zero
     /// for segments baked at their placed positions; non-zero for
-    /// deferred-RoPE segments whose keys the kernel rotates on read.
+    /// deferred-RoPE segments, whose keys the kernel scores against a
+    /// query rotated by `R(−shift)`.
     pub fn shift(&self) -> isize {
         self.shift
     }
@@ -251,8 +251,8 @@ impl KvView {
     /// the deferred-RoPE read path. The view's flat position list carries
     /// the *placed* positions (stored + shift), so ALiBi bias, decode
     /// start, and causality all see the placement layout; the stored key
-    /// bytes stay canonical and the attention kernel composes the
-    /// `R(shift)` rotation on read. O(1) in KV bytes.
+    /// bytes stay canonical and the attention kernel rotates the query by
+    /// `R(−shift)` to score them. O(1) in KV bytes.
     ///
     /// # Errors
     ///
@@ -373,23 +373,11 @@ impl KvView {
     /// Copies segments + tail into one owned contiguous [`KvCache`] — the
     /// escape hatch for persistence, codecs, and any consumer that needs
     /// flat buffers. The hot serve path never calls this. Shifted
-    /// (deferred-RoPE) segments copy their *raw* backing rows with placed
-    /// positions; use [`KvView::materialize_with`] to also bake the
-    /// placement rotation into the key bytes.
+    /// (deferred-RoPE) segments copy their raw, canonical backing rows
+    /// with placed positions — the form the attention tile reads them in.
     pub fn materialize(&self) -> KvCache {
-        self.materialize_with(None)
-    }
-
-    /// [`KvView::materialize`] with the placement rotation applied:
-    /// shifted segments' key rows are rotated by `R(shift)` via `rope`
-    /// during the copy, so the result equals what encoding the same
-    /// content directly at the placed positions would have produced.
-    /// With `rope` `None` (ALiBi/learned families, or raw dumps) key
-    /// bytes copy unchanged.
-    pub fn materialize_with(&self, rope: Option<&RopeTable>) -> KvCache {
         let mut flat = KvCache::with_shape(self.tail.num_layers(), self.tail.kv_dim());
         let d = self.tail.kv_dim();
-        let mut k_row = vec![0.0f32; d];
         for seg in &self.segments {
             if seg.shift == 0 {
                 flat.append_range(&seg.cache, seg.start, seg.end)
@@ -398,14 +386,8 @@ impl KvView {
             }
             for row in seg.start..seg.end {
                 for layer in 0..flat.num_layers() {
-                    k_row.copy_from_slice(&seg.cache.keys(layer)[row * d..(row + 1) * d]);
-                    if let Some(rope) = rope {
-                        for head in k_row.chunks_exact_mut(rope.head_dim()) {
-                            rope.apply_shift(head, seg.shift);
-                        }
-                    }
-                    let v_row = &seg.cache.values(layer)[row * d..(row + 1) * d];
-                    flat.push_token_layer(layer, &k_row, v_row);
+                    let rows = row * d..(row + 1) * d;
+                    flat.push_token_layer(layer, &seg.cache.keys(layer)[rows.clone()], &seg.cache.values(layer)[rows]);
                 }
                 flat.push_position((seg.cache.positions()[row] as isize + seg.shift) as usize);
             }
@@ -666,6 +648,19 @@ mod tests {
         assert_eq!(view.positions(), flat.positions());
         assert_eq!(view.len(), 5);
         assert_eq!(view.shared_rows(), 4);
+    }
+
+    #[test]
+    fn materialize_copies_shifted_rows_raw_at_placed_positions() {
+        let b = Arc::new(cache_with(&[(5, 9.0), (6, 10.0), (7, 11.0)]));
+        let mut view = KvView::with_shape(2, 3);
+        view.push_segment_shifted(Arc::clone(&b), 1, 3, -4).unwrap();
+        let flat = view.materialize();
+        assert_eq!(flat.positions(), &[2, 3]);
+        for layer in 0..2 {
+            assert_eq!(flat.keys(layer), &b.keys(layer)[3..9]);
+            assert_eq!(flat.values(layer), &b.values(layer)[3..9]);
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! The definition of attention's float-operation order: the three
+//! The definition of attention's float-operation order: the two
 //! reductions the attention tile in `pc-model` is held to, bit for bit.
 //!
 //! The crate's determinism contract (DESIGN.md §5):
 //! *each output element is reduced in one fixed order; kernels may
 //! reorder only independent elements.* For attention that order is
-//! strictly sequential — one accumulator, ascending index — and the three
-//! functions below are its definition. What a kernel may interleave is
+//! strictly sequential — one accumulator, ascending index — and
+//! [`dot_seq`] and [`axpy_seq`] are its definition (a shifted segment's
+//! score is [`dot_seq`] against a rotated *query*; the tile never rotates
+//! a key). What a kernel may interleave is
 //! whole reductions: *lanes of a tile are different queries; each lane is
 //! one `dot_seq` / `axpy_seq`.* `pc-model`'s tile runs up to eight queries
 //! (and four key rows) side by side, every accumulator seeing exactly the
@@ -55,6 +57,13 @@ pub fn axpy_seq(acc: &mut [f32], p: f32, row: &[f32]) {
 /// accumulator, ascending index, each rotated element formed by the same
 /// expression the materialising path uses. A caller that rotates the row
 /// into a scratch buffer and calls [`dot_seq`] gets the same bits.
+///
+/// **Not on the serving path.** The attention tile scores a shifted
+/// segment by rotating the query once per tile (`q·R(Δ)k = (R(−Δ)q)·k`)
+/// and running [`dot_seq`] over the stored keys, so nothing that serves
+/// a request calls this. It stays, with this name and signature, because
+/// the benchmark's kernel ladder times it (`tensor.dot_rotated_gbps`) as
+/// the cost of key-side rotation.
 #[inline]
 pub fn dot_rotated(q: &[f32], k: &[f32], cos: &[f32], sin: &[f32], sin_sign: f32) -> f32 {
     let h = cos.len();
