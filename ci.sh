@@ -25,6 +25,9 @@ cargo test -q --release -p prompt-cache --test deferred_rope_tests --test zero_c
 # deletion that breaks its compile surface, or a serve that stops answering
 # correctly on any of its four workloads, fails here.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# Its own unit tests: generator determinism, window maths, and metric
+# tables equal to BENCHMARK.json.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/smoke.sh
 # Experiment smokes (quick mode writes no BENCH artifact): batched-vs-solo
 # identity over a load sweep; warm-vs-cold restart and the quantized

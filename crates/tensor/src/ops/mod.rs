@@ -19,8 +19,8 @@ pub use batched::{axpy_seq, dot_rotated, dot_seq};
 pub use elementwise::{add, add_assign_slice, mul, scale, scale_slice};
 pub use exp::exp;
 pub use matmul::{
-    gemm_arm, has_avx2, matmul, matmul_slices, matmul_slices_par, matmul_transb, matmul_transb_slices,
-    matmul_transb_slices_par, matvec, vecmat_transb,
+    gemm_arm, has_avx2, matmul, matmul_slices, matmul_transb, matmul_transb_slices,
+    matmul_transb_slices_par,
 };
 pub use norm::{layer_norm, layer_norm_slice, rms_norm, rms_norm_slice};
 pub use reduce::{argmax, argmax_slice, dot, mean, top_k};

@@ -28,7 +28,6 @@
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::sync::WaitGroup;
 use std::cell::Cell;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -295,31 +294,6 @@ pub fn parallel_output_blocks<T, F>(
     run_tasks(tasks, threads);
 }
 
-/// Splits `0..m` into at most `threads` contiguous row ranges and runs `f`
-/// on each range in parallel. `f` is responsible for writing disjoint
-/// output per range (typically via interior indexing of shared storage or
-/// by pre-splitting with `chunks_mut`).
-pub fn parallel_rows<F>(m: usize, threads: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let threads = threads.max(1).min(m);
-    if threads <= 1 {
-        if m > 0 {
-            f(0..m);
-        }
-        return;
-    }
-    let per = m.div_ceil(threads);
-    let f = &f;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
-        .map(|t| (t * per).min(m)..((t + 1) * per).min(m))
-        .filter(|r| !r.is_empty())
-        .map(|r| Box::new(move || f(r)) as Box<dyn FnOnce() + Send + '_>)
-        .collect();
-    run_tasks(tasks, threads);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,26 +312,6 @@ mod tests {
     #[test]
     fn with_threads_clamps_to_one() {
         assert_eq!(Parallelism::with_threads(0).num_threads, 1);
-    }
-
-    #[test]
-    fn parallel_rows_partitions_exactly() {
-        for m in [0usize, 1, 2, 3, 7, 8, 17] {
-            for threads in [1usize, 2, 4, 8] {
-                let seen = Mutex::new(vec![0u32; m]);
-                parallel_rows(m, threads, |range| {
-                    let mut seen = seen.lock().unwrap();
-                    for i in range {
-                        seen[i] += 1;
-                    }
-                });
-                let seen = seen.into_inner().unwrap();
-                assert!(
-                    seen.iter().all(|&c| c == 1),
-                    "m={m} threads={threads}: {seen:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -401,8 +355,8 @@ mod tests {
                 Box::new(|| {
                     // A parallel kernel invoked from within a pool worker
                     // must degrade to inline execution, not deadlock.
-                    parallel_rows(16, 4, |range| {
-                        counter.fetch_add(range.len(), Ordering::SeqCst);
+                    parallel_output_chunks(&mut [0u8; 16], 1, 4, |_, rows| {
+                        counter.fetch_add(rows.len(), Ordering::SeqCst);
                     });
                 }) as Box<dyn FnOnce() + Send + '_>
             })
