@@ -17,6 +17,10 @@ cargo test -q
 cargo test -q --release -p pc-tensor
 cargo test -q --release -p pc-model
 cargo test -q --release -p pc-tokenizer
+# Disk-record decoding must reject a hostile header without panicking or
+# allocating what the input does not hold — also where overflow checks
+# are off, which is where an unchecked size product wraps silently.
+cargo test -q --release -p pc-cache
 # Relocated modules: the fidelity bounds of a canonical entry served at
 # three offsets, and every session segment aliasing its one store entry,
 # in the same optimised codegen.

@@ -1,8 +1,7 @@
-//! Module encoding, store access, quantization, and codec throughput.
+//! Module encoding, quantization, and codec throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pc_cache::quant::QuantizedKv;
-use pc_cache::{EvictionPolicy, ModuleKey, ModuleStore, StoreConfig, Tier};
 use pc_model::{KvCache, Model, ModelConfig};
 use std::time::Duration;
 
@@ -36,38 +35,6 @@ fn big_module(tokens: usize) -> KvCache {
     cache
 }
 
-fn store_access(c: &mut Criterion) {
-    let one = big_module(64).size_bytes();
-    let mut group = c.benchmark_group("store_get");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    for policy in EvictionPolicy::ALL {
-        let store = ModuleStore::new(StoreConfig::default().device_capacity_bytes(8 * one).policy(policy));
-        for m in 0..32 {
-            store.insert(
-                ModuleKey::new("b", &[format!("m{m}")]),
-                big_module(64),
-                1.0,
-            );
-        }
-        group.bench_with_input(
-            BenchmarkId::from_parameter(policy.name()),
-            &policy,
-            |b, _| {
-                let mut i = 0usize;
-                b.iter(|| {
-                    let key = ModuleKey::new("b", &[format!("m{}", i % 32)]);
-                    i = i.wrapping_add(7);
-                    std::hint::black_box(store.get(&key, Tier::Device))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn quant_and_codec(c: &mut Criterion) {
     let module = big_module(256);
     let mut group = c.benchmark_group("module_transform");
@@ -91,5 +58,5 @@ fn quant_and_codec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, encode, store_access, quant_and_codec);
+criterion_group!(benches, encode, quant_and_codec);
 criterion_main!(benches);

@@ -1,36 +1,32 @@
 //! Ablations of the design choices DESIGN.md calls out: eviction policy,
-//! buffered concat, and KV quantization.
+//! KV quantization, and scaffolding.
 
 use super::Report;
-use crate::emit::{fmt_time_s, Table};
-use pc_cache::arena::naive_concat;
+use crate::emit::Table;
 use pc_cache::quant::{round_trip_error, QuantizedKv};
-use pc_cache::{ConcatArena, EvictionPolicy, ModuleKey, ModuleStore, StoreConfig, Tier};
+use pc_cache::{EvictionPolicy, ModuleKey, ModuleStore, StoreConfig, Tier};
 use pc_model::KvCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
 use prompt_cache::{ServeRequest, Served};
 
-/// Runs all four ablations and combines them into one report.
+/// Runs all three ablations and combines them into one report.
 pub fn ablations(quick: bool) -> Report {
     let eviction = eviction_ablation(quick);
-    let concat = concat_ablation(quick);
     let quant = quant_ablation();
     let scaffold = scaffold_ablation();
     Report {
         id: "ablations",
-        title: "Ablations — eviction policy, buffered concat, KV quantization, scaffolding",
+        title: "Ablations — eviction policy, KV quantization, scaffolding",
         markdown: format!(
             "### Eviction policy (Zipfian module popularity)\n{}\n\
-             ### Buffered concat arena vs naive concatenation\n{}\n\
              ### 8-bit KV quantization\n{}\n\
              ### Scaffolding: memory for exactness (§3.3)\n{}\n",
-            eviction.0, concat.0, quant.0, scaffold.0
+            eviction.0, quant.0, scaffold.0
         ),
         json: json!({
             "eviction": eviction.1,
-            "concat": concat.1,
             "quantization": quant.1,
             "scaffold": scaffold.1,
         }),
@@ -112,78 +108,61 @@ fn module(tokens: usize, marker: u64) -> KvCache {
     c
 }
 
-/// Device-tier hit rate per policy under a Zipfian access trace — the
-/// paper's named future-work question ("GPU cache replacement strategies").
+/// Host-tier hit rate per policy under a Zipfian access trace — the
+/// paper's named future-work question (cache replacement strategies),
+/// asked of the one bounded tier the store has. With no disk tier below
+/// it, an eviction drops the module; a later miss re-encodes and
+/// re-inserts it, as the engine's degrade path does, and pays its
+/// recompute cost.
 fn eviction_ablation(quick: bool) -> (String, serde_json::Value) {
     let num_modules = 40usize;
     let accesses = if quick { 500 } else { 5000 };
     // Capacity for ~8 of 40 modules.
     let module_tokens = 64;
     let one = module(module_tokens, 0).size_bytes();
+    // Vary size a little so size-aware policies differentiate.
+    let tokens_of = |m: usize| module_tokens + (m % 5) * 16;
+    let key_of = |m: usize| ModuleKey::new("abl", &[format!("m{m}")]);
 
-    let mut table = Table::new(&["Policy", "Device hit rate", "Evictions", "H2D bytes"]);
+    let mut table = Table::new(&["Policy", "Host hit rate", "Evictions", "Recompute cost"]);
     let mut rows = Vec::new();
     for policy in EvictionPolicy::ALL {
-        let store = ModuleStore::new(StoreConfig::default().device_capacity_bytes(8 * one).policy(policy));
+        let store = ModuleStore::new(
+            StoreConfig::default()
+                .host_capacity_bytes(8 * one)
+                .policy(policy),
+        );
         for m in 0..num_modules {
-            // Vary size a little so size-aware policies differentiate.
-            let tokens = module_tokens + (m % 5) * 16;
-            store.insert(
-                ModuleKey::new("abl", &[format!("m{m}")]),
-                module(tokens, m as u64),
-                (tokens * tokens) as f64,
-            );
+            let tokens = tokens_of(m);
+            store.insert(key_of(m), module(tokens, m as u64), (tokens * tokens) as f64);
         }
+        let mut recompute_cost = 0.0;
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..accesses {
             // Zipf-ish: module rank r with probability ∝ 1/(r+1).
             let r: f64 = rng.gen();
             let idx = ((num_modules as f64).powf(r) - 1.0) as usize % num_modules;
-            store.get(&ModuleKey::new("abl", &[format!("m{idx}")]), Tier::Device);
+            if store.get(&key_of(idx), Tier::Host).is_none() {
+                let tokens = tokens_of(idx);
+                let cost = (tokens * tokens) as f64;
+                store.insert(key_of(idx), module(tokens, idx as u64), cost);
+                recompute_cost += cost;
+            }
         }
         let stats = store.stats();
-        let hit_rate = stats.device_hits as f64 / accesses as f64;
+        let hit_rate = stats.hits as f64 / accesses as f64;
         table.row(&[
             policy.name().to_string(),
             format!("{:.1}%", hit_rate * 100.0),
             stats.evictions.to_string(),
-            stats.bytes_copied_h2d.to_string(),
+            format!("{recompute_cost:.0}"),
         ]);
         rows.push(json!({
             "policy": policy.name(), "hit_rate": hit_rate,
-            "evictions": stats.evictions, "h2d_bytes": stats.bytes_copied_h2d,
+            "evictions": stats.evictions, "recompute_cost": recompute_cost,
         }));
     }
     (table.to_markdown(), json!({ "rows": rows }))
-}
-
-/// Wall-clock of arena rebuilds vs naive concatenation.
-fn concat_ablation(quick: bool) -> (String, serde_json::Value) {
-    let segments: Vec<KvCache> = (0..8).map(|i| module(128, i)).collect();
-    let refs: Vec<&KvCache> = segments.iter().collect();
-    let reps = if quick { 50 } else { 500 };
-
-    let mut arena = ConcatArena::new(&segments[0]);
-    arena.rebuild(&refs).unwrap(); // reserve capacity
-    let start = std::time::Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(arena.rebuild(&refs).unwrap());
-    }
-    let arena_s = start.elapsed().as_secs_f64() / reps as f64;
-
-    let start = std::time::Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(naive_concat(&refs).unwrap());
-    }
-    let naive_s = start.elapsed().as_secs_f64() / reps as f64;
-
-    let mut table = Table::new(&["Strategy", "Per-request concat time"]);
-    table.row(&["buffered arena (reused capacity)".into(), fmt_time_s(arena_s)]);
-    table.row(&["naive (fresh allocation)".into(), fmt_time_s(naive_s)]);
-    (
-        table.to_markdown(),
-        json!({ "arena_s": arena_s, "naive_s": naive_s, "ratio": naive_s / arena_s }),
-    )
 }
 
 /// Quantization: footprint vs reconstruction error.

@@ -4,7 +4,7 @@
 //! The aggregate [`crate::StoreStats`] counters say the cache is busy;
 //! they cannot say **which modules** earn their residency. This table
 //! records, per module id: hits, misses, graceful-degradation
-//! recomputes, device-tier evictions, bytes served zero-copy,
+//! recomputes, host-tier evictions, bytes served zero-copy,
 //! the store's logical clock at last access, and — fed from the batched
 //! scheduler's prefix-group accounting — how many KV rows of the module
 //! were streamed *once per group* by the prefix-aware kernel. The
@@ -57,7 +57,7 @@ pub struct ModuleHeat {
     pub misses: u64,
     /// Graceful-degradation recomputes (missing/corrupt at fetch).
     pub degrades: u64,
-    /// Device-tier evictions of this module.
+    /// Host-tier evictions of this module.
     pub evictions: u64,
     /// Hits served at a non-zero placement shift: the canonical entry was
     /// reused at an offset other than the one it was encoded at (deferred
@@ -139,7 +139,8 @@ impl CacheAnalytics {
         self.counters(key).degrades.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a device-tier eviction of the module.
+    /// Records a host-tier eviction of the module (dropped by the host
+    /// capacity bound with no disk tier to demote it to).
     pub fn record_eviction(&self, key: &ModuleKey) {
         self.counters(key).evictions.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,9 +1,11 @@
 //! Binary serialisation of encoded modules.
 //!
 //! Encoding a large module is expensive (that's the whole point of caching
-//! it); this codec lets precomputed attention states be written out and
-//! shipped between processes or machines — the "inference server
-//! precomputes and stores" deployment the paper's introduction sketches.
+//! it); this codec writes precomputed attention states out exactly. Its
+//! bytes are the payload of an `F32` disk-tier record
+//! ([`crate::segment`]), so [`decode`] reads bytes from disk: a header
+//! that declares more than the buffer holds is an error, never a panic or
+//! an allocation sized by the header alone.
 //!
 //! Format (little-endian): magic `PCKV`, version u32, num_layers u32,
 //! kv_dim u32, num_tokens u32, positions as u64s, then per layer the k
@@ -24,7 +26,8 @@ pub enum CodecError {
     BadMagic,
     /// Unsupported format version.
     BadVersion(u32),
-    /// The buffer ended before the declared payload.
+    /// The buffer ended before the declared payload, or the header
+    /// declares a shape no buffer could hold.
     Truncated,
 }
 
@@ -70,7 +73,7 @@ pub fn encode(cache: &KvCache) -> Bytes {
 /// # Errors
 ///
 /// Returns a [`CodecError`] for foreign, newer-versioned, or truncated
-/// buffers.
+/// buffers, including a header that declares more than the buffer holds.
 pub fn decode(mut buf: &[u8]) -> Result<KvCache, CodecError> {
     if buf.remaining() < 20 {
         return Err(CodecError::Truncated);
@@ -87,11 +90,7 @@ pub fn decode(mut buf: &[u8]) -> Result<KvCache, CodecError> {
     let num_layers = buf.get_u32_le() as usize;
     let kv_dim = buf.get_u32_le() as usize;
     let tokens = buf.get_u32_le() as usize;
-
-    let need = tokens * 8 + num_layers * 2 * tokens * kv_dim * 4;
-    if buf.remaining() < need {
-        return Err(CodecError::Truncated);
-    }
+    check_declared_len(buf.remaining(), num_layers, kv_dim, tokens, 4, 0)?;
 
     let positions: Vec<usize> = (0..tokens).map(|_| buf.get_u64_le() as usize).collect();
     let mut cache = KvCache::with_shape(num_layers, kv_dim);
@@ -116,6 +115,44 @@ pub fn decode(mut buf: &[u8]) -> Result<KvCache, CodecError> {
         cache.push_position(pos);
     }
     Ok(cache)
+}
+
+/// Layer counts above this are rejected before anything is allocated. An
+/// empty module's header costs the same bytes at any layer count, so the
+/// input length alone cannot bound the per-layer vectors; no model comes
+/// near this.
+const MAX_LAYERS: usize = 1 << 16;
+
+/// Checks a decoded header against the `remaining` bytes of its buffer
+/// before the decoder allocates anything: `tokens` u64 positions, then per
+/// layer a k half and a v half of `tokens` rows, each row `kv_dim`
+/// elements of `elem_bytes` plus `row_extra` bytes (an int8 row's scale).
+/// Every product is checked, so a header whose size overflows `usize` is
+/// rejected like one that overruns the buffer.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when the declared payload does not fit in
+/// `remaining` (or in `usize`), or declares more than [`MAX_LAYERS`].
+pub(crate) fn check_declared_len(
+    remaining: usize,
+    num_layers: usize,
+    kv_dim: usize,
+    tokens: usize,
+    elem_bytes: usize,
+    row_extra: usize,
+) -> Result<(), CodecError> {
+    let need = kv_dim
+        .checked_mul(elem_bytes)
+        .and_then(|row| row.checked_add(row_extra))
+        .and_then(|row| row.checked_mul(tokens))
+        .and_then(|half| half.checked_mul(2))
+        .and_then(|layer| layer.checked_mul(num_layers))
+        .and_then(|body| body.checked_add(tokens.checked_mul(8)?));
+    match need {
+        Some(need) if need <= remaining && num_layers <= MAX_LAYERS => Ok(()),
+        _ => Err(CodecError::Truncated),
+    }
 }
 
 #[cfg(test)]
@@ -172,6 +209,25 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    /// A 20-byte header whose declared size wraps `usize` to zero.
+    #[test]
+    fn overflowing_header_is_truncated_not_a_panic() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(u32::MAX >> 1).to_le_bytes()); // num_layers 2^31 - 1
+        bytes.extend_from_slice(&((1u32 << 31) + 1).to_le_bytes()); // kv_dim 2^31 + 1
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // tokens
+        assert_eq!(decode(&bytes), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn empty_module_with_absurd_layer_count_is_rejected() {
+        let mut bytes = encode(&KvCache::with_shape(2, 8)).to_vec();
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&bytes), Err(CodecError::Truncated));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The persistent disk tier: append-only segment files + checksummed
 //! index.
 //!
-//! [`DiskTier`] is the third store tier below host and device memory.
+//! [`DiskTier`] is the store tier below host memory.
 //! Modules demoted out of host DRAM are appended to **segment files**
 //! (record framing in [`crate::segment`]; normative byte spec in
 //! `docs/PERSISTENCE.md`) and read back — decoded and dequantized — when
-//! a lookup falls through the in-memory tiers.
+//! a lookup falls through host memory.
 //!
 //! Durability model, in one paragraph: **the segment append is the
 //! commit point; the `INDEX` file is an optimization.** The index is

@@ -1,9 +1,11 @@
-//! Eviction policies for the bounded device tier.
+//! Eviction policies for the bounded host tier.
 //!
 //! The paper leaves "GPU cache replacement strategies optimized to achieve
 //! the latency lower bound" to future work (§6); this module implements the
-//! classic candidates so the ablation bench (`eviction_ablation`) can
-//! compare them under Zipfian module popularity.
+//! classic candidates. The store asks one of them for a victim whenever
+//! [`StoreConfig::host_capacity_bytes`](crate::StoreConfig::host_capacity_bytes)
+//! is exceeded, and the ablation bench (`eviction_ablation`) compares them
+//! under Zipfian module popularity.
 
 /// Per-module access statistics the policies score on.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -19,7 +21,7 @@ pub struct ModuleStats {
     pub recompute_cost: f64,
 }
 
-/// Which module to evict when the device tier is full.
+/// Which module to demote (or drop) when the host tier is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvictionPolicy {
     /// Evict the least recently used module.

@@ -2,20 +2,15 @@
 //!
 //! This crate owns everything about *keeping* encoded prompt modules:
 //!
-//! * [`ModuleStore`] — a thread-safe, three-tier store. Every encoded
+//! * [`ModuleStore`] — a thread-safe, two-tier store. Every encoded
 //!   module lives in host memory ("CPU memory (host DRAM)") under an
-//!   optional host-capacity bound; a bounded device tier models GPU HBM;
-//!   an optional persistent [`disk`] tier catches demotions so modules
-//!   survive restarts. Fetching a module for device inference promotes
-//!   it, evicting colder modules under a configurable [`EvictionPolicy`]
-//!   — the cache-replacement strategy the paper names as future work —
-//!   and eviction *demotes* (device→host→disk) rather than dropping
-//!   whenever a lower tier exists.
-//! * [`ConcatArena`] — the paper's buffered concatenation operator:
-//!   "PyTorch only supports contiguous tensors, and therefore concatenation
-//!   … always results in a new memory allocation. We implement a buffered
-//!   concatenation operator that reuses memory." The arena reuses one
-//!   session cache's capacity across requests.
+//!   optional host-capacity bound; an optional persistent [`disk`] tier
+//!   catches demotions so modules survive restarts. When the bound is
+//!   exceeded a configurable [`EvictionPolicy`] — the cache-replacement
+//!   strategy the paper names as future work — picks the victims, which
+//!   are *demoted* to disk when a disk tier exists and dropped otherwise.
+//!   Reads share the stored allocation; the paper's GPU memory tier is
+//!   modelled analytically in `pc-simulator`, not here.
 //! * [`quant`] — reduced-precision KV codecs (symmetric per-row int8 and
 //!   IEEE 754 binary16), the compression direction the paper points at
 //!   for shrinking module storage (§5.5); the cold tiers use them so
@@ -26,8 +21,8 @@
 //! * [`disk`] — the persistent tier itself ([`DiskTier`]): append-only
 //!   segment files, a checksummed `INDEX`, scan-rebuild crash recovery,
 //!   and corrupt-entry degradation.
-//! * [`codec`] — a compact binary serialisation of encoded modules, so
-//!   precomputed attention states can be shipped between processes.
+//! * [`codec`] — a compact binary serialisation of encoded modules: the
+//!   exact (`F32`) payload of a disk record.
 //! * [`memory`] — Table 2's per-token memory accounting.
 //! * [`analytics`] — opt-in per-module heat analytics
 //!   ([`CacheAnalytics`]): hits, misses, degrades, evictions,
@@ -47,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod analytics;
-pub mod arena;
 pub mod codec;
 pub mod disk;
 mod eviction;
@@ -58,7 +52,6 @@ pub mod shard;
 mod store;
 
 pub use analytics::{CacheAnalytics, ModuleHeat};
-pub use arena::ConcatArena;
 pub use disk::{DiskConfig, DiskEntryInfo, DiskGet, DiskTier};
 pub use eviction::{EvictionPolicy, ModuleStats};
 pub use segment::ColdEncoding;

@@ -40,7 +40,7 @@
 //! lets a warm restart pass the engine's registration-reuse validation
 //! even for quantized payloads.
 
-use crate::codec::{self, CodecError};
+use crate::codec::{self, check_declared_len, CodecError};
 use crate::quant::{dequantize_row, f16_bits_to_f32, f32_to_f16_bits, quantize_row};
 use crate::store::ModuleKey;
 use bytes::{Buf, BufMut, BytesMut};
@@ -219,12 +219,14 @@ fn quant_header(cache: &KvCache) -> BytesMut {
 /// # Errors
 ///
 /// [`CodecError::Truncated`] when the buffer is shorter than its declared
-/// shape; `F32` payloads additionally surface [`crate::codec::decode`]'s
-/// magic/version errors.
+/// shape (checked before anything is allocated); `F32` payloads
+/// additionally surface [`crate::codec::decode`]'s magic/version errors.
 pub fn decode_payload(bytes: &[u8], encoding: ColdEncoding) -> Result<KvCache, CodecError> {
-    if encoding == ColdEncoding::F32 {
-        return codec::decode(bytes);
-    }
+    let (elem_bytes, row_extra) = match encoding {
+        ColdEncoding::F32 => return codec::decode(bytes),
+        ColdEncoding::Fp16 => (2, 0),
+        ColdEncoding::Int8 => (1, 4), // one f32 scale per row
+    };
     let mut buf = bytes;
     if buf.remaining() < 12 {
         return Err(CodecError::Truncated);
@@ -232,9 +234,7 @@ pub fn decode_payload(bytes: &[u8], encoding: ColdEncoding) -> Result<KvCache, C
     let num_layers = buf.get_u32_le() as usize;
     let kv_dim = buf.get_u32_le() as usize;
     let tokens = buf.get_u32_le() as usize;
-    if buf.remaining() < tokens * 8 {
-        return Err(CodecError::Truncated);
-    }
+    check_declared_len(buf.remaining(), num_layers, kv_dim, tokens, elem_bytes, row_extra)?;
     let positions: Vec<usize> = (0..tokens).map(|_| buf.get_u64_le() as usize).collect();
     let row_elems = tokens * kv_dim;
     let mut cache = KvCache::with_shape(num_layers, kv_dim);
@@ -243,9 +243,6 @@ pub fn decode_payload(bytes: &[u8], encoding: ColdEncoding) -> Result<KvCache, C
     match encoding {
         ColdEncoding::F32 => unreachable!("handled above"),
         ColdEncoding::Fp16 => {
-            if buf.remaining() < num_layers * 2 * row_elems * 2 {
-                return Err(CodecError::Truncated);
-            }
             for l in 0..num_layers {
                 for x in layer_k[l].iter_mut() {
                     *x = f16_bits_to_f32(buf.get_u16_le());
@@ -256,9 +253,6 @@ pub fn decode_payload(bytes: &[u8], encoding: ColdEncoding) -> Result<KvCache, C
             }
         }
         ColdEncoding::Int8 => {
-            if buf.remaining() < num_layers * 2 * (tokens * 4 + row_elems) {
-                return Err(CodecError::Truncated);
-            }
             let mut data = vec![0i8; row_elems];
             let mut scales = vec![0.0f32; tokens];
             for l in 0..num_layers {
@@ -388,6 +382,7 @@ pub fn parse_record(buf: &[u8], at: usize) -> ParseOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn module(tokens: usize) -> KvCache {
         let mut c = KvCache::with_shape(2, 4);
@@ -493,6 +488,58 @@ mod tests {
                     decode_payload(&bytes[..cut], encoding).is_err(),
                     "{encoding:?} cut {cut}"
                 );
+            }
+        }
+    }
+
+    /// 20 bytes declaring 2^15 layers × 2^10 dims × 1 token: a 128 MiB
+    /// body the decoder must refuse before allocating it.
+    #[test]
+    fn oversized_quantized_header_is_rejected_before_allocating() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&(1u32 << 15).to_le_bytes());
+        bytes.extend_from_slice(&(1u32 << 10).to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        for encoding in [ColdEncoding::Fp16, ColdEncoding::Int8] {
+            assert_eq!(
+                decode_payload(&bytes, encoding),
+                Err(CodecError::Truncated),
+                "{encoding:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Decoding is total under every encoding: arbitrary bytes (bare,
+        /// and behind a valid `PCKV` magic and version), and valid payloads
+        /// with one shape word of the header overwritten by an arbitrary or
+        /// a small value, decode to `Ok` or `Err` — never a panic, never an
+        /// allocation the input's length does not pay for.
+        #[test]
+        fn decode_payload_never_panics(
+            garbage in proptest::collection::vec(any::<u8>(), 0..96),
+            tokens in 0usize..6,
+            word in 0usize..3,
+            (huge, small) in (any::<u32>(), 0u32..64),
+        ) {
+            let mut pckv = b"PCKV".to_vec();
+            pckv.extend_from_slice(&1u32.to_le_bytes());
+            pckv.extend_from_slice(&garbage);
+            for encoding in [ColdEncoding::F32, ColdEncoding::Fp16, ColdEncoding::Int8] {
+                let _ = decode_payload(&garbage, encoding);
+                let _ = decode_payload(&pckv, encoding);
+                // num_layers, kv_dim, tokens: after magic + version in a
+                // PCKV payload, first in a quantized one.
+                let shape_at = if encoding == ColdEncoding::F32 { 8 } else { 0 };
+                let at = shape_at + 4 * word;
+                for value in [huge, small] {
+                    let mut bytes = encode_payload(&module(tokens), encoding);
+                    bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                    let _ = decode_payload(&bytes, encoding);
+                }
             }
         }
     }

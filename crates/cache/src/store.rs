@@ -1,12 +1,10 @@
 //! The tiered prompt-module store (paper §4.1).
 //!
 //! Host memory holds encoded modules (it "can scale up to terabyte
-//! levels"); the bounded device tier models GPU HBM. Reading a module for
-//! device inference promotes it, charging a host-to-device copy the first
-//! time and evicting colder modules when capacity runs out. Reading for
-//! host inference never copies.
+//! levels"). A read hands out the stored allocation itself — nothing is
+//! copied.
 //!
-//! Below both sits an optional persistent [`disk`](crate::disk) tier.
+//! Below it sits an optional persistent [`disk`](crate::disk) tier.
 //! With [`StoreConfig::host_capacity_bytes`] bounded, host eviction
 //! *demotes* modules to disk (optionally quantized — see
 //! [`ColdEncoding`](crate::segment::ColdEncoding)) instead of dropping
@@ -50,13 +48,15 @@ impl ModuleKey {
     }
 }
 
-/// Which memory the caller wants the module in.
+/// The memory a [`ModuleStore::get`] serves from. Host memory is the
+/// only one: the store keeps no device tier, so nothing branches on this.
+/// It survives only as `get`'s second argument, which the benchmark
+/// harness (`benchmark/src/micro.rs`) still passes; it goes when the
+/// harness next changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
-    /// Host DRAM (CPU inference, or GPU inference paying a h2d copy).
+    /// Host DRAM.
     Host,
-    /// Device HBM (GPU inference without a copy).
-    Device,
 }
 
 /// Store configuration.
@@ -67,17 +67,17 @@ pub enum Tier {
 /// use pc_cache::{EvictionPolicy, StoreConfig};
 ///
 /// let config = StoreConfig::default()
-///     .device_capacity_bytes(1 << 20)
+///     .host_capacity_bytes(1 << 20)
 ///     .policy(EvictionPolicy::Gdsf)
 ///     .verify_checksums(true);
-/// assert_eq!(config.device_capacity_bytes, 1 << 20);
+/// assert_eq!(config.host_capacity_bytes, 1 << 20);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct StoreConfig {
-    /// Device-tier capacity in bytes (0 disables the device tier).
-    pub device_capacity_bytes: usize,
-    /// Eviction policy for the device tier.
+    /// Picks the host entries to demote (or, with no disk tier, drop)
+    /// when an insert or a disk promotion pushes the host tier over
+    /// [`StoreConfig::host_capacity_bytes`].
     pub policy: EvictionPolicy,
     /// Verify each module's content checksum on every [`ModuleStore::get`].
     /// A mismatch (bit rot, a buggy writer, injected corruption) is
@@ -93,7 +93,7 @@ pub struct StoreConfig {
     pub module_analytics: bool,
     /// Host-tier capacity in bytes (0 = unbounded, the default). When an
     /// insert pushes the host tier over this bound, the eviction policy
-    /// picks victims among non-device-resident entries and **demotes**
+    /// picks victims among the other host entries and **demotes**
     /// them to the disk tier — or drops them (counted as evictions) when
     /// no disk tier is configured.
     pub host_capacity_bytes: usize,
@@ -106,7 +106,6 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            device_capacity_bytes: 0,
             policy: EvictionPolicy::Lru,
             verify_checksums: false,
             module_analytics: false,
@@ -117,14 +116,7 @@ impl Default for StoreConfig {
 }
 
 impl StoreConfig {
-    /// Sets the device-tier capacity in bytes (0 disables the tier).
-    #[must_use]
-    pub fn device_capacity_bytes(mut self, bytes: usize) -> Self {
-        self.device_capacity_bytes = bytes;
-        self
-    }
-
-    /// Sets the device-tier eviction policy.
+    /// Sets the host-tier eviction policy.
     #[must_use]
     pub fn policy(mut self, policy: EvictionPolicy) -> Self {
         self.policy = policy;
@@ -193,13 +185,10 @@ pub struct StoreStats {
     pub hits: u64,
     /// Failed lookups.
     pub misses: u64,
-    /// Bytes copied host → device on promotions.
-    pub bytes_copied_h2d: u64,
-    /// Device-tier evictions performed.
+    /// Host entries dropped by [`StoreConfig::host_capacity_bytes`]
+    /// because no disk tier was there to demote them to (with one, the
+    /// same victims count as `demotions`).
     pub evictions: u64,
-    /// Lookups served without a copy because the module was already
-    /// resident on the device.
-    pub device_hits: u64,
     /// Checksum mismatches caught by [`StoreConfig::verify_checksums`].
     /// Each one also counts as a miss (the corrupt entry is dropped and
     /// the caller recomputes).
@@ -225,16 +214,13 @@ pub struct StoreStats {
 struct StoreMetrics {
     hits: Counter,
     misses: Counter,
-    device_hits: Counter,
     evictions: Counter,
     corruptions: Counter,
-    bytes_copied_h2d: Counter,
     demotions: Counter,
     promotions: Counter,
     disk_hits: Counter,
     disk_corruptions: Counter,
     host_bytes: Gauge,
-    device_bytes: Gauge,
     disk_bytes: Gauge,
     modules: Gauge,
 }
@@ -244,16 +230,13 @@ impl StoreMetrics {
         StoreMetrics {
             hits: telemetry.counter("pc_cache_hits_total"),
             misses: telemetry.counter("pc_cache_misses_total"),
-            device_hits: telemetry.counter("pc_cache_device_hits_total"),
             evictions: telemetry.counter("pc_cache_evictions_total"),
             corruptions: telemetry.counter("pc_cache_corruptions_total"),
-            bytes_copied_h2d: telemetry.counter("pc_cache_bytes_copied_h2d_total"),
             demotions: telemetry.counter("pc_demotions_total"),
             promotions: telemetry.counter("pc_promotions_total"),
             disk_hits: telemetry.counter("pc_cache_disk_hits_total"),
             disk_corruptions: telemetry.counter("pc_cache_disk_corruptions_total"),
             host_bytes: telemetry.gauge("pc_cache_host_bytes"),
-            device_bytes: telemetry.gauge("pc_cache_device_bytes"),
             disk_bytes: telemetry.gauge("pc_cache_disk_bytes"),
             modules: telemetry.gauge("pc_cache_modules"),
         }
@@ -264,7 +247,6 @@ impl StoreMetrics {
 struct Entry {
     cache: Arc<KvCache>,
     stats: ModuleStats,
-    on_device: bool,
     /// Content checksum taken at insert; re-verified on fetch when
     /// [`StoreConfig::verify_checksums`] is set.
     checksum: u64,
@@ -273,7 +255,6 @@ struct Entry {
 #[derive(Default)]
 struct Inner {
     entries: HashMap<ModuleKey, Entry>,
-    device_used: usize,
     /// Bytes held by in-memory entries (the host tier occupancy that
     /// [`StoreConfig::host_capacity_bytes`] bounds).
     host_used: usize,
@@ -291,7 +272,6 @@ impl std::fmt::Debug for Inner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Inner")
             .field("entries", &self.entries.len())
-            .field("device_used", &self.device_used)
             .field("host_used", &self.host_used)
             .field("clock", &self.clock)
             .field("stats", &self.stats)
@@ -333,10 +313,7 @@ pub struct ModuleSnapshot {
     /// Encoded size in bytes (for disk rows: the cold payload size,
     /// after any quantization).
     pub size_bytes: usize,
-    /// Whether the entry is resident in the device tier.
-    pub on_device: bool,
-    /// The entry's deepest-resident tier: `"device"`, `"host"`, or
-    /// `"disk"`.
+    /// The tier holding the entry: `"host"` or `"disk"`.
     pub tier: &'static str,
     /// Lookups served since insert.
     pub access_count: u64,
@@ -346,7 +323,8 @@ pub struct ModuleSnapshot {
     pub recompute_cost: f64,
 }
 
-/// Thread-safe encoded-module storage with host + bounded device tiers.
+/// Thread-safe encoded-module storage: host memory over an optional
+/// disk tier.
 ///
 /// # Example
 ///
@@ -393,11 +371,10 @@ impl ModuleStore {
     }
 
     /// Creates an empty store that mirrors its activity into `telemetry`:
-    /// `pc_cache_{hits,misses,device_hits,evictions}_total`,
-    /// `pc_cache_bytes_copied_h2d_total`,
+    /// `pc_cache_{hits,misses,evictions,corruptions}_total`,
     /// `pc_{demotions,promotions}_total`, and
     /// `pc_cache_disk_{hits,corruptions}_total` counters plus
-    /// `pc_cache_{host,device,disk}_bytes` / `pc_cache_modules` occupancy
+    /// `pc_cache_{host,disk}_bytes` / `pc_cache_modules` occupancy
     /// gauges. Handles are resolved once here, so recording never takes
     /// the registry lock.
     ///
@@ -468,15 +445,7 @@ impl ModuleStore {
         inner.clock += 1;
         let size = cache.size_bytes();
         let clock = inner.clock;
-        // Replacing an entry that was resident frees its device budget.
-        let old = inner
-            .entries
-            .get(&key)
-            .map(|old| (old.stats.size_bytes, old.on_device));
-        if let Some((old_size, true)) = old {
-            inner.device_used -= old_size;
-        }
-        let old_size = old.map(|(size, _)| size);
+        let old_size = inner.entries.get(&key).map_or(0, |old| old.stats.size_bytes);
         let checksum = content_checksum(&cache);
         inner.entries.insert(
             key.clone(),
@@ -488,23 +457,18 @@ impl ModuleStore {
                     size_bytes: size,
                     recompute_cost,
                 },
-                on_device: false,
                 checksum,
             },
         );
         inner.host_used += size;
-        inner.host_used -= old_size.unwrap_or(0);
-        self.metrics
-            .host_bytes
-            .add(size as i64 - old_size.unwrap_or(0) as i64);
+        inner.host_used -= old_size;
+        self.metrics.host_bytes.add(size as i64 - old_size as i64);
         self.enforce_host_capacity(&mut inner, &key);
         self.metrics.modules.set(inner.entries.len() as i64);
-        self.metrics.device_bytes.set(inner.device_used as i64);
         cache
     }
 
-    /// Demotes (or, with no disk tier, drops) non-device-resident host
-    /// entries until `host_used` fits the configured bound. The entry
+    /// Demotes (or, with no disk tier, drops) host entries until `host_used` fits the configured bound. The entry
     /// named by `keep` is never a victim.
     fn enforce_host_capacity(&self, inner: &mut Inner, keep: &ModuleKey) {
         let cap = self.config.host_capacity_bytes;
@@ -515,12 +479,12 @@ impl ModuleStore {
             let candidates: Vec<(ModuleKey, ModuleStats)> = inner
                 .entries
                 .iter()
-                .filter(|(k, e)| !e.on_device && *k != keep)
+                .filter(|(k, _)| *k != keep)
                 .map(|(k, e)| (k.clone(), e.stats))
                 .collect();
             let stats: Vec<ModuleStats> = candidates.iter().map(|(_, s)| *s).collect();
             let Some(victim) = self.config.policy.victim(&stats) else {
-                break; // nothing demotable (everything left is on-device)
+                break; // nothing demotable (only `keep` is left)
             };
             let (victim_key, _) = &candidates[victim];
             if !self.demote(inner, victim_key) {
@@ -586,20 +550,15 @@ impl ModuleStore {
             || inner.disk.as_ref().is_some_and(|d| d.contains(key))
     }
 
-    /// Fetches a module's states for inference in `tier`.
+    /// Fetches a module's states: the stored allocation itself, shared,
+    /// never a copy. `tier` is always [`Tier::Host`] (see its docs).
     ///
-    /// `Tier::Device` promotes the module (evicting under the configured
-    /// policy and charging a h2d copy) unless it is already resident or
-    /// larger than the whole device tier, in which case the copy is
-    /// charged on every access — exactly the "yellow bar" regime of
-    /// Figure 3 where modules stream from CPU memory each request.
     /// A lookup that misses memory falls through to the disk tier (when
     /// configured): the record is verified, decoded, promoted back into
     /// host memory (counted as a hit, a disk hit, and a promotion). A
     /// corrupt disk record is dropped and reported as a miss — the
     /// degrade path.
-    #[allow(clippy::too_many_lines)]
-    pub fn get(&self, key: &ModuleKey, tier: Tier) -> Option<Arc<KvCache>> {
+    pub fn get(&self, key: &ModuleKey, _tier: Tier) -> Option<Arc<KvCache>> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.clock += 1;
@@ -650,7 +609,6 @@ impl ModuleStore {
                                 size_bytes: size,
                                 recompute_cost: cost,
                             },
-                            on_device: false,
                             checksum,
                         },
                     );
@@ -711,11 +669,7 @@ impl ModuleStore {
                 // Detected corruption: drop the poisoned entry and report
                 // a miss so the caller recomputes instead of serving it.
                 let size = entry.stats.size_bytes;
-                let was_on_device = entry.on_device;
                 inner.entries.remove(key);
-                if was_on_device {
-                    inner.device_used -= size;
-                }
                 inner.host_used -= size;
                 inner.stats.corruptions_detected += 1;
                 inner.stats.misses += 1;
@@ -723,7 +677,6 @@ impl ModuleStore {
                 self.metrics.misses.inc();
                 self.metrics.host_bytes.add(-(size as i64));
                 self.metrics.modules.set(inner.entries.len() as i64);
-                self.metrics.device_bytes.set(inner.device_used as i64);
                 if let Some(a) = &self.analytics {
                     a.record_miss(key, clock);
                 }
@@ -735,84 +688,10 @@ impl ModuleStore {
         if let Some(a) = &self.analytics {
             a.record_hit(key, clock);
         }
-        if tier == Tier::Device {
-            self.promote(inner, key, true);
-        }
         let entry = inner.entries.get_mut(key).expect("checked above");
         entry.stats.last_access = clock;
         entry.stats.access_count += 1;
         Some(Arc::clone(&entry.cache))
-    }
-
-    /// `count_device_hit` distinguishes real lookups from prefetch, which
-    /// must stay invisible in the hit statistics.
-    fn promote(&self, inner: &mut Inner, key: &ModuleKey, count_device_hit: bool) {
-        let size = inner.entries[key].stats.size_bytes;
-        if inner.entries[key].on_device {
-            if count_device_hit {
-                inner.stats.device_hits += 1;
-                self.metrics.device_hits.inc();
-            }
-            return;
-        }
-        if size > self.config.device_capacity_bytes {
-            // Cannot ever be resident: stream it (charged every access).
-            inner.stats.bytes_copied_h2d += size as u64;
-            self.metrics.bytes_copied_h2d.add(size as u64);
-            return;
-        }
-        while inner.device_used + size > self.config.device_capacity_bytes {
-            let candidates: Vec<(ModuleKey, ModuleStats)> = inner
-                .entries
-                .iter()
-                .filter(|(k, e)| e.on_device && *k != key)
-                .map(|(k, e)| (k.clone(), e.stats))
-                .collect();
-            let stats: Vec<ModuleStats> = candidates.iter().map(|(_, s)| *s).collect();
-            let Some(victim) = self.config.policy.victim(&stats) else {
-                break; // nothing evictable
-            };
-            let (vk, vs) = &candidates[victim];
-            inner.entries.get_mut(vk).expect("victim exists").on_device = false;
-            inner.device_used -= vs.size_bytes;
-            inner.stats.evictions += 1;
-            self.metrics.evictions.inc();
-            if let Some(a) = &self.analytics {
-                a.record_eviction(vk);
-            }
-        }
-        if inner.device_used + size <= self.config.device_capacity_bytes {
-            inner.entries.get_mut(key).expect("present").on_device = true;
-            inner.device_used += size;
-            inner.stats.bytes_copied_h2d += size as u64;
-            self.metrics.bytes_copied_h2d.add(size as u64);
-        }
-        self.metrics.device_bytes.set(inner.device_used as i64);
-    }
-
-    /// Prefetches modules into the device tier without counting a hit —
-    /// the union-sibling optimisation §3.2.3 sketches ("the system can
-    /// utilize this structure for optimizations, such as prefetching").
-    /// Unknown keys are skipped. Returns how many modules were promoted
-    /// by this call (already-resident ones don't count).
-    pub fn prefetch(&self, keys: &[ModuleKey]) -> usize {
-        let mut inner = self.inner.lock();
-        let mut promoted = 0;
-        for key in keys {
-            if !inner.entries.contains_key(key) {
-                continue;
-            }
-            let before = inner.stats.bytes_copied_h2d;
-            let was_resident = inner.entries[key].on_device;
-            self.promote(&mut inner, key, false);
-            if !was_resident
-                && inner.stats.bytes_copied_h2d > before
-                && inner.entries[key].on_device
-            {
-                promoted += 1;
-            }
-        }
-        promoted
     }
 
     /// Installs a [`FetchFaultInjector`] consulted on every `get` (or
@@ -861,27 +740,14 @@ impl ModuleStore {
         true
     }
 
-    /// Whether a module is currently resident in the device tier.
-    pub fn is_resident(&self, key: &ModuleKey) -> bool {
-        self.inner
-            .lock()
-            .entries
-            .get(key)
-            .is_some_and(|e| e.on_device)
-    }
-
     /// Removes a module from every tier; returns whether it was present.
     pub fn remove(&self, key: &ModuleKey) -> bool {
         let mut inner = self.inner.lock();
         let mut removed = false;
         if let Some(e) = inner.entries.remove(key) {
-            if e.on_device {
-                inner.device_used -= e.stats.size_bytes;
-            }
             inner.host_used -= e.stats.size_bytes;
             self.metrics.host_bytes.add(-(e.stats.size_bytes as i64));
             self.metrics.modules.set(inner.entries.len() as i64);
-            self.metrics.device_bytes.set(inner.device_used as i64);
             removed = true;
         }
         if let Some(disk) = inner.disk.as_mut() {
@@ -902,9 +768,6 @@ impl ModuleStore {
             .collect();
         for k in removed {
             if let Some(e) = inner.entries.remove(&k) {
-                if e.on_device {
-                    inner.device_used -= e.stats.size_bytes;
-                }
                 inner.host_used -= e.stats.size_bytes;
                 self.metrics.host_bytes.add(-(e.stats.size_bytes as i64));
             }
@@ -918,7 +781,6 @@ impl ModuleStore {
             self.metrics.disk_bytes.set(disk.live_bytes() as i64);
         }
         self.metrics.modules.set(inner.entries.len() as i64);
-        self.metrics.device_bytes.set(inner.device_used as i64);
     }
 
     /// Number of distinct stored modules across all tiers.
@@ -941,11 +803,6 @@ impl ModuleStore {
     /// Total host bytes held by in-memory entries.
     pub fn host_bytes(&self) -> usize {
         self.inner.lock().host_used
-    }
-
-    /// Bytes currently resident on the device tier.
-    pub fn device_bytes(&self) -> usize {
-        self.inner.lock().device_used
     }
 
     /// Live bytes held by the disk tier (0 without one). Counts encoded
@@ -1047,7 +904,6 @@ impl ModuleStore {
                         size_bytes: size,
                         recompute_cost: cost,
                     },
-                    on_device: false,
                     checksum,
                 },
             );
@@ -1109,8 +965,7 @@ impl ModuleStore {
                 module: module_label(key),
                 key: key.clone(),
                 size_bytes: e.stats.size_bytes,
-                on_device: e.on_device,
-                tier: if e.on_device { "device" } else { "host" },
+                tier: "host",
                 access_count: e.stats.access_count,
                 last_access: e.stats.last_access,
                 recompute_cost: e.stats.recompute_cost,
@@ -1125,7 +980,6 @@ impl ModuleStore {
                         module: module_label(&info.key),
                         key: info.key,
                         size_bytes: info.payload_bytes,
-                        on_device: false,
                         tier: "disk",
                         access_count: 0,
                         last_access: 0,
@@ -1150,67 +1004,6 @@ impl ModuleStore {
             );
         }
         keys
-    }
-
-    /// Serialises every stored module into `dir`: one numbered `.pckv`
-    /// payload per module plus a `MANIFEST` mapping files back to keys
-    /// (schema and path segments are stored verbatim, so keys containing
-    /// any characters round-trip). Returns the module count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_dir(&self, dir: &std::path::Path) -> std::io::Result<usize> {
-        std::fs::create_dir_all(dir)?;
-        let inner = self.inner.lock();
-        let mut manifest = String::new();
-        for (i, (key, entry)) in inner.entries.iter().enumerate() {
-            let file = format!("m{i}.pckv");
-            std::fs::write(dir.join(&file), crate::codec::encode(&entry.cache))?;
-            manifest.push_str(&file);
-            manifest.push('\t');
-            manifest.push_str(&key.schema);
-            for seg in &key.path {
-                manifest.push('\t');
-                manifest.push_str(seg);
-            }
-            manifest.push('\n');
-        }
-        std::fs::write(dir.join("MANIFEST"), manifest)?;
-        Ok(inner.entries.len())
-    }
-
-    /// Loads a directory written by [`ModuleStore::save_dir`] back into
-    /// the store (host tier). Returns how many modules were loaded.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors, `InvalidData` for undecodable payloads or a
-    /// malformed manifest.
-    pub fn load_dir(&self, dir: &std::path::Path) -> std::io::Result<usize> {
-        let manifest = std::fs::read_to_string(dir.join("MANIFEST"))?;
-        let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned());
-        let mut loaded = 0;
-        for line in manifest.lines().filter(|l| !l.is_empty()) {
-            let mut parts = line.split('\t');
-            let file = parts.next().ok_or_else(|| bad("missing filename"))?;
-            let schema = parts.next().ok_or_else(|| bad("missing schema"))?;
-            let path: Vec<String> = parts.map(str::to_owned).collect();
-            let bytes = std::fs::read(dir.join(file))?;
-            let cache = crate::codec::decode(&bytes)
-                .map_err(|e| bad(&e.to_string()))?;
-            let cost = cache.len() as f64;
-            self.insert(
-                ModuleKey {
-                    schema: schema.to_owned(),
-                    path,
-                },
-                cache,
-                cost,
-            );
-            loaded += 1;
-        }
-        Ok(loaded)
     }
 }
 
@@ -1248,89 +1041,39 @@ mod tests {
 
     #[test]
     fn host_reads_never_copy() {
-        let store = ModuleStore::new(StoreConfig {
-            device_capacity_bytes: 1 << 20,
-            ..Default::default()
-        });
+        let store = ModuleStore::new(StoreConfig::default());
         store.insert(key("a"), module(3), 1.0);
-        store.get(&key("a"), Tier::Host);
-        assert_eq!(store.stats().bytes_copied_h2d, 0);
-        assert_eq!(store.device_bytes(), 0);
-    }
-
-    #[test]
-    fn device_read_promotes_once() {
-        let store = ModuleStore::new(StoreConfig {
-            device_capacity_bytes: 1 << 20,
-            ..Default::default()
-        });
-        store.insert(key("a"), module(3), 1.0);
-        let size = module(3).size_bytes() as u64;
-        store.get(&key("a"), Tier::Device);
-        store.get(&key("a"), Tier::Device);
-        let s = store.stats();
-        assert_eq!(s.bytes_copied_h2d, size, "copied exactly once");
-        assert_eq!(s.device_hits, 1);
-        assert_eq!(store.device_bytes(), size as usize);
+        let first = store.get(&key("a"), Tier::Host).unwrap();
+        let second = store.get(&key("a"), Tier::Host).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "a read copied the states");
+        assert_eq!(store.host_bytes(), module(3).size_bytes());
     }
 
     #[test]
     fn capacity_forces_eviction_lru() {
         let one = module(4).size_bytes();
-        let store = ModuleStore::new(StoreConfig {
-            device_capacity_bytes: 2 * one,
-            policy: EvictionPolicy::Lru,
-            ..Default::default()
-        });
-        for name in ["a", "b", "c"] {
-            store.insert(key(name), module(4), 1.0);
-        }
-        store.get(&key("a"), Tier::Device);
-        store.get(&key("b"), Tier::Device);
-        // Touch a to make b the LRU, then bring in c.
-        store.get(&key("a"), Tier::Device);
-        store.get(&key("c"), Tier::Device);
-        assert_eq!(store.stats().evictions, 1);
-        // b was evicted: re-reading it copies again.
-        let before = store.stats().bytes_copied_h2d;
-        store.get(&key("b"), Tier::Device);
-        assert!(store.stats().bytes_copied_h2d > before);
-    }
-
-    #[test]
-    fn oversized_module_streams_every_access() {
-        let store = ModuleStore::new(StoreConfig {
-            device_capacity_bytes: 8, // smaller than any module
-            ..Default::default()
-        });
-        store.insert(key("big"), module(16), 1.0);
-        let size = module(16).size_bytes() as u64;
-        store.get(&key("big"), Tier::Device);
-        store.get(&key("big"), Tier::Device);
-        assert_eq!(store.stats().bytes_copied_h2d, 2 * size);
-        assert_eq!(store.device_bytes(), 0);
-    }
-
-    #[test]
-    fn zero_capacity_behaves_like_pure_host_store_with_streaming() {
-        let store = ModuleStore::new(StoreConfig::default());
-        store.insert(key("a"), module(2), 1.0);
-        assert!(store.get(&key("a"), Tier::Device).is_some());
-        assert!(store.stats().bytes_copied_h2d > 0);
-    }
-
-    #[test]
-    fn replace_updates_device_accounting() {
-        let store = ModuleStore::new(StoreConfig {
-            device_capacity_bytes: 1 << 20,
-            ..Default::default()
-        });
+        let store = ModuleStore::new(
+            StoreConfig::default()
+                .policy(EvictionPolicy::Lru)
+                .host_capacity_bytes(2 * one),
+        );
         store.insert(key("a"), module(4), 1.0);
-        store.get(&key("a"), Tier::Device);
-        let used = store.device_bytes();
-        assert!(used > 0);
-        store.insert(key("a"), module(8), 1.0); // replacement lands on host
-        assert_eq!(store.device_bytes(), 0);
+        store.insert(key("b"), module(4), 1.0);
+        // Touch a to make b the LRU, then bring in c.
+        store.get(&key("a"), Tier::Host);
+        store.insert(key("c"), module(4), 1.0);
+        assert_eq!(store.stats().evictions, 1);
+        assert!(store.contains(&key("a")) && store.contains(&key("c")));
+        assert!(!store.contains(&key("b")), "the LRU entry was dropped");
+        assert_eq!(store.host_bytes(), 2 * one);
+    }
+
+    #[test]
+    fn replace_updates_host_accounting() {
+        let store = ModuleStore::new(StoreConfig::default());
+        store.insert(key("a"), module(4), 1.0);
+        store.insert(key("a"), module(8), 1.0);
+        assert_eq!(store.host_bytes(), module(8).size_bytes());
         assert_eq!(store.len(), 1);
     }
 
@@ -1357,53 +1100,13 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_promotes_without_counting_hits() {
-        let store = ModuleStore::new(StoreConfig {
-            device_capacity_bytes: 1 << 20,
-            ..Default::default()
-        });
-        store.insert(key("a"), module(4), 1.0);
-        store.insert(key("b"), module(4), 1.0);
-        let promoted = store.prefetch(&[key("a"), key("b"), key("missing")]);
-        assert_eq!(promoted, 2);
-        assert!(store.is_resident(&key("a")) && store.is_resident(&key("b")));
-        let s = store.stats();
-        assert_eq!(s.hits, 0, "prefetch is not a lookup");
-        assert_eq!(s.device_hits, 0);
-        assert!(s.bytes_copied_h2d > 0);
-        // A later real access is served without another copy.
-        let before = store.stats().bytes_copied_h2d;
-        store.get(&key("a"), Tier::Device);
-        assert_eq!(store.stats().bytes_copied_h2d, before);
-        assert_eq!(store.stats().device_hits, 1);
-    }
-
-    #[test]
-    fn prefetch_is_idempotent() {
-        let store = ModuleStore::new(StoreConfig {
-            device_capacity_bytes: 1 << 20,
-            ..Default::default()
-        });
-        store.insert(key("a"), module(4), 1.0);
-        assert_eq!(store.prefetch(&[key("a")]), 1);
-        assert_eq!(store.prefetch(&[key("a")]), 0);
-        assert_eq!(store.stats().device_hits, 0);
-    }
-
-    #[test]
     fn telemetry_mirrors_store_activity() {
         let telemetry = Telemetry::new();
-        let store = ModuleStore::with_telemetry(
-            StoreConfig {
-                device_capacity_bytes: 1 << 20,
-                ..Default::default()
-            },
-            &telemetry,
-        );
+        let store = ModuleStore::with_telemetry(StoreConfig::default(), &telemetry);
         let size = module(3).size_bytes();
         store.insert(key("a"), module(3), 1.0);
-        store.get(&key("a"), Tier::Device); // promote (copy)
-        store.get(&key("a"), Tier::Device); // device hit
+        store.get(&key("a"), Tier::Host);
+        store.get(&key("a"), Tier::Host);
         store.get(&key("missing"), Tier::Host); // miss
 
         let snap = telemetry.snapshot();
@@ -1421,11 +1124,8 @@ mod tests {
         };
         assert_eq!(counter("pc_cache_hits_total"), 2);
         assert_eq!(counter("pc_cache_misses_total"), 1);
-        assert_eq!(counter("pc_cache_device_hits_total"), 1);
-        assert_eq!(counter("pc_cache_bytes_copied_h2d_total"), size as u64);
         assert_eq!(gauge("pc_cache_modules"), 1);
         assert_eq!(gauge("pc_cache_host_bytes"), size as i64);
-        assert_eq!(gauge("pc_cache_device_bytes"), size as i64);
 
         store.remove(&key("a"));
         let snap = telemetry.snapshot();
@@ -1437,7 +1137,6 @@ mod tests {
         };
         assert_eq!(gauge("pc_cache_modules"), 0);
         assert_eq!(gauge("pc_cache_host_bytes"), 0);
-        assert_eq!(gauge("pc_cache_device_bytes"), 0);
     }
 
     #[test]
@@ -1481,12 +1180,11 @@ mod tests {
     fn verified_clean_reads_still_hit() {
         let store = ModuleStore::new(StoreConfig {
             verify_checksums: true,
-            device_capacity_bytes: 1 << 20,
             ..Default::default()
         });
         store.insert(key("a"), module(4), 1.0);
         assert!(store.get(&key("a"), Tier::Host).is_some());
-        assert!(store.get(&key("a"), Tier::Device).is_some());
+        assert!(store.get(&key("a"), Tier::Host).is_some());
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.corruptions_detected), (2, 0, 0));
     }
@@ -1523,34 +1221,6 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_round_trip_with_odd_keys() {
-        let dir = std::env::temp_dir().join(format!("pckv-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ModuleStore::new(StoreConfig::default());
-        // Keys with angle brackets and separators — the engine's internal
-        // span and scaffold keys look like this.
-        let odd = ModuleKey::new("my schema", &["<span>".into(), "3".into()]);
-        store.insert(odd.clone(), module(5), 1.0);
-        store.insert(key("plain"), module(2), 1.0);
-        assert_eq!(store.save_dir(&dir).unwrap(), 2);
-
-        let restored = ModuleStore::new(StoreConfig::default());
-        assert_eq!(restored.load_dir(&dir).unwrap(), 2);
-        let got = restored.get(&odd, Tier::Host).unwrap();
-        assert_eq!(got.len(), 5);
-        assert!(restored.get(&key("plain"), Tier::Host).is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn load_missing_dir_errors() {
-        let store = ModuleStore::new(StoreConfig::default());
-        assert!(store
-            .load_dir(std::path::Path::new("/nonexistent-pckv-dir"))
-            .is_err());
-    }
-
-    #[test]
     fn keys_lists_all() {
         let store = ModuleStore::new(StoreConfig::default());
         store.insert(key("a"), module(1), 1.0);
@@ -1565,16 +1235,15 @@ mod tests {
         let one = module(4).size_bytes();
         let store = ModuleStore::new(
             StoreConfig::default()
-                .device_capacity_bytes(2 * one)
+                .host_capacity_bytes(2 * one)
                 .module_analytics(true),
         );
-        for name in ["a", "b", "c"] {
-            store.insert(key(name), module(4), 1.0);
-        }
-        store.get(&key("a"), Tier::Device);
-        store.get(&key("b"), Tier::Device);
-        store.get(&key("a"), Tier::Device); // a is MRU, b is LRU
-        store.get(&key("c"), Tier::Device); // evicts b
+        store.insert(key("a"), module(4), 1.0);
+        store.insert(key("b"), module(4), 1.0);
+        store.get(&key("a"), Tier::Host);
+        store.get(&key("b"), Tier::Host);
+        store.get(&key("a"), Tier::Host); // a is MRU, b is LRU
+        store.insert(key("c"), module(4), 1.0); // evicts b
         store.get(&key("missing"), Tier::Host);
 
         let analytics = store.analytics().expect("enabled");
@@ -1601,18 +1270,18 @@ mod tests {
 
     #[test]
     fn snapshot_lists_entries_sorted() {
-        let store = ModuleStore::new(StoreConfig::default().device_capacity_bytes(1 << 20));
+        let store = ModuleStore::new(StoreConfig::default());
         store.insert(key("b"), module(2), 3.0);
         store.insert(key("a"), module(4), 1.0);
-        store.get(&key("a"), Tier::Device);
+        store.get(&key("a"), Tier::Host);
         let snap = store.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].module, "s:a");
-        assert!(snap[0].on_device);
+        assert_eq!(snap[0].tier, "host");
         assert_eq!(snap[0].access_count, 1);
         assert_eq!(snap[0].size_bytes, module(4).size_bytes());
         assert_eq!(snap[1].module, "s:b");
-        assert!(!snap[1].on_device);
+        assert_eq!(snap[1].tier, "host");
         assert_eq!(snap[1].recompute_cost, 3.0);
     }
 
@@ -1810,10 +1479,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_safe() {
-        let store = std::sync::Arc::new(ModuleStore::new(StoreConfig {
-            device_capacity_bytes: 4096,
-            ..Default::default()
-        }));
+        let store = std::sync::Arc::new(ModuleStore::new(StoreConfig::default()));
         for i in 0..8 {
             store.insert(key(&format!("m{i}")), module(4), 1.0);
         }
@@ -1823,7 +1489,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..100 {
                         let k = key(&format!("m{}", (i + t) % 8));
-                        let _ = store.get(&k, if i % 2 == 0 { Tier::Host } else { Tier::Device });
+                        let _ = store.get(&k, Tier::Host);
                     }
                 });
             }

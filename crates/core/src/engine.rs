@@ -32,30 +32,22 @@ use std::time::{Duration, Instant};
 ///
 /// ```
 /// use prompt_cache::EngineConfig;
-/// let config = EngineConfig::default().degrade_on_miss(false).prefetch_union_siblings(true);
+/// let config = EngineConfig::default().degrade_on_miss(false);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineConfig {
-    /// Module-store configuration (device-tier capacity, eviction policy).
+    /// Module-store configuration (host-tier bound, eviction policy,
+    /// optional disk tier).
     pub store: StoreConfig,
     /// Chat template for `<system>/<user>/<assistant>` tags.
     pub template: ChatTemplate,
-    /// Default memory tier modules are fetched into at serve time.
-    /// `None` means host inference (no device copies) — override per call
-    /// with [`ServeOptions::tier`].
-    pub tier: Option<Tier>,
     /// Thread count for concurrent module encoding at registration (each
     /// owner module is an independent encode, so they fan out across the
     /// shared pool). Defaults to [`Parallelism::from_env`], which honours
     /// the `PC_THREADS` environment variable. Stored span states are
     /// byte-identical at any thread count.
     pub parallelism: Parallelism,
-    /// After serving a prompt that imported a union member, prefetch the
-    /// sibling members into the device tier (§3.2.3's union prefetching):
-    /// the next request is likely to pick a different member at the same
-    /// positions.
-    pub prefetch_union_siblings: bool,
     /// Telemetry collector threaded through the engine, module store, and
     /// model: serve phases become spans, cache activity becomes
     /// `pc_cache_*` counters/gauges, sampled forward passes record
@@ -79,9 +71,7 @@ impl Default for EngineConfig {
         EngineConfig {
             store: StoreConfig::default(),
             template: ChatTemplate::default(),
-            tier: None,
             parallelism: Parallelism::default(),
-            prefetch_union_siblings: false,
             telemetry: Telemetry::disabled(),
             degrade_on_miss: true,
         }
@@ -103,24 +93,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the default serve-time memory tier.
-    #[must_use]
-    pub fn tier(mut self, tier: Tier) -> Self {
-        self.tier = Some(tier);
-        self
-    }
-
     /// Sets the parallelism configuration.
     #[must_use]
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Enables or disables union-sibling prefetching (§3.2.3).
-    #[must_use]
-    pub fn prefetch_union_siblings(mut self, on: bool) -> Self {
-        self.prefetch_union_siblings = on;
         self
     }
 
@@ -157,8 +133,6 @@ impl EngineConfig {
 pub struct ServeOptions {
     /// Maximum tokens to generate.
     pub max_new_tokens: usize,
-    /// Memory tier override for this call.
-    pub tier: Option<Tier>,
     /// Honour registered scaffolds (§3.3) when all members are imported.
     pub use_scaffolds: bool,
     /// Sampling temperature; `None` selects deterministic greedy decoding
@@ -183,7 +157,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             max_new_tokens: 16,
-            tier: None,
             use_scaffolds: true,
             temperature: None,
             deadline: None,
@@ -197,13 +170,6 @@ impl ServeOptions {
     #[must_use]
     pub fn max_new_tokens(mut self, n: usize) -> Self {
         self.max_new_tokens = n;
-        self
-    }
-
-    /// Sets the memory-tier override for this call.
-    #[must_use]
-    pub fn tier(mut self, tier: Tier) -> Self {
-        self.tier = Some(tier);
         self
     }
 
@@ -330,9 +296,6 @@ pub(crate) struct PendingDecode {
     /// Cache accounting captured by the assemble stage.
     stats: ServeStats,
     warnings: Vec<String>,
-    /// Union-sibling span keys to prefetch at finalize (outside the
-    /// timed region).
-    prefetch_keys: Vec<ModuleKey>,
 }
 
 /// What [`PromptCache::assemble`] hands to prefill: the session view over
@@ -599,8 +562,8 @@ impl PromptCache {
             }
         }
 
-        // Spans already present in the store (e.g. loaded from disk via
-        // [`PromptCache::load_modules`]) are reused instead of re-encoded
+        // Spans already present in the store (e.g. restored from the disk
+        // tier via [`PromptCache::restore`]) are reused instead of re-encoded
         // — precomputation survives process restarts. A cold registration
         // (`warm == false`) encodes no owners at all: serving re-encodes
         // missing modules on demand via degrade-on-miss.
@@ -988,9 +951,8 @@ impl PromptCache {
         let tokenize_end = started.elapsed();
 
         // --- step ②: fetch cached states and assemble the session view ---
-        let tier = options.tier.or(self.config.tier).unwrap_or(Tier::Host);
         let Assembled { mut view, row_tokens, stats } =
-            self.assemble(entry, &prompt.schema, &resolved, tier, options.use_scaffolds)?;
+            self.assemble(entry, &prompt.schema, &resolved, options.use_scaffolds)?;
         let fetch_end = started.elapsed();
 
         if let Some(outcome) = cancel.interruption() {
@@ -1023,7 +985,6 @@ impl PromptCache {
             sampler: Self::sampler_for(options),
             max_new_tokens: options.max_new_tokens,
             stats: ServeStats { new_tokens: chunk.tokens.len(), ..stats },
-            prefetch_keys: self.union_prefetch_keys(entry, &prompt.schema, &resolved, tier),
             warnings: resolved.warnings,
         })))
     }
@@ -1080,7 +1041,6 @@ impl PromptCache {
         entry: &RegisteredSchema,
         schema: &str,
         resolved: &ResolvedPrompt,
-        tier: Tier,
         use_scaffolds: bool,
     ) -> Result<Assembled> {
         let telemetry = &self.config.telemetry;
@@ -1099,7 +1059,7 @@ impl PromptCache {
             Vec::new()
         };
         for &(scaffold, shift) in &selected_scaffolds {
-            let states = match self.store.get(&scaffold.key, tier) {
+            let states = match self.store.get(&scaffold.key, Tier::Host) {
                 Some(states) => states,
                 None if self.config.degrade_on_miss => {
                     let _degrade_span = telemetry.span("degrade");
@@ -1154,7 +1114,7 @@ impl PromptCache {
             // layout.
             let shift = *start as isize - entry.canonical_starts[*span_index] as isize;
             let key = self.span_key(schema, *span_index);
-            let states = match self.store.get(&key, tier) {
+            let states = match self.store.get(&key, Tier::Host) {
                 Some(states) => states,
                 None if self.config.degrade_on_miss => {
                     let _degrade_span = telemetry.span("degrade");
@@ -1345,43 +1305,8 @@ impl PromptCache {
         Ok(self.model.prefill(&[last_token], &[last_pos], view)?)
     }
 
-    /// Union prefetching (§3.2.3): the sibling span keys of every
-    /// imported union member, collected while the schema read lock is
-    /// held; the store prefetch itself runs at finalize time, outside the
-    /// timed region — the next request likely swaps one member.
-    fn union_prefetch_keys(
-        &self,
-        entry: &RegisteredSchema,
-        schema: &str,
-        resolved: &ResolvedPrompt,
-        tier: Tier,
-    ) -> Vec<ModuleKey> {
-        let mut keys = Vec::new();
-        if !self.config.prefetch_union_siblings || tier != Tier::Device {
-            return keys;
-        }
-        for path in imported_modules(resolved) {
-            let Some(info) = entry.layout.module(path) else {
-                continue;
-            };
-            let Some(group) = info.union_group else {
-                continue;
-            };
-            for sibling in &entry.layout.modules {
-                if sibling.union_group == Some(group) && sibling.path != *path {
-                    for (i, span) in entry.layout.spans.iter().enumerate() {
-                        if span.owner == sibling.path {
-                            keys.push(self.span_key(schema, i));
-                        }
-                    }
-                }
-            }
-        }
-        keys
-    }
-
-    /// The serve pipeline after decode: assemble the TTFT breakdown,
-    /// run deferred union prefetching, and build the [`Response`].
+    /// The serve pipeline after decode: assemble the TTFT breakdown and
+    /// build the [`Response`].
     /// `tokens`/`ttft`/`decode`/`outcome` come from whichever decode loop
     /// ran — the solo [`PromptCache::decode_loop`] or the batch
     /// scheduler's interleaved steps.
@@ -1407,10 +1332,6 @@ impl PromptCache {
             prefill: p.prefill_end - p.fetch_end,
             sample: ttft.saturating_sub(p.prefill_end),
         };
-
-        if !p.prefetch_keys.is_empty() {
-            self.store.prefetch(&p.prefetch_keys);
-        }
 
         let response = Response {
             text: self.tokenizer.decode(&tokens),
@@ -1711,37 +1632,12 @@ impl PromptCache {
         Ok((tokens, ttft, decode, outcome))
     }
 
-    /// Persists every encoded module to `dir` (binary codec + manifest),
-    /// so a restarted server can skip re-encoding: register the same
-    /// schemas after [`PromptCache::load_modules`] and spans found in the
-    /// store are reused.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors.
-    pub fn save_modules(&self, dir: &std::path::Path) -> std::io::Result<usize> {
-        self.store.save_dir(dir)
-    }
-
-    /// Loads modules persisted by [`PromptCache::save_modules`]. Call
-    /// before registering schemas.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors or corrupted payloads.
-    pub fn load_modules(&self, dir: &std::path::Path) -> std::io::Result<usize> {
-        self.store.load_dir(dir)
-    }
-
     /// Snapshots the module library to the store's disk tier (see
     /// `docs/PERSISTENCE.md`): every in-memory module is written down
     /// and the tier's index is flushed, so the next process over the
     /// same directory starts warm. Returns how many modules were
-    /// written.
-    ///
-    /// Unlike [`PromptCache::save_modules`] this uses the tiered store's
-    /// own segment format — crash-recoverable, checksummed, and
-    /// optionally quantized ([`pc_cache::ColdEncoding`]).
+    /// written. The format is the disk tier's own: crash-recoverable,
+    /// checksummed, and optionally quantized ([`pc_cache::ColdEncoding`]).
     ///
     /// # Errors
     ///

@@ -10,7 +10,6 @@
 use crate::engine::ServeOptions;
 use crate::cancel::CancelToken;
 use crate::response::Response;
-use pc_cache::Tier;
 use pc_model::{KvView, TokenId};
 use std::time::Duration;
 
@@ -54,7 +53,7 @@ impl std::fmt::Debug for ServeRequest<'_> {
 
 impl<'a> ServeRequest<'a> {
     /// A request for `prompt_pml` with default options: cached path,
-    /// greedy sampling, engine-default tier, no streaming, no session.
+    /// greedy sampling, no streaming, no session.
     pub fn new(prompt_pml: impl Into<String>) -> Self {
         ServeRequest {
             prompt: prompt_pml.into(),
@@ -77,13 +76,6 @@ impl<'a> ServeRequest<'a> {
     #[must_use]
     pub fn max_new_tokens(mut self, n: usize) -> Self {
         self.options.max_new_tokens = n;
-        self
-    }
-
-    /// Storage tier to fetch module states from.
-    #[must_use]
-    pub fn tier(mut self, tier: Tier) -> Self {
-        self.options.tier = Some(tier);
         self
     }
 

@@ -1,7 +1,9 @@
 //! Tests for the serving-system features layered on the core mechanism:
-//! streaming decode, module persistence, and union-sibling prefetching.
+//! streaming decode, module persistence, schema listing, concurrent
+//! registration, and schema replacement. The warm-restart edge cases
+//! (laziness, int8 drift, old formats) are in `persistence_tests.rs`.
 
-use pc_cache::{EvictionPolicy, StoreConfig, Tier};
+use pc_cache::{DiskConfig, StoreConfig};
 use pc_model::{Model, ModelConfig};
 use pc_tokenizer::{Tokenizer, WordTokenizer};
 use prompt_cache::{EngineConfig, PromptCache, ServeOptions};
@@ -66,38 +68,11 @@ fn streaming_baseline_equivalence_preserved() {
     assert_eq!(streamed.tokens, plain.tokens);
 }
 
-#[test]
-fn union_sibling_prefetch_warms_device_tier() {
-    let engine = engine_with(EngineConfig::default().store(StoreConfig::default().device_capacity_bytes(1 << 22).policy(EvictionPolicy::Lru)).tier(Tier::Device).prefetch_union_siblings(true));
-    engine.register_schema(UNION_SCHEMA).unwrap();
-    let opts = ServeOptions::default().max_new_tokens(1);
-    // Serving member `a` should prefetch b and c.
-    engine
-        .serve(&ServeRequest::new(r#"<prompt schema="u"><a/>answer</prompt>"#).options(opts.clone())).map(Served::into_response)
-        .unwrap();
-    let copied_after_first = engine.store_stats().bytes_copied_h2d;
-    // Serving member `b` now finds it resident: no further copies.
-    engine
-        .serve(&ServeRequest::new(r#"<prompt schema="u"><b/>answer</prompt>"#).options(opts.clone())).map(Served::into_response)
-        .unwrap();
-    let stats = engine.store_stats();
-    assert_eq!(stats.bytes_copied_h2d, copied_after_first);
-    assert!(stats.device_hits >= 1);
-}
-
-#[test]
-fn without_prefetch_siblings_pay_their_own_copy() {
-    let engine = engine_with(EngineConfig::default().store(StoreConfig::default().device_capacity_bytes(1 << 22).policy(EvictionPolicy::Lru)).tier(Tier::Device).prefetch_union_siblings(false));
-    engine.register_schema(UNION_SCHEMA).unwrap();
-    let opts = ServeOptions::default().max_new_tokens(1);
-    engine
-        .serve(&ServeRequest::new(r#"<prompt schema="u"><a/>answer</prompt>"#).options(opts.clone())).map(Served::into_response)
-        .unwrap();
-    let after_first = engine.store_stats().bytes_copied_h2d;
-    engine
-        .serve(&ServeRequest::new(r#"<prompt schema="u"><b/>answer</prompt>"#).options(opts.clone())).map(Served::into_response)
-        .unwrap();
-    assert!(engine.store_stats().bytes_copied_h2d > after_first);
+fn disk_engine(dir: &std::path::Path) -> PromptCache {
+    engine_with(
+        EngineConfig::default()
+            .store(StoreConfig::default().disk(DiskConfig::new(dir.to_path_buf()))),
+    )
 }
 
 #[test]
@@ -108,10 +83,10 @@ fn persistence_round_trip_skips_re_encoding() {
     // First process: register (encodes), generate a reference output,
     // persist.
     let reference = {
-        let engine = engine_with(EngineConfig::default());
+        let engine = disk_engine(&dir);
         let info = engine.register_schema(UNION_SCHEMA).unwrap();
         assert_eq!(info.spans, 3);
-        let saved = engine.save_modules(&dir).unwrap();
+        let saved = engine.snapshot().unwrap();
         assert_eq!(saved, 3);
         engine
             .serve(&ServeRequest::new(r#"<prompt schema="u"><c/>answer the question now</prompt>"#).max_new_tokens(6)).map(Served::into_response)
@@ -119,57 +94,19 @@ fn persistence_round_trip_skips_re_encoding() {
             .tokens
     };
 
-    // Second process (same seed ⇒ same weights): load states, register —
+    // Second process (same seed ⇒ same weights): restore states, register —
     // no re-encoding — and serve identically.
-    let engine = engine_with(EngineConfig::default());
-    let loaded = engine.load_modules(&dir).unwrap();
+    let engine = disk_engine(&dir);
+    let loaded = engine.restore().unwrap();
     assert_eq!(loaded, 3);
     let info = engine.register_schema(UNION_SCHEMA).unwrap();
     assert_eq!(info.spans, 3, "preloaded spans counted");
     let r = engine
         .serve(&ServeRequest::new(r#"<prompt schema="u"><c/>answer the question now</prompt>"#).max_new_tokens(6)).map(Served::into_response)
         .unwrap();
+    assert_eq!(r.stats.degraded_spans, 0, "no recompute after restore");
     assert_eq!(r.tokens, reference);
 
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn stale_persisted_states_are_re_encoded_not_reused() {
-    // Persist states for one schema revision, then register an *edited*
-    // schema under the same name: the engine must detect the mismatch and
-    // re-encode rather than serve stale states.
-    let dir = std::env::temp_dir().join(format!("pc-engine-stale-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let engine = engine_with(EngineConfig::default());
-        engine.register_schema(UNION_SCHEMA).unwrap();
-        engine.save_modules(&dir).unwrap();
-    }
-    // Edited revision: module `a` has different (longer) content.
-    let edited = r#"
-      <schema name="u">
-        <union>
-          <module name="a">alpha beta gamma delta epsilon zeta eta</module>
-          <module name="b">zeta eta theta iota kappa</module>
-          <module name="c">lambda mu nu xi omicron</module>
-        </union>
-      </schema>"#;
-    let engine = engine_with(EngineConfig::default());
-    engine.load_modules(&dir).unwrap();
-    engine.register_schema(edited).unwrap();
-    // Serving module `a` must reflect the edited 7-token content.
-    let r = engine
-        .serve(&ServeRequest::new(r#"<prompt schema="u"><a/>answer the question now</prompt>"#).max_new_tokens(2)).map(Served::into_response)
-        .unwrap();
-    assert_eq!(r.stats.cached_tokens, 7);
-    // And the output must equal a fresh engine's (no stale states leaked).
-    let fresh = engine_with(EngineConfig::default());
-    fresh.register_schema(edited).unwrap();
-    let f = fresh
-        .serve(&ServeRequest::new(r#"<prompt schema="u"><a/>answer the question now</prompt>"#).max_new_tokens(2)).map(Served::into_response)
-        .unwrap();
-    assert_eq!(r.tokens, f.tokens);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -177,15 +114,16 @@ fn stale_persisted_states_are_re_encoded_not_reused() {
 fn persisted_states_are_bit_identical_to_fresh_encoding() {
     let dir = std::env::temp_dir().join(format!("pc-engine-bits-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let fresh = engine_with(EngineConfig::default());
+    let fresh = disk_engine(&dir);
     fresh.register_schema(UNION_SCHEMA).unwrap();
-    fresh.save_modules(&dir).unwrap();
+    fresh.snapshot().unwrap();
 
-    let restored = engine_with(EngineConfig::default());
-    restored.load_modules(&dir).unwrap();
+    let restored = disk_engine(&dir);
+    restored.restore().unwrap();
     restored.register_schema(UNION_SCHEMA).unwrap();
     // Bytes held must match exactly (f32-exact codec round trip).
     assert_eq!(fresh.cached_bytes(), restored.cached_bytes());
+    drop(fresh);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

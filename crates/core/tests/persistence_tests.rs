@@ -59,13 +59,16 @@ fn snapshot_then_restore_serves_byte_identically() {
     // Pre-restart engine: encode, serve, snapshot the library to disk.
     let healthy;
     let persisted;
+    let spans;
+    let cached_bytes;
     {
         let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
-        engine.register_schema(SCHEMA).unwrap();
+        spans = engine.register_schema(SCHEMA).unwrap().spans;
         healthy = serve(&engine);
         assert_eq!(healthy.stats.degraded_spans, 0);
         persisted = engine.snapshot().unwrap();
         assert!(persisted >= 2, "both schema modules snapshot");
+        cached_bytes = engine.cached_bytes();
     }
 
     // Post-restart engine: restore first, then register — registration
@@ -75,13 +78,51 @@ fn snapshot_then_restore_serves_byte_identically() {
     let restored = engine.restore().unwrap();
     assert_eq!(restored, persisted, "the whole library survives restart");
     assert!(engine.store_stats().promotions as usize >= restored);
-    engine.register_schema(SCHEMA).unwrap();
+    let info = engine.register_schema(SCHEMA).unwrap();
+    assert_eq!(info.spans, spans, "preloaded spans are counted");
+    assert_eq!(
+        engine.cached_bytes(),
+        cached_bytes,
+        "the f32 round trip holds exactly the bytes a fresh encode does"
+    );
 
     let warm = serve(&engine);
     assert_eq!(warm.stats.degraded_spans, 0, "no recompute after restore");
     assert_eq!(warm.stats.cached_tokens, healthy.stats.cached_tokens);
     assert_eq!(warm.tokens, healthy.tokens, "restart is byte-identical");
     assert_eq!(warm.text, healthy.text);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stale_persisted_states_are_re_encoded_not_reused() {
+    // Snapshot one schema revision, then register an *edited* schema
+    // under the same name over the restored library: the engine must
+    // detect the mismatch and re-encode rather than serve stale states.
+    let dir = temp_dir("stale");
+    {
+        let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+        engine.register_schema(SCHEMA).unwrap();
+        engine.snapshot().unwrap();
+    }
+    // Edited revision: module `ctx` has different (shorter) content.
+    let edited = r#"<schema name="s">
+        <module name="ctx">alpha beta gamma delta epsilon zeta</module>
+        <module name="extra">one two three four</module>
+      </schema>"#;
+    let prompt = r#"<prompt schema="s"><ctx/>question</prompt>"#;
+    let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+    engine.restore().unwrap();
+    engine.register_schema(edited).unwrap();
+    let request = || ServeRequest::new(prompt).options(opts());
+    let r = engine.serve(&request()).map(Served::into_response).unwrap();
+    // Serving `ctx` must reflect the edited 6-token content.
+    assert_eq!(r.stats.cached_tokens, 6);
+    // And the output must equal a fresh engine's (no stale states leaked).
+    let fresh = bare_engine(EngineConfig::default());
+    fresh.register_schema(edited).unwrap();
+    let f = fresh.serve(&request()).map(Served::into_response).unwrap();
+    assert_eq!(r.tokens, f.tokens);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

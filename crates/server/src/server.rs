@@ -1246,9 +1246,7 @@ pub(crate) fn render_metrics(shared: &Shared, engine: &PromptCache) -> String {
     for (name, value) in [
         ("pc_cache_hits_total", stats.hits),
         ("pc_cache_misses_total", stats.misses),
-        ("pc_cache_device_hits_total", stats.device_hits),
         ("pc_cache_evictions_total", stats.evictions),
-        ("pc_cache_bytes_copied_h2d_total", stats.bytes_copied_h2d),
         ("pc_cache_corruptions_total", stats.corruptions_detected),
         ("pc_demotions_total", stats.demotions),
         ("pc_promotions_total", stats.promotions),
@@ -1280,11 +1278,9 @@ pub(crate) fn render_metrics(shared: &Shared, engine: &PromptCache) -> String {
         text,
         "# HELP pc_store_tier_bytes {}\n# TYPE pc_store_tier_bytes gauge\n\
          pc_store_tier_bytes{{tier=\"host\"}} {}\n\
-         pc_store_tier_bytes{{tier=\"device\"}} {}\n\
          pc_store_tier_bytes{{tier=\"disk\"}} {}",
         help("pc_store_tier_bytes"),
         engine.store().host_bytes(),
-        engine.store().device_bytes(),
         engine.store().disk_bytes(),
     );
     let _ = writeln!(
@@ -1331,16 +1327,13 @@ pub(crate) fn render_debug_cache(engine: &PromptCache) -> String {
     use std::fmt::Write as _;
     let stats = engine.store_stats();
     let mut out = format!(
-        "{{\"stats\":{{\"hits\":{},\"misses\":{},\"device_hits\":{},\
-         \"evictions\":{},\"bytes_copied_h2d\":{},\"corruptions\":{},\
-         \"demotions\":{},\"promotions\":{},\"disk_hits\":{},\
-         \"disk_corruptions\":{},\"disk_bytes\":{}}},\
+        "{{\"stats\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
+         \"corruptions\":{},\"demotions\":{},\"promotions\":{},\
+         \"disk_hits\":{},\"disk_corruptions\":{},\"disk_bytes\":{}}},\
          \"modules\":[",
         stats.hits,
         stats.misses,
-        stats.device_hits,
         stats.evictions,
-        stats.bytes_copied_h2d,
         stats.corruptions_detected,
         stats.demotions,
         stats.promotions,
@@ -1354,11 +1347,10 @@ pub(crate) fn render_debug_cache(engine: &PromptCache) -> String {
         }
         let _ = write!(
             out,
-            "{{\"module\":\"{}\",\"size_bytes\":{},\"on_device\":{},\"tier\":\"{}\",\
+            "{{\"module\":\"{}\",\"size_bytes\":{},\"tier\":\"{}\",\
              \"access_count\":{},\"last_access\":{},\"recompute_cost\":{:.3}}}",
             json_escape(&m.module),
             m.size_bytes,
-            m.on_device,
             m.tier,
             m.access_count,
             m.last_access,

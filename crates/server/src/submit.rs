@@ -21,7 +21,6 @@
 
 use std::time::Duration;
 
-use pc_cache::Tier;
 use prompt_cache::{CancelToken, ServeOptions};
 
 /// A request to a [`Server`](crate::Server) or
@@ -63,13 +62,6 @@ impl SubmitRequest {
     #[must_use]
     pub fn max_new_tokens(mut self, n: usize) -> Self {
         self.options.max_new_tokens = n;
-        self
-    }
-
-    /// Storage tier to fetch modules from.
-    #[must_use]
-    pub fn tier(mut self, tier: Tier) -> Self {
-        self.options.tier = Some(tier);
         self
     }
 

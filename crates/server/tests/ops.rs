@@ -3,7 +3,7 @@
 //! zero-overhead-when-disabled guarantee (no listener thread, no event
 //! ring, byte-identical serve results with the ops plane on vs off).
 
-use pc_cache::StoreConfig;
+use pc_cache::{DiskConfig, StoreConfig};
 use pc_model::{Model, ModelConfig};
 use pc_server::{RequestHandle, Server, ServerConfig, SubmitRequest};
 use pc_tokenizer::{Tokenizer, WordTokenizer};
@@ -125,13 +125,12 @@ fn all_four_endpoints_serve_over_plain_tcp() {
     assert!(metrics.contains("pc_slo_violations_total 0"), "{metrics}");
     assert!(metrics.contains("pc_slo_budget_burn_ratio_bucket{le=\"1\"}"), "{metrics}");
     // Tiered-persistence series are always exported (zero without a
-    // disk tier), with per-tier occupancy labeled host/device/disk.
+    // disk tier), with per-tier occupancy labeled host/disk.
     assert!(metrics.contains("# HELP pc_demotions_total "), "{metrics}");
     assert!(metrics.contains("# HELP pc_promotions_total "), "{metrics}");
     assert!(metrics.contains("pc_cache_disk_hits_total "), "{metrics}");
     assert!(metrics.contains("pc_cache_disk_corruptions_total "), "{metrics}");
     assert!(metrics.contains("pc_store_tier_bytes{tier=\"host\"}"), "{metrics}");
-    assert!(metrics.contains("pc_store_tier_bytes{tier=\"device\"}"), "{metrics}");
     assert!(metrics.contains("pc_store_tier_bytes{tier=\"disk\"}"), "{metrics}");
     // Every non-comment line is `name[{labels}] value`.
     for line in metrics.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
@@ -166,7 +165,7 @@ fn all_four_endpoints_serve_over_plain_tcp() {
         assert!(m["module"].as_str().unwrap().starts_with("trip:"));
         assert!(m["size_bytes"].as_u64().unwrap() > 0);
         let tier = m["tier"].as_str().unwrap();
-        assert!(matches!(tier, "host" | "device" | "disk"), "{tier}");
+        assert!(matches!(tier, "host" | "disk"), "{tier}");
     }
     // The tier counters ride in stats (zero here: no disk tier).
     assert_eq!(cache["stats"]["demotions"].as_u64(), Some(0));
@@ -302,4 +301,75 @@ fn batched_server_telemetry_on_off_byte_identity() {
         batching().ops_addr(localhost()).flight_recorder(128),
     );
     assert_eq!(quiet, observed, "telemetry + ops plane must not perturb batched output");
+}
+
+/// The store series a document or a scrape names: every `pc_cache_*` and
+/// `pc_store_*` name, plus `pc_demotions_total` and `pc_promotions_total`.
+/// A name is a maximal `[a-z0-9_]` run starting `pc_`, so a wildcard such
+/// as `pc_cache_disk_*` yields a name no scrape has.
+fn store_series(text: &str) -> std::collections::BTreeSet<String> {
+    let is_name = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+    let mut names = std::collections::BTreeSet::new();
+    for (at, _) in text.match_indices("pc_") {
+        if text[..at].chars().next_back().is_some_and(is_name) {
+            continue;
+        }
+        let rest = &text[at..];
+        let name = rest[..rest.find(|c: char| !is_name(c)).unwrap_or(rest.len())].trim_end_matches('_');
+        if name.starts_with("pc_cache_")
+            || name.starts_with("pc_store_")
+            || name == "pc_demotions_total"
+            || name == "pc_promotions_total"
+        {
+            names.insert(name.to_owned());
+        }
+    }
+    names
+}
+
+#[test]
+fn store_series_in_the_scrape_are_the_documented_ones() {
+    let dir = std::env::temp_dir().join(format!("pc-ops-store-series-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(
+        engine_with(
+            EngineConfig::default()
+                .telemetry(Telemetry::new())
+                .store(StoreConfig::default().disk(DiskConfig::new(&dir))),
+        ),
+        ServerConfig::default().ops_addr(localhost()),
+    );
+    warm(&server);
+    let (status, _, metrics) = http_get(server.ops_local_addr().unwrap(), "/metrics");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let exported: String = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let exported = store_series(&exported);
+    for line in metrics.lines().filter(|l| l.starts_with("pc_store_tier_bytes{")) {
+        assert!(
+            line.starts_with("pc_store_tier_bytes{tier=\"host\"}")
+                || line.starts_with("pc_store_tier_bytes{tier=\"disk\"}"),
+            "{line}"
+        );
+    }
+
+    let readme = include_str!("../../../README.md");
+    let table = readme
+        .split("### Prometheus metrics")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").nth(1))
+        .expect("README has a Prometheus metrics table");
+    assert_eq!(store_series(table), exported, "README metrics table vs /metrics");
+    let observability = store_series(include_str!("../../../docs/OBSERVABILITY.md"));
+    assert!(
+        observability.is_subset(&exported),
+        "docs/OBSERVABILITY.md names series /metrics does not export: {:?}",
+        observability.difference(&exported).collect::<Vec<_>>()
+    );
 }

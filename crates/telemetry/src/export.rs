@@ -42,25 +42,22 @@ pub fn help_for(name: &str) -> &'static str {
         // Module store.
         "pc_cache_hits_total" => "Module-store lookups served from the store.",
         "pc_cache_misses_total" => "Module-store lookups that found nothing servable.",
-        "pc_cache_device_hits_total" => "Lookups served without a copy because the module was already device-resident.",
-        "pc_cache_evictions_total" => "Device-tier evictions performed.",
+        "pc_cache_evictions_total" => "Modules dropped by the host capacity bound with no disk tier below to demote them to.",
         "pc_cache_corruptions_total" => "Checksum mismatches caught by verification (entry dropped, caller recomputes).",
-        "pc_cache_bytes_copied_h2d_total" => "Bytes copied host-to-device on module promotions and streaming reads.",
         "pc_cache_host_bytes" => "Bytes of encoded module state held in the host tier.",
-        "pc_cache_device_bytes" => "Bytes of encoded module state resident in the device tier.",
         "pc_cache_modules" => "Modules currently stored in memory.",
-        // Tiered persistence (disk tier below host/device).
+        // Tiered persistence (disk tier below host memory).
         "pc_demotions_total" => "Modules demoted host-to-disk by the host capacity bound.",
         "pc_promotions_total" => "Modules promoted disk-to-host (lookup fallthrough or restore).",
         "pc_cache_disk_hits_total" => "Lookups that missed memory and were served from the disk tier.",
         "pc_cache_disk_corruptions_total" => "Disk records dropped on checksum/decode failure (caller re-encodes).",
         "pc_cache_disk_bytes" => "Live bytes held by the disk tier (encoded, after any quantization).",
-        "pc_store_tier_bytes" => "Bytes held per store tier; labeled tier=\"host\"|\"device\"|\"disk\".",
+        "pc_store_tier_bytes" => "Bytes held per store tier; labeled tier=\"host\"|\"disk\".",
         // Per-module analytics (labeled by module id).
         "pc_module_hits_total" => "Store hits attributed to one module.",
         "pc_module_misses_total" => "Store misses attributed to one module.",
         "pc_module_degrades_total" => "Graceful-degradation recomputes attributed to one module.",
-        "pc_module_evictions_total" => "Device-tier evictions of one module.",
+        "pc_module_evictions_total" => "Host-tier evictions (drops without a disk tier) of one module.",
         "pc_module_relocations_total" => "Store hits served at a non-zero placement shift (deferred-RoPE relocation).",
         "pc_module_kv_bytes_shared_total" => "Module KV bytes served zero-copy (Arc-aliased into session views).",
         "pc_module_shared_rows_total" => "KV rows of this module streamed once per prefix group by the batched kernel.",
@@ -75,11 +72,9 @@ pub fn help_for(name: &str) -> &'static str {
         "pc_kv_rows_shared_read_total" => "KV rows streamed once per tile of prefix-group members.",
         "pc_kv_rows_private_read_total" => "KV rows streamed for a single sequence (tails, unshared caches).",
         "pc_batch_share_ratio" => "Shared fraction of the last tick's KV row reads, in percent.",
-        // Model + arena.
+        // Model.
         "pc_model_attention_seconds" => "Sampled attention time per forward pass or batched decode step.",
         "pc_model_mlp_seconds" => "Sampled MLP time per forward pass or batched decode step.",
-        "pc_arena_bytes" => "Bytes held by the buffered-concatenation arena.",
-        "pc_arena_rows" => "Rows held by the buffered-concatenation arena.",
         // Sharded fleet: router-level request lifecycle.
         "pc_fleet_requests_served_total" => "Requests completed by any fleet worker (including partial responses).",
         "pc_fleet_requests_failed_total" => "Fleet requests that ended in an engine or worker error.",

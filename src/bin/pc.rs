@@ -15,6 +15,7 @@
 //! attention-state reuse); the tokenizer is a word tokenizer trained on
 //! the supplied files, so layouts and cache statistics are exact.
 
+use pc_cache::{DiskConfig, StoreConfig};
 use pc_model::{Model, ModelConfig};
 use pc_pml::layout::SchemaLayout;
 use pc_pml::template::ChatTemplate;
@@ -60,13 +61,13 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn build_engine(texts: &[&str], seed: u64) -> PromptCache {
+fn build_engine(texts: &[&str], seed: u64, config: EngineConfig) -> PromptCache {
     let tokenizer = WordTokenizer::train(texts);
     let vocab = tokenizer.vocab_size().max(64);
     PromptCache::new(
         Model::new(ModelConfig::llama_small(vocab), seed),
         tokenizer,
-        EngineConfig::default(),
+        config,
     )
 }
 
@@ -75,7 +76,7 @@ fn demo() -> i32 {
         <module name="context">the quick brown fox jumps over the lazy dog near the river bank</module>
       </schema>"#;
     let prompt = r#"<prompt schema="demo"><context/>what does the fox do</prompt>"#;
-    let engine = build_engine(&[schema, "what does the fox do"], 42);
+    let engine = build_engine(&[schema, "what does the fox do"], 42, EngineConfig::default());
     engine.register_schema(schema).expect("demo schema is valid");
     let opts = ServeOptions::default().max_new_tokens(6);
     let cached = engine.serve(&ServeRequest::new(prompt).options(opts.clone())).map(Served::into_response).expect("serve");
@@ -178,7 +179,7 @@ fn chat(args: &[String]) -> i32 {
     };
     let schema_src = read(schema_path);
     let prompt_src = read(prompt_path);
-    let engine = build_engine(&[schema_src.as_str(), prompt_src.as_str()], 42);
+    let engine = build_engine(&[schema_src.as_str(), prompt_src.as_str()], 42, EngineConfig::default());
     if let Err(e) = engine.register_schema(&schema_src) {
         eprintln!("schema error: {e}");
         return 1;
@@ -259,7 +260,7 @@ fn serve(args: &[String]) -> i32 {
     let baseline = args.iter().any(|a| a == "--baseline");
     let stream = args.iter().any(|a| a == "--stream");
 
-    let engine = build_engine(&[schema_src.as_str(), prompt_src.as_str()], 42);
+    let engine = build_engine(&[schema_src.as_str(), prompt_src.as_str()], 42, EngineConfig::default());
     if let Err(e) = engine.register_schema(&schema_src) {
         eprintln!("schema error: {e}");
         return 1;
@@ -315,17 +316,19 @@ fn encode(args: &[String]) -> i32 {
         return 2;
     };
     let schema_src = read(schema_path);
-    let engine = build_engine(&[schema_src.as_str()], 42);
+    // The output directory is the engine's disk tier: `snapshot` writes
+    // every encoded module into it, and an engine opened over the same
+    // directory starts warm.
+    let store = StoreConfig::default().disk(DiskConfig::new(&out));
+    let engine = build_engine(&[schema_src.as_str()], 42, EngineConfig::default().store(store));
     match engine.register_schema(&schema_src) {
         Ok(info) => {
-            let saved = engine
-                .save_modules(std::path::Path::new(&out))
-                .unwrap_or_else(|e| {
-                    eprintln!("save failed: {e}");
-                    exit(1);
-                });
+            let saved = engine.snapshot().unwrap_or_else(|e| {
+                eprintln!("snapshot failed: {e}");
+                exit(1);
+            });
             println!(
-                "encoded {} spans ({} tokens, {} bytes) → {saved} files in {out}",
+                "encoded {} spans ({} tokens, {} bytes) → {saved} modules in {out}",
                 info.spans,
                 info.cached_tokens,
                 engine.cached_bytes()
