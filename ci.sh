@@ -25,6 +25,11 @@ cargo test -q --release -p pc-cache
 # three offsets, and every session segment aliasing its one store entry,
 # in the same optimised codegen.
 cargo test -q --release -p prompt-cache --test deferred_rope_tests --test zero_copy_tests
+# The batched server's two threads: a prefill handed to the admission
+# thread must not stall the tick, and shutdown or drop with an admission
+# in progress must resolve every handle — in the optimised codegen that
+# ships, where the interleavings are tighter than in the debug build.
+cargo test -q --release -p pc-server
 # benchmark/ is a separate package that binds to the public API by path: a
 # deletion that breaks its compile surface, or a serve that stops answering
 # correctly on any of its four workloads, fails here.

@@ -1,6 +1,7 @@
 //! Continuous-batching A/B under load: replays the same Poisson traces
-//! against a batched server (one scheduler thread interleaving an
-//! in-flight batch) and a one-at-a-time server, comparing throughput
+//! against a batched server (a tick thread interleaving an in-flight
+//! batch, beside one admission thread that prefills joining requests)
+//! and a one-at-a-time server, comparing throughput
 //! and queue wait as the offered load rises.
 //!
 //! Batching shares the weight-matrix traversal of every decode step
@@ -58,9 +59,11 @@ struct ModeResult {
 }
 
 fn run_mode(batched: bool, prompts: &[String], trace: &[TraceEvent]) -> ModeResult {
-    // One service thread either way: a single worker serving requests
-    // one at a time, or a single scheduler thread interleaving a batch —
-    // the A/B isolates batching itself, not thread count.
+    // A single worker serving requests one at a time, or a batched
+    // server: one tick thread interleaving a batch, plus the admission
+    // thread that prefills only while that batch is decoding. Decode
+    // runs on one thread either way, so the A/B measures batching, not
+    // a wider decode pool.
     let config = if batched {
         ServerConfig::default()
             .queue_capacity(1024)

@@ -52,7 +52,9 @@ pub use cancel::CancelToken;
 pub use conversation::{Conversation, Turn};
 pub use engine::{EngineConfig, PromptCache, RegisterOptions, ServeOptions};
 pub use request::{ServeRequest, Served};
-pub use sched::{BatchConfig, BatchGroupInfo, BatchScheduler, BatchSeqInfo, BatchSnapshot};
+pub use sched::{
+    Admission, BatchConfig, BatchGroupInfo, BatchScheduler, BatchSeqInfo, BatchSnapshot,
+};
 pub use pc_tensor::Parallelism;
 pub use pc_telemetry::Telemetry;
 pub use error::EngineError;

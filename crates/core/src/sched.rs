@@ -16,8 +16,19 @@
 //! to their solo counterparts, so a greedy serve produces byte-identical
 //! output whether it runs alone or joins a batch of any size and any
 //! membership history.
+//!
+//! **Two halves of an admission.** [`BatchScheduler::prepare`] runs the
+//! prepare half of the serve pipeline (resolve → fetch → prefill) and
+//! needs only the engine, so it runs on any thread and returns an
+//! [`Admission`] that is `Send`. [`BatchScheduler::join`] inserts that
+//! admission into the batch at the current decode step; it and
+//! [`BatchScheduler::step`] need `&mut self`, so the batch itself has one
+//! owner. [`BatchScheduler::admit`] is `prepare` then `join` on the
+//! caller's thread. The server prefills on a second thread while its tick
+//! thread keeps stepping, so one request's prefill does not hold up the
+//! decode of every sequence already in the batch.
 
-use crate::engine::{Prepared, PromptCache, ServeOptions};
+use crate::engine::{PendingDecode, Prepared, PromptCache, ServeOptions};
 use crate::response::{Response, ServeOutcome};
 use crate::Result;
 use pc_model::{BatchScratch, KvSeq, PrefixGroup, TokenId};
@@ -131,24 +142,63 @@ pub struct BatchGroupInfo {
 /// One in-flight sequence: a prepared serve plus its decode progress.
 struct Seq {
     id: u64,
-    p: Box<crate::engine::PendingDecode>,
+    p: Box<PendingDecode>,
     tokens: Vec<TokenId>,
     ttft: Duration,
 }
 
+/// A request that has been through [`BatchScheduler::prepare`] and waits
+/// for [`BatchScheduler::join`]: either prefilled and positioned at its
+/// first sample, or already finished (interrupted before decode, or a
+/// zero token budget). `Send`, so it can be prepared on one thread and
+/// joined on the thread that owns the batch.
+pub struct Admission {
+    id: u64,
+    state: AdmissionState,
+}
+
+enum AdmissionState {
+    Done(Box<Response>),
+    Ready(Box<PendingDecode>),
+}
+
+impl Admission {
+    /// The caller-assigned request id.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+}
+
+impl std::fmt::Debug for Admission {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Admission")
+            .field("id", &self.id)
+            .field("ready", &matches!(self.state, AdmissionState::Ready(_)))
+            .finish()
+    }
+}
+
+/// An [`Admission`] crosses from the thread that prefills it to the
+/// thread that owns the batch.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Admission>();
+};
+
 /// A continuous-batching scheduler over one engine.
 ///
-/// Drive it by alternating [`BatchScheduler::admit`] (join — any time,
-/// including mid-decode of the existing batch) and
-/// [`BatchScheduler::step`] (one token for every in-flight sequence;
-/// finished sequences leave and are returned). Single-threaded by
-/// design: the caller owns the loop, the scheduler owns the batch.
+/// Drive it by alternating admissions (join — any time, including
+/// mid-decode of the existing batch) and [`BatchScheduler::step`] (one
+/// token for every in-flight sequence; finished sequences leave and are
+/// returned). The batch has one owner, the thread that calls `join` and
+/// `step`; the prefill half of an admission ([`BatchScheduler::prepare`])
+/// may run on another thread.
 pub struct BatchScheduler<'e> {
     engine: &'e PromptCache,
     config: BatchConfig,
     seqs: Vec<Seq>,
-    /// Serves that completed during `admit` (interrupted before decode,
-    /// or zero-budget), delivered at the next `step`.
+    /// Joined admissions that finished without decoding (interrupted
+    /// before decode, or zero-budget), delivered at the next `step`.
     done: Vec<(u64, Response)>,
     metrics: BatchMetrics,
     /// Where tick spans are recorded (defaults to the engine's handle;
@@ -194,22 +244,64 @@ impl<'e> BatchScheduler<'e> {
         self.seqs.len()
     }
 
-    /// Whether the batch has room for another admission.
-    pub fn has_capacity(&self) -> bool {
-        self.seqs.len() < self.config.max_batch_size
-    }
-
     /// Whether nothing is in flight and nothing is waiting to be
     /// delivered.
     pub fn is_idle(&self) -> bool {
         self.seqs.is_empty() && self.done.is_empty()
     }
 
-    /// Admits a request: runs the prepare half of the serve pipeline
-    /// (resolve → fetch → prefill) and joins the in-flight batch at the
-    /// current decode step. Requests that finish without decoding
-    /// (interrupted, zero token budget) are delivered by the next
-    /// [`BatchScheduler::step`].
+    /// Admits a request on the calling thread:
+    /// [`BatchScheduler::prepare`] followed by [`BatchScheduler::join`].
+    ///
+    /// # Errors
+    ///
+    /// PML/resolution errors, unknown schemas, or model failures during
+    /// prefill — the request never joins the batch.
+    pub fn admit(&mut self, id: u64, prompt_pml: &str, options: &ServeOptions) -> Result<()> {
+        let admission = Self::prepare(self.engine, id, prompt_pml, options)?;
+        self.join(admission);
+        Ok(())
+    }
+
+    /// The first half of an admission: runs the prepare half of the
+    /// serve pipeline (resolve → fetch → prefill) over `engine`, on the
+    /// calling thread, without touching any scheduler. The result joins a
+    /// batch over the same engine with [`BatchScheduler::join`].
+    ///
+    /// # Errors
+    ///
+    /// PML/resolution errors, unknown schemas, or model failures during
+    /// prefill — the request never joins the batch.
+    pub fn prepare(
+        engine: &PromptCache,
+        id: u64,
+        prompt_pml: &str,
+        options: &ServeOptions,
+    ) -> Result<Admission> {
+        let state = match engine.begin_serve(prompt_pml, options)? {
+            Prepared::Done(response, _view) => AdmissionState::Done(response),
+            Prepared::Ready(p) if p.max_new_tokens == 0 => {
+                // Mirror the solo loop: a zero budget produces an empty
+                // completion without a single decode step.
+                let (response, _view) = engine.finalize_serve(
+                    *p,
+                    Vec::new(),
+                    Duration::ZERO,
+                    Duration::ZERO,
+                    ServeOutcome::Complete,
+                );
+                AdmissionState::Done(Box::new(response))
+            }
+            Prepared::Ready(p) => AdmissionState::Ready(p),
+        };
+        Ok(Admission { id, state })
+    }
+
+    /// The second half of an admission: joins a prepared request to the
+    /// in-flight batch at the current decode step. A request that
+    /// finished without decoding (interrupted, zero token budget) is
+    /// delivered by the next [`BatchScheduler::step`]. `admission` must
+    /// have been prepared over this scheduler's engine.
     ///
     /// To keep same-prefix sequences in **contiguous** batch runs — the
     /// shape the prefix-aware kernel groups on — a new sequence is
@@ -218,51 +310,30 @@ impl<'e> BatchScheduler<'e> {
     /// the end. Batch position never affects any sequence's output (each
     /// attends only to its own cache), so this reordering is invisible
     /// in results.
-    ///
-    /// # Errors
-    ///
-    /// PML/resolution errors, unknown schemas, or model failures during
-    /// prefill — the request never joins the batch.
-    pub fn admit(&mut self, id: u64, prompt_pml: &str, options: &ServeOptions) -> Result<()> {
-        match self.engine.begin_serve(prompt_pml, options)? {
-            Prepared::Done(response, _view) => {
-                self.done.push((id, *response));
-            }
-            Prepared::Ready(p) => {
-                if p.max_new_tokens == 0 {
-                    // Mirror the solo loop: a zero budget produces an
-                    // empty completion without a single decode step.
-                    let (response, _view) = self.engine.finalize_serve(
-                        *p,
-                        Vec::new(),
-                        Duration::ZERO,
-                        Duration::ZERO,
-                        ServeOutcome::Complete,
-                    );
-                    self.done.push((id, response));
-                } else {
-                    let seq = Seq {
-                        id,
-                        p,
-                        tokens: Vec::new(),
-                        ttft: Duration::ZERO,
-                    };
-                    let at = seq
-                        .p
-                        .view
-                        .shared_segment_id(0)
-                        .and_then(|lead| {
-                            self.seqs
-                                .iter()
-                                .rposition(|s| s.p.view.shared_segment_id(0) == Some(lead))
-                        })
-                        .map_or(self.seqs.len(), |last| last + 1);
-                    self.seqs.insert(at, seq);
-                }
+    pub fn join(&mut self, admission: Admission) {
+        let Admission { id, state } = admission;
+        match state {
+            AdmissionState::Done(response) => self.done.push((id, *response)),
+            AdmissionState::Ready(p) => {
+                let at = p
+                    .view
+                    .shared_segment_id(0)
+                    .and_then(|lead| {
+                        self.seqs
+                            .iter()
+                            .rposition(|s| s.p.view.shared_segment_id(0) == Some(lead))
+                    })
+                    .map_or(self.seqs.len(), |last| last + 1);
+                let seq = Seq {
+                    id,
+                    p,
+                    tokens: Vec::new(),
+                    ttft: Duration::ZERO,
+                };
+                self.seqs.insert(at, seq);
             }
         }
         self.metrics.batch_size.set(self.seqs.len() as i64);
-        Ok(())
     }
 
     /// One scheduler tick: sample a token for every in-flight sequence,

@@ -9,10 +9,11 @@
 //!   (the module store is internally synchronised, so workers share every
 //!   cached module by `Arc` — the §3.4 batch-sharing optimisation falls
 //!   out of the architecture); with [`ServerConfig::batching`] the pool
-//!   is replaced by one continuous-batching scheduler thread
-//!   (a [`prompt_cache::BatchScheduler`]): requests join the in-flight
-//!   decode batch at any step and leave independently, with greedy
-//!   outputs byte-identical to solo serving;
+//!   is replaced by one continuous-batching tick thread (driving a
+//!   [`prompt_cache::BatchScheduler`]) plus one admission thread that
+//!   prefills joining requests while the batch decodes: requests join the
+//!   in-flight decode batch at any step and leave independently, with
+//!   greedy outputs byte-identical to solo serving;
 //! * [`metrics`] — latency recording with percentile queries, the numbers
 //!   a serving dashboard reads (p50/p95/p99 TTFT, throughput);
 //! * [`capacity`] — the memory-budgeted batch-capacity model behind the

@@ -4,13 +4,14 @@
 use crate::metrics::MetricsSnapshot;
 use crate::ops::OpsHandle;
 use crate::submit::SubmitRequest;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
 use pc_telemetry::flight::BATCH_SCOPE;
 use pc_telemetry::{Counter, FlightEvent, FlightRecorder, Gauge, Histogram, Telemetry};
 use prompt_cache::{
-    BatchConfig, BatchScheduler, BatchSnapshot, CancelToken, EngineError, PromptCache, Response,
-    ServeOptions, ServeOutcome, ServeRequest, Served,
+    Admission, BatchConfig, BatchScheduler, BatchSnapshot, CancelToken, EngineError, PromptCache,
+    Response, ServeOptions, ServeOutcome, ServeRequest, Served,
 };
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,7 +36,8 @@ use std::time::{Duration, Instant};
 #[non_exhaustive]
 pub struct ServerConfig {
     /// Worker threads draining the queue (ignored when `batching` is
-    /// set — continuous batching uses one scheduler thread).
+    /// set — continuous batching uses one tick thread and one admission
+    /// thread).
     pub workers: usize,
     /// Maximum queued (not yet picked up) requests. Beyond this,
     /// [`Server::submit_request`] sheds ([`SubmitError::QueueFull`]) — or
@@ -45,7 +47,9 @@ pub struct ServerConfig {
     /// [`prompt_cache::BatchScheduler`] loop that admits queued requests
     /// into an in-flight decode batch (joining at any step, leaving on
     /// EOS/deadline/cancel) instead of a pool of one-request-at-a-time
-    /// workers. Greedy outputs are byte-identical either way.
+    /// workers. While sequences decode, joining requests are prefilled on
+    /// a second thread and join at the next tick. Greedy outputs are
+    /// byte-identical either way.
     pub batching: Option<BatchConfig>,
     /// Ops-plane HTTP address: when set, [`Server::start`] binds a plain
     /// [`std::net::TcpListener`] here and serves `GET /metrics`,
@@ -348,8 +352,8 @@ pub(crate) struct Shared {
     queue: Histogram,
     queue_depth: Gauge,
     /// Requests picked up but not yet completed (a worker serving, or a
-    /// sequence in the in-flight batch). Feeds the admission-control
-    /// wait estimate alongside the queue depth.
+    /// batched request being prefilled or decoding). Feeds the
+    /// admission-control wait estimate alongside the queue depth.
     in_flight: Gauge,
     /// Deadline-carrying requests completed (the SLO denominator).
     slo_requests: Counter,
@@ -450,9 +454,6 @@ impl Shared {
 /// A multi-threaded Prompt Cache server. See the [crate docs](crate).
 pub struct Server {
     tx: Option<Sender<Job>>,
-    /// Kept for queue-depth reads in the admission-control wait estimate
-    /// (never `recv`'d from here).
-    queue_rx: Receiver<Job>,
     workers: Vec<JoinHandle<()>>,
     /// Effective service parallelism for the wait estimate: worker count
     /// in pool mode, `max_batch_size` in batched mode.
@@ -470,9 +471,9 @@ pub struct Server {
 
 impl Server {
     /// Starts the server over `engine`: a worker pool by default, or —
-    /// when [`ServerConfig::batching`] is set — a single continuous-
-    /// batching scheduler thread that admits queued requests into an
-    /// in-flight decode batch.
+    /// when [`ServerConfig::batching`] is set — a continuous-batching
+    /// loop that admits queued requests into an in-flight decode batch
+    /// (a tick thread plus one admission thread).
     ///
     /// # Panics
     ///
@@ -491,11 +492,10 @@ impl Server {
         let (tx, rx) = bounded::<Job>(config.queue_capacity.max(1));
         let (workers, slots) = if let Some(batch_config) = config.batching {
             let slots = batch_config.max_batch_size;
-            let rx2 = rx.clone();
             let engine2 = Arc::clone(&engine);
             let shared2 = Arc::clone(&shared);
             let handle =
-                std::thread::spawn(move || batch_loop(&rx2, &engine2, &shared2, batch_config));
+                std::thread::spawn(move || batch_loop(&rx, &engine2, &shared2, batch_config));
             (vec![handle], slots)
         } else {
             let n = config.workers.max(1);
@@ -516,7 +516,6 @@ impl Server {
         });
         Server {
             tx: Some(tx),
-            queue_rx: rx,
             workers,
             slots,
             shared,
@@ -609,13 +608,17 @@ impl Server {
     /// The admission-control wait estimate: (queued + in-flight)
     /// requests × EWMA service time ÷ service slots (workers, or the
     /// maximum batch size in batched mode). Zero until the first request
-    /// completes. Counting in-flight occupancy matters under batching:
-    /// the queue can be empty while the batch is full, and a new request
-    /// still waits a full service time for a slot.
+    /// completes. Queued is the `pc_queue_depth` gauge (submitted, not
+    /// yet picked up — including a job the batch loop has handed to its
+    /// admission thread); in flight counts from pickup to completion.
+    /// Counting in-flight occupancy matters under batching: the queue
+    /// can be empty while the batch is full, and a new request still
+    /// waits a full service time for a slot.
     pub fn estimated_queue_wait(&self) -> Duration {
         let ewma = self.shared.ewma_service_ns.load(Ordering::Relaxed);
+        let queued = self.shared.queue_depth.get().max(0) as u64;
         let in_flight = self.shared.in_flight.get().max(0) as u64;
-        let depth = self.queue_rx.len() as u64 + in_flight;
+        let depth = queued + in_flight;
         let slots = self.slots.max(1) as u64;
         Duration::from_nanos(depth.saturating_mul(ewma) / slots)
     }
@@ -910,7 +913,8 @@ fn outcome_label(outcome: ServeOutcome) -> &'static str {
 
 /// Records completion metrics, flight events, and SLO burn, then
 /// replies — shared by the worker pool and the batch loop so both modes
-/// produce identical series and event trails.
+/// produce identical series and event trails. Every request that got past
+/// [`pick_up`] ends here, which is where it leaves the in-flight gauge.
 fn complete_request(
     shared: &Shared,
     reply: &Sender<RequestResult>,
@@ -920,6 +924,7 @@ fn complete_request(
     service_time: Duration,
     budget: Option<Duration>,
 ) {
+    shared.in_flight.add(-1);
     match &outcome {
         Ok(response) => {
             shared.served.inc();
@@ -998,40 +1003,55 @@ fn complete_request(
     });
 }
 
+/// The pickup prologue, one function for every thread that takes a job
+/// off the queue (pool workers, the batch tick thread, the batch
+/// admission thread): the job leaves the queue-depth gauge, is shed if it
+/// is already dead (drained, cancelled, or past its deadline — don't burn
+/// a slot on it), enters the in-flight gauge, sits out any injected fault
+/// stall, and records its `pickup` flight event. Returns the job's queue
+/// time, or `None` when it was shed (and already answered).
+fn pick_up(shared: &Shared, job: &Job) -> Option<Duration> {
+    shared.queue_depth.add(-1);
+    let queue_time = job.submitted.elapsed();
+    if let Some(reason) = pickup_shed_reason(shared, job) {
+        shed_at_pickup(shared, job, reason, queue_time);
+        return None;
+    }
+    shared.in_flight.add(1);
+    apply_fault_stall(shared, job.id);
+    shared.record_flight(|| {
+        FlightEvent::new(job.id, "pickup").timing_us("queue", micros(queue_time))
+    });
+    Some(queue_time)
+}
+
+/// Serves a picked-up job start to finish on the calling thread and
+/// completes it.
+fn serve_whole(engine: &PromptCache, shared: &Shared, job: &Job, queue_time: Duration) {
+    let start = Instant::now();
+    let outcome = engine
+        .serve(
+            &ServeRequest::new(&job.prompt)
+                .options(job.options.clone())
+                .baseline(job.baseline),
+        )
+        .map(Served::into_response);
+    complete_request(
+        shared,
+        &job.reply,
+        job.id,
+        outcome,
+        queue_time,
+        start.elapsed(),
+        job.budget,
+    );
+}
+
 fn worker_loop(rx: &Receiver<Job>, engine: &PromptCache, shared: &Shared) {
     while let Ok(job) = rx.recv() {
-        shared.queue_depth.add(-1);
-        let queue_time = job.submitted.elapsed();
-
-        // Pickup-time shedding: don't burn a worker on a request that is
-        // already dead (drained, cancelled, or past its deadline).
-        if let Some(reason) = pickup_shed_reason(shared, &job) {
-            shed_at_pickup(shared, &job, reason, queue_time);
-            continue;
+        if let Some(queue_time) = pick_up(shared, &job) {
+            serve_whole(engine, shared, &job, queue_time);
         }
-        apply_fault_stall(shared, job.id);
-        shared.record_flight(|| {
-            FlightEvent::new(job.id, "pickup").timing_us("queue", micros(queue_time))
-        });
-
-        shared.in_flight.add(1);
-        let start = Instant::now();
-        let outcome = if job.baseline {
-            engine.serve(&ServeRequest::new(&job.prompt).options(job.options.clone()).baseline(true)).map(Served::into_response)
-        } else {
-            engine.serve(&ServeRequest::new(&job.prompt).options(job.options.clone())).map(Served::into_response)
-        };
-        let service_time = start.elapsed();
-        shared.in_flight.add(-1);
-        complete_request(
-            shared,
-            &job.reply,
-            job.id,
-            outcome,
-            queue_time,
-            service_time,
-            job.budget,
-        );
     }
 }
 
@@ -1071,118 +1091,160 @@ fn tick_event(snapshot: &BatchSnapshot) -> FlightEvent {
         .field("groups", groups)
 }
 
-/// The continuous-batching serve loop: one thread drives a
-/// [`BatchScheduler`], admitting queued requests into the in-flight
-/// batch whenever it has room (each joins at the batch's current decode
-/// step) and completing them as they retire (EOS, budget, deadline,
-/// cancel). Blocks on the queue only when the batch is empty; while
-/// sequences are decoding, admission is a non-blocking drain so decode
-/// ticks never stall behind an idle queue.
+/// A prefilled request on its way into the batch, with what completes
+/// it when the scheduler retires it.
+type Joining = (Admission, InFlightEntry);
+
+/// The continuous-batching serve loop: a tick thread drives a
+/// [`BatchScheduler`] and one admission thread prefills joining requests
+/// beside it, both scoped to this call. The tick thread blocks on the
+/// queue only when nothing is decoding or prefilling. Jobs it takes while
+/// the batch is empty it admits itself — nothing in flight can stall, and
+/// a hand-off would add a wake-up. Jobs it takes while sequences decode
+/// go to the admission thread, as long as decoding plus handed-off jobs
+/// stay within `max_batch_size`. That thread picks each one up, prefills
+/// it (or serves a baseline request whole) while the ticks keep running,
+/// and hands it back to join at the next tick boundary. Every job handed
+/// off is handed back exactly once, and the tick thread leaves only when
+/// the queue is closed, the batch idle and nothing is handed off, so no
+/// reply is lost between the two threads.
 fn batch_loop(rx: &Receiver<Job>, engine: &PromptCache, shared: &Shared, config: BatchConfig) {
+    let max_batch_size = config.max_batch_size;
     let mut sched = BatchScheduler::new(engine, config).with_telemetry(&shared.telemetry);
-    let mut inflight: std::collections::HashMap<u64, InFlightEntry> =
-        std::collections::HashMap::new();
-    let mut open = true;
-    while open || !sched.is_idle() {
-        if open && sched.is_idle() {
-            // Nothing decoding: block for work like a pooled worker.
-            match rx.recv() {
-                Ok(job) => admit_job(&mut sched, &mut inflight, engine, shared, job),
-                Err(_) => {
-                    open = false;
-                    continue;
-                }
+    let mut inflight: HashMap<u64, InFlightEntry> = HashMap::new();
+    std::thread::scope(|scope| {
+        let (work_tx, work_rx) = unbounded::<Job>();
+        // One hand-back per job: `None` when the admission thread
+        // answered the job itself.
+        let (back_tx, back_rx) = unbounded::<Option<Joining>>();
+        let admission = scope.spawn(move || {
+            while let Ok(job) = work_rx.recv() {
+                // The tick thread holds the receiver until every
+                // hand-back has arrived, so this send cannot fail.
+                let _ = back_tx.send(prepare_job(engine, shared, job));
             }
-        }
-        // Fill the batch from the queue without blocking the decode tick.
-        while open && sched.has_capacity() {
-            match rx.try_recv() {
-                Ok(job) => admit_job(&mut sched, &mut inflight, engine, shared, job),
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    open = false;
+        });
+        // Jobs handed to the admission thread and not yet handed back.
+        let mut pending = 0usize;
+        let mut open = true;
+        loop {
+            while let Ok(back) = back_rx.try_recv() {
+                pending -= 1;
+                join_batch(&mut sched, &mut inflight, shared, back);
+            }
+            if sched.is_idle() && pending == 0 {
+                if !open {
                     break;
                 }
+                // Nothing decoding or prefilling: block for work like a
+                // pooled worker.
+                match rx.recv() {
+                    Ok(job) => {
+                        let joining = prepare_job(engine, shared, job);
+                        join_batch(&mut sched, &mut inflight, shared, joining);
+                    }
+                    Err(_) => {
+                        open = false;
+                        continue;
+                    }
+                }
             }
-        }
-        // Publish batch membership for the ops plane and the flight
-        // recorder before the tick mutates it. Both are off by default:
-        // an unobserved server skips the snapshot entirely.
-        if shared.publish_batch_debug.load(Ordering::Acquire) || shared.flight.is_some() {
-            let snapshot = sched.debug_snapshot();
-            if !snapshot.sequences.is_empty() {
-                shared.record_flight(|| tick_event(&snapshot));
+            // Fill the batch from the queue without blocking the tick.
+            while open && sched.in_flight() + pending < max_batch_size {
+                match rx.try_recv() {
+                    Ok(job) if sched.in_flight() == 0 => {
+                        let joining = prepare_job(engine, shared, job);
+                        join_batch(&mut sched, &mut inflight, shared, joining);
+                    }
+                    Ok(job) => {
+                        pending += 1;
+                        // The admission thread lives until this scope
+                        // ends, so its receiver is alive.
+                        let _ = work_tx.send(job);
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
+                        open = false;
+                        break;
+                    }
+                }
             }
-            *shared.batch_debug.lock().unwrap() = Some(snapshot);
-        }
-        for (id, result) in sched.step() {
-            let Some(entry) = inflight.remove(&id) else {
+            if sched.is_idle() {
+                // Nothing to tick while the admission thread prefills:
+                // wait for its hand-back instead of spinning.
+                if pending > 0 {
+                    match back_rx.recv() {
+                        Ok(back) => {
+                            pending -= 1;
+                            join_batch(&mut sched, &mut inflight, shared, back);
+                        }
+                        // Only a panicked admission thread hangs up with
+                        // work pending; joining it below re-raises the panic.
+                        Err(_) => break,
+                    }
+                }
                 continue;
-            };
-            shared.in_flight.add(-1);
-            shared.record_flight(|| FlightEvent::new(id, "batch_leave"));
-            let service_time = entry.picked.elapsed();
-            complete_request(
-                shared,
-                &entry.reply,
-                id,
-                result,
-                entry.queue_time,
-                service_time,
-                entry.budget,
-            );
+            }
+            // Publish batch membership for the ops plane and the flight
+            // recorder before the tick mutates it. Both are off by
+            // default: an unobserved server skips the snapshot entirely.
+            if shared.publish_batch_debug.load(Ordering::Acquire) || shared.flight.is_some() {
+                let snapshot = sched.debug_snapshot();
+                if !snapshot.sequences.is_empty() {
+                    shared.record_flight(|| tick_event(&snapshot));
+                }
+                *shared.batch_debug.lock().unwrap() = Some(snapshot);
+            }
+            for (id, result) in sched.step() {
+                let Some(entry) = inflight.remove(&id) else {
+                    continue;
+                };
+                shared.record_flight(|| FlightEvent::new(id, "batch_leave"));
+                complete_request(
+                    shared,
+                    &entry.reply,
+                    id,
+                    result,
+                    entry.queue_time,
+                    entry.picked.elapsed(),
+                    entry.budget,
+                );
+            }
         }
-    }
+        // Hanging up ends the admission thread's loop. Join it explicitly:
+        // the scope alone waits for its closure, not for the OS thread to
+        // exit and return its allocator arena. Otherwise the next server's
+        // tick thread can take the admission thread's near-empty arena and
+        // grow it while the old batch arena sits resident (+8 MB peak RSS
+        // on a benchmark that restarts the server).
+        drop(work_tx);
+        if let Err(panic) = admission.join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
 }
 
-/// Moves one queued job into the batch (or completes it on the spot:
-/// shed at pickup, inline baseline serve, or admission error).
-fn admit_job(
-    sched: &mut BatchScheduler<'_>,
-    inflight: &mut std::collections::HashMap<u64, InFlightEntry>,
-    engine: &PromptCache,
-    shared: &Shared,
-    job: Job,
-) {
-    shared.queue_depth.add(-1);
-    let queue_time = job.submitted.elapsed();
-    if let Some(reason) = pickup_shed_reason(shared, &job) {
-        shed_at_pickup(shared, &job, reason, queue_time);
-        return;
-    }
-    apply_fault_stall(shared, job.id);
-    shared.record_flight(|| {
-        FlightEvent::new(job.id, "pickup").timing_us("queue", micros(queue_time))
-    });
-
-    let picked = Instant::now();
+/// Picks a job up and runs the prepare half of its admission on the
+/// calling thread. Returns what joins the batch, or `None` when the job
+/// was answered here: shed at pickup, a baseline request (a full prefill
+/// with nothing to share — served whole instead of batched), or an
+/// admission error.
+fn prepare_job(engine: &PromptCache, shared: &Shared, job: Job) -> Option<Joining> {
+    let queue_time = pick_up(shared, &job)?;
     if job.baseline {
-        // A baseline request is a full prefill with nothing to share —
-        // serve it inline on the scheduler thread rather than batching.
-        let outcome = engine
-            .serve(&ServeRequest::new(&job.prompt).options(job.options.clone()).baseline(true))
-            .map(Served::into_response);
-        complete_request(
-            shared,
-            &job.reply,
-            job.id,
-            outcome,
-            queue_time,
-            picked.elapsed(),
-            job.budget,
-        );
-        return;
+        serve_whole(engine, shared, &job, queue_time);
+        return None;
     }
-    match sched.admit(job.id, &job.prompt, &job.options) {
-        Ok(()) => {
-            shared.in_flight.add(1);
-            shared.record_flight(|| {
-                FlightEvent::new(job.id, "batch_join").field("in_flight", sched.in_flight())
-            });
-            inflight.insert(
-                job.id,
-                InFlightEntry { reply: job.reply, queue_time, picked, budget: job.budget },
-            );
+    let picked = Instant::now();
+    match BatchScheduler::prepare(engine, job.id, &job.prompt, &job.options) {
+        Ok(admission) => {
+            let entry = InFlightEntry {
+                reply: job.reply,
+                queue_time,
+                picked,
+                budget: job.budget,
+            };
+            Some((admission, entry))
         }
         Err(e) => {
             complete_request(
@@ -1194,8 +1256,27 @@ fn admit_job(
                 picked.elapsed(),
                 job.budget,
             );
+            None
         }
     }
+}
+
+/// Joins a prepared request to the batch at the current tick boundary;
+/// `None` (a job already answered where it was picked up) joins nothing.
+fn join_batch(
+    sched: &mut BatchScheduler<'_>,
+    inflight: &mut HashMap<u64, InFlightEntry>,
+    shared: &Shared,
+    joining: Option<Joining>,
+) {
+    let Some((admission, entry)) = joining else {
+        return;
+    };
+    let id = admission.id();
+    sched.join(admission);
+    shared
+        .record_flight(|| FlightEvent::new(id, "batch_join").field("in_flight", sched.in_flight()));
+    inflight.insert(id, entry);
 }
 
 /// Feature inventory baked into `pc_build_info` — compile-time, so the
@@ -1772,6 +1853,179 @@ mod tests {
                     RequestOutcome::Err(e) => panic!("unexpected error: {e}"),
                 }
             }
+        }
+    }
+
+    const STALL: Duration = Duration::from_millis(300);
+
+    /// Scripted pickups for the two-thread batch tests. Request `hold` is
+    /// held at pickup until another request is queued behind it, so that
+    /// request is picked up while `hold` is in the batch. Request `stall`
+    /// sleeps [`STALL`] at pickup, and the script records when.
+    #[derive(Debug)]
+    struct Script {
+        hold: Option<u64>,
+        stall: u64,
+        queue_depth: Gauge,
+        stalled_at: Mutex<Option<Instant>>,
+    }
+
+    impl Script {
+        fn install(server: &Server, hold: Option<u64>, stall: u64) -> Arc<Script> {
+            let script = Arc::new(Script {
+                hold,
+                stall,
+                queue_depth: server.telemetry().gauge("pc_queue_depth"),
+                stalled_at: Mutex::new(None),
+            });
+            server.set_worker_faults(Some(Arc::clone(&script) as Arc<dyn WorkerFaults>));
+            script
+        }
+
+        /// Blocks until the stalled request has reached its pickup.
+        fn wait_for_stall(&self) -> Instant {
+            let give_up = Instant::now() + Duration::from_secs(30);
+            loop {
+                if let Some(at) = *self.stalled_at.lock().unwrap() {
+                    return at;
+                }
+                assert!(
+                    Instant::now() < give_up,
+                    "request {} never reached pickup",
+                    self.stall
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    impl WorkerFaults for Script {
+        fn pre_serve_delay(&self, id: u64) -> Duration {
+            if self.hold == Some(id) {
+                let give_up = Instant::now() + Duration::from_secs(30);
+                while self.queue_depth.get() < 1 && Instant::now() < give_up {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            if id != self.stall {
+                return Duration::ZERO;
+            }
+            *self.stalled_at.lock().unwrap() = Some(Instant::now());
+            STALL
+        }
+    }
+
+    fn batched_server() -> Server {
+        Server::start(
+            engine(),
+            ServerConfig::default().batching(BatchConfig::default().max_batch_size(4)),
+        )
+    }
+
+    fn solo_tokens(prompt: &str, options: ServeOptions) -> Vec<pc_model::TokenId> {
+        engine()
+            .serve(&ServeRequest::new(prompt).options(options))
+            .map(Served::into_response)
+            .unwrap()
+            .tokens
+    }
+
+    #[test]
+    fn batched_request_counts_in_flight_from_pickup() {
+        let server = batched_server();
+        let prompt = r#"<prompt schema="s"><ctx/>question</prompt>"#;
+        // One completion seeds the service-time EWMA behind the estimate.
+        submit(&server, prompt.into(), opts())
+            .wait()
+            .unwrap()
+            .outcome
+            .unwrap();
+        let in_flight = server.telemetry().gauge("pc_requests_in_flight");
+        assert_eq!(in_flight.get(), 0);
+        let script = Script::install(&server, None, 1);
+        let handle = submit(&server, prompt.into(), opts());
+        script.wait_for_stall();
+        assert_eq!(
+            in_flight.get(),
+            1,
+            "a request stalled at pickup is in flight"
+        );
+        assert!(server.estimated_queue_wait() > Duration::ZERO);
+        handle.wait().unwrap().outcome.unwrap();
+        assert_eq!(in_flight.get(), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn batched_admission_stall_does_not_stall_the_tick() {
+        let a_prompt = r#"<prompt schema="s"><ctx/>question</prompt>"#;
+        let b_prompt = r#"<prompt schema="s"><ctx/>one two</prompt>"#;
+        let a_options = ServeOptions::default().max_new_tokens(32);
+        let a_solo = solo_tokens(a_prompt, a_options.clone());
+        let b_solo = solo_tokens(b_prompt, opts());
+        assert_eq!(a_solo.len(), 32, "A decodes its whole budget");
+
+        let server = batched_server();
+        // A (id 0) joins an empty batch and is held until B (id 1) is
+        // queued, so B is picked up while A decodes; B then stalls.
+        let script = Script::install(&server, Some(0), 1);
+        let a = submit(&server, a_prompt.into(), a_options);
+        let b = submit(&server, b_prompt.into(), opts());
+        let a_result = a.wait().unwrap();
+        let a_done = Instant::now();
+        let b_result = b.wait().unwrap();
+        let stalled_at = script.wait_for_stall();
+        assert!(
+            a_done < stalled_at + STALL,
+            "A finished {:?} after B's pickup stall began; the stall is {STALL:?}",
+            a_done - stalled_at
+        );
+        assert_eq!(a_result.outcome.unwrap().tokens, a_solo);
+        assert_eq!(b_result.outcome.unwrap().tokens, b_solo);
+        server.shutdown();
+    }
+
+    #[test]
+    fn batched_shutdown_with_an_admission_in_progress() {
+        let prompt = r#"<prompt schema="s"><ctx/>question</prompt>"#;
+
+        // Bounded shutdown: A decodes a budget it will never finish, B is
+        // held in its pickup stall by the admission thread, C waits behind
+        // B. Every handle resolves and both threads exit within the grace.
+        let server = batched_server();
+        let script = Script::install(&server, Some(0), 1);
+        let handles = [
+            submit(
+                &server,
+                prompt.into(),
+                ServeOptions::default().max_new_tokens(100_000),
+            ),
+            submit(&server, prompt.into(), opts()),
+            submit(&server, prompt.into(), opts()),
+        ];
+        script.wait_for_stall();
+        assert!(server.shutdown_within(Duration::from_secs(30)));
+        for handle in handles {
+            match handle.wait().expect("every handle resolves").outcome {
+                RequestOutcome::Ok(_) | RequestOutcome::Shed(_) => {}
+                RequestOutcome::Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+
+        // Plain drop drains instead: the same three requests, with finite
+        // budgets, are all served in full.
+        let options = ServeOptions::default().max_new_tokens(32);
+        let solo = solo_tokens(prompt, options.clone());
+        let server = batched_server();
+        let script = Script::install(&server, Some(0), 1);
+        let handles: Vec<_> = (0..3)
+            .map(|_| submit(&server, prompt.into(), options.clone()))
+            .collect();
+        script.wait_for_stall();
+        drop(server);
+        for handle in handles {
+            let result = handle.wait().expect("every handle resolves");
+            assert_eq!(result.outcome.unwrap().tokens, solo);
         }
     }
 

@@ -241,30 +241,15 @@ pub fn run_tasks<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>, threads:
     }
 }
 
-/// Splits a row-major output buffer of `row_width`-element rows into at
-/// most `threads` contiguous chunks and runs `f(first_row, chunk)` on each
-/// in parallel. Disjointness is structural (`chunks_mut`), so `f` can
-/// write its chunk freely; `first_row` tells it which global rows the
-/// chunk backs. The row-partitioned attention kernels funnel through this
-/// so serial and parallel execution share one code path.
-pub fn parallel_output_chunks<T, F>(out: &mut [T], row_width: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if out.is_empty() {
-        return;
-    }
-    debug_assert!(row_width > 0 && out.len().is_multiple_of(row_width));
-    let rows = out.len() / row_width;
-    let threads = threads.max(1).min(rows);
-    parallel_output_blocks(out, row_width, rows.div_ceil(threads), threads, f);
-}
-
-/// [`parallel_output_chunks`] with the chunk height chosen by the caller:
-/// chunks of `rows_per_task` rows (the last may be shorter). A kernel that
-/// works in bands of several rows passes a multiple of its band height, so
-/// only the last chunk ends off a band boundary.
+/// Splits a row-major output buffer of `row_width`-element rows into
+/// chunks of `rows_per_task` rows (the last may be shorter) and runs
+/// `f(first_row, chunk)` on each, across at most `threads` threads.
+/// Disjointness is structural (`chunks_mut`), so `f` can write its chunk
+/// freely; `first_row` tells it which global rows the chunk backs. A
+/// kernel that works in bands of several rows passes a multiple of its
+/// band height, so only the last chunk ends off a band boundary. The
+/// weight matmul and the row-partitioned attention kernels funnel through
+/// this so serial and parallel execution share one code path.
 pub fn parallel_output_blocks<T, F>(
     out: &mut [T],
     row_width: usize,
@@ -355,7 +340,7 @@ mod tests {
                 Box::new(|| {
                     // A parallel kernel invoked from within a pool worker
                     // must degrade to inline execution, not deadlock.
-                    parallel_output_chunks(&mut [0u8; 16], 1, 4, |_, rows| {
+                    parallel_output_blocks(&mut [0u8; 16], 1, 4, 4, |_, rows| {
                         counter.fetch_add(rows.len(), Ordering::SeqCst);
                     });
                 }) as Box<dyn FnOnce() + Send + '_>
