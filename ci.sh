@@ -46,4 +46,5 @@ cargo run --release -q -p pc-bench --bin figures -- --quick persistence > /dev/n
 cargo run --release -q -p pc-bench --bin figures -- --quick sharding > /dev/null
 # Docs gate: rustdoc must stay warning-clean.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
-cargo clippy --all-targets -- -D warnings
+# Every `unsafe` block states why it is sound in a `// SAFETY:` comment.
+cargo clippy --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks

@@ -14,8 +14,11 @@
 //! **Determinism contract** (DESIGN.md §5): *each output element is reduced
 //! in one fixed order; kernels may reorder only independent elements.* A
 //! tile is up to eight query rows of one head that read the same run of
-//! segments. *Lanes of a tile are different queries; each lane is one
-//! `dot_seq` / `axpy_seq`:* a score is `0 + q₀k₀ + q₁k₁ + …` with a
+//! segments. *The lanes of a tile of several rows are different queries;
+//! in the one-row tile — a decode step, a private tail, a lone leftover
+//! row — the score pass's lanes are key rows (AVX2 arm, eight per vector,
+//! transposed in registers). Either way each lane is one `dot_seq` /
+//! `axpy_seq`:* a score is `0 + q₀k₀ + q₁k₁ + …` with a
 //! separate multiply and add, an output element accumulates `p·v` in
 //! ascending cache order — the order of [`pc_tensor::ops::dot_seq`] and
 //! [`pc_tensor::ops::axpy_seq`], which the tests hold the tile to. A key
@@ -31,6 +34,8 @@ use crate::view::PrefixGroup;
 use crate::ModelConfig;
 use pc_tensor::ops::{has_avx2, softmax_slice};
 use pc_tensor::par::{parallel_output_blocks, run_tasks};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::array::from_fn;
 
 /// A physical KV segment as seen by the kernels: `(keys, values, shift)`.
@@ -64,10 +69,16 @@ pub(crate) const LANES: usize = 8;
 /// independent add chains hide the latency a lone `dot_seq` waits out.
 const KEYS: usize = 4;
 
-/// Reusable buffers of the tile: one score row per lane, the tile's raw
-/// dots (key-major), the packed query tile and its rotation for the
-/// shifted segment being scored. Callers keep one across layers (and
-/// ticks); contents are meaningless between calls.
+/// Key rows per step of the one-row score pass on AVX2 ([`score_row_avx2`]):
+/// two blocks of eight, each block's scores one vector, so two vector add
+/// chains are in flight.
+#[cfg(target_arch = "x86_64")]
+const BLOCK: usize = 16;
+
+/// Reusable buffers of the tile: one score row per lane, the raw dots of
+/// a tile of several lanes (key-major), the packed query tile and its
+/// rotation for the shifted segment being scored. Callers keep one across
+/// layers (and ticks); contents are meaningless between calls.
 #[derive(Debug, Default)]
 pub struct AttnScratch {
     scores: Vec<f32>,
@@ -348,7 +359,8 @@ struct Tile<'a> {
 }
 
 /// [`attend_body`] compiled for AVX2 — the arm [`pc_tensor::ops::gemm_arm`]
-/// names, both kernels on the one [`has_avx2`] decision. `avx2` only, never
+/// names, both kernels on the one [`has_avx2`] decision — with
+/// [`score_row_avx2`] as its one-row score pass. `avx2` only, never
 /// `fma`: a separate multiply and add round exactly as the portable arm
 /// does, so hosts running different arms still produce the same bytes.
 ///
@@ -358,22 +370,31 @@ struct Tile<'a> {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn attend_avx2(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32], scratch: &mut AttnScratch) {
-    attend_lanes(kn, tile, out, scratch);
+    // A `#[target_feature]` function is not an `Fn`; a closure defined
+    // here is, and inherits this function's features.
+    attend_lanes(kn, tile, out, scratch, &|kn, h, q, keys, n, row| score_row_avx2(kn, h, q, keys, n, row));
 }
 
-/// [`attend_body`] compiled for the build's baseline target: the only arm
-/// on a CPU without AVX2 and on every target that is not x86-64.
+/// [`attend_body`] compiled for the build's baseline target, with
+/// [`score_row`] as its one-row score pass: the only arm on a CPU without
+/// AVX2 and on every target that is not x86-64.
 fn attend_portable(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32], scratch: &mut AttnScratch) {
-    attend_lanes(kn, tile, out, scratch);
+    attend_lanes(kn, tile, out, scratch, &score_row);
 }
 
 /// The two instantiations of the tile: [`LANES`] lanes, or one.
 #[inline(always)]
-fn attend_lanes(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32], scratch: &mut AttnScratch) {
+fn attend_lanes(
+    kn: &Kernel<'_>,
+    tile: &Tile<'_>,
+    out: &mut [f32],
+    scratch: &mut AttnScratch,
+    one_row: &impl Fn(&Kernel<'_>, usize, &[f32], &[f32], usize, &mut [f32]),
+) {
     if tile.lanes.len() == 1 {
-        attend_body::<1>(kn, tile, out, scratch);
+        attend_body::<1>(kn, tile, out, scratch, one_row);
     } else {
-        attend_body::<LANES>(kn, tile, out, scratch);
+        attend_body::<LANES>(kn, tile, out, scratch, one_row);
     }
 }
 
@@ -384,8 +405,16 @@ fn attend_lanes(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32], scratch: &mut
 /// `lanes[l].tail`. Lanes past `m` repeat the last one and are never
 /// stored. Score pass, [`softmax_slice`] on each lane's contiguous score
 /// row, value pass; the module doc has the order of every reduction.
+/// Every one-lane score run — `L = 1`, and each lane's tail — is the
+/// arm's `one_row` pass ([`score_row`]'s contract).
 #[inline(always)]
-fn attend_body<const L: usize>(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32], scratch: &mut AttnScratch) {
+fn attend_body<const L: usize>(
+    kn: &Kernel<'_>,
+    tile: &Tile<'_>,
+    out: &mut [f32],
+    scratch: &mut AttnScratch,
+    one_row: &impl Fn(&Kernel<'_>, usize, &[f32], &[f32], usize, &mut [f32]),
+) {
     let Tile { q, shared, lanes } = *tile;
     let (d, hd, m) = (kn.hidden, kn.head_dim, lanes.len());
     debug_assert!((1..=L).contains(&m) && q.len() == m * d && out.len() == m * d);
@@ -398,7 +427,8 @@ fn attend_body<const L: usize>(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32]
     let own = |l: usize| lanes[l].visible - seen[l];
     let stride = lanes.iter().map(|lane| lane.visible).max().unwrap_or(0);
     let scores = sized(&mut scratch.scores, L * stride);
-    let dots = sized(&mut scratch.dots, L * stride);
+    // A one-row pass writes its scores straight into the row.
+    let dots = sized(&mut scratch.dots, if L == 1 { 0 } else { L * stride });
     let (qt, _) = sized(&mut scratch.qt, L * hd).as_chunks_mut::<L>();
     let rotated = sized(&mut scratch.rotated, L * hd);
     out.fill(0.0);
@@ -407,13 +437,13 @@ fn attend_body<const L: usize>(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32]
         for (e, col) in qt.iter_mut().enumerate() {
             *col = from_fn(|l| q_head(l.min(m - 1))[e]);
         }
-        score_run::<L>(kn, h, qt, shared, 0, &seen, lanes, scores, stride, dots, rotated);
+        score_run::<L>(kn, h, qt, shared, 0, &seen, lanes, scores, stride, dots, rotated, one_row);
         for (l, lane) in lanes.iter().enumerate() {
             let row = &mut scores[l * stride..][..lane.visible];
             if own(l) > 0 {
                 let (q1, _) = q_head(l).as_chunks::<1>();
                 let lane = std::slice::from_ref(lane);
-                score_run::<1>(kn, h, q1, lane[0].tail, shared_rows, &[own(l)], lane, row, 0, dots, rotated);
+                score_run::<1>(kn, h, q1, lane[0].tail, shared_rows, &[own(l)], lane, row, 0, &mut [], rotated, one_row);
             }
             softmax_slice(row);
         }
@@ -432,8 +462,10 @@ fn attend_body<const L: usize>(kn: &Kernel<'_>, tile: &Tile<'_>, out: &mut [f32]
 /// `scores[l · stride + first ..]` as `dot · scale`, plus the ALiBi bias.
 /// A segment at shift `Δ` is scored with the query tile rotated by
 /// `R(−Δ)` into `rotated`, once per run of segments sharing that shift.
-/// The raw dots of the whole tile land key-major in `dots` first; rows
-/// past a lane's own horizon are computed too and never read.
+/// At one lane each segment is the `one_row` pass, straight into the score
+/// row; at several, the raw dots of the whole tile land key-major in
+/// `dots` first, and rows past a lane's own horizon are computed too and
+/// never read.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn score_run<const L: usize>(
@@ -448,11 +480,19 @@ fn score_run<const L: usize>(
     stride: usize,
     dots: &mut [f32],
     rotated: &mut [f32],
+    one_row: &impl Fn(&Kernel<'_>, usize, &[f32], &[f32], usize, &mut [f32]),
 ) {
     let most = rows.iter().copied().max().unwrap_or(0);
     let (dots, _) = dots.as_chunks_mut::<L>();
     let (rotated, _) = rotated.as_chunks_mut::<L>();
     let rotated = &mut rotated[..qt.len()];
+    let mut segment = |q: &[[f32; L]], keys: &[f32], j: usize, n: usize| {
+        if L == 1 {
+            one_row(kn, h, q.as_flattened(), keys, n, &mut scores[first + j..][..n]);
+        } else {
+            score_segment(kn, h, q, keys, n, &mut dots[j..]);
+        }
+    };
     // The shift `rotated` currently holds the query for (0: none yet).
     let mut turned = 0;
     let mut j = 0;
@@ -466,13 +506,13 @@ fn score_run<const L: usize>(
         // decode step (the score loop no longer kept the query in
         // registers).
         match segment_rotation(kn.rope, shift) {
-            None => score_segment(kn, h, qt, keys, n, &mut dots[j..]),
+            None => segment(qt, keys, j, n),
             Some(row) => {
                 if turned != shift {
                     rotate_queries(qt, row, rotated);
                     turned = shift;
                 }
-                score_segment(kn, h, rotated, keys, n, &mut dots[j..]);
+                segment(rotated, keys, j, n);
             }
         }
         j += n;
@@ -480,8 +520,10 @@ fn score_run<const L: usize>(
     debug_assert_eq!(j, most);
     for (l, lane) in lanes.iter().enumerate() {
         let row = &mut scores[l * stride + first..][..rows[l]];
-        for (s, dot) in row.iter_mut().zip(dots.iter()) {
-            *s = dot[l] * kn.scale;
+        if L > 1 {
+            for (s, dot) in row.iter_mut().zip(dots.iter()) {
+                *s = dot[l] * kn.scale;
+            }
         }
         if let Some(alibi) = kn.alibi {
             for (s, &k_pos) in row.iter_mut().zip(&lane.key_positions[first..]) {
@@ -509,6 +551,93 @@ fn score_segment<const L: usize>(
     for r in whole..n {
         score_keys::<L, 1>(kn, h, q, keys, r, &mut dots[r..]);
     }
+}
+
+/// The one-row score pass: `row[r] = dot_seq(q, key r) · scale` for the
+/// first `n` key rows of one segment against the query head `q`, through
+/// [`score_segment`] at one lane. The portable arm's pass, and the AVX2
+/// arm's for what its key-row blocks leave over.
+#[inline(always)]
+fn score_row(kn: &Kernel<'_>, h: usize, q: &[f32], keys: &[f32], n: usize, row: &mut [f32]) {
+    let row = &mut row[..n];
+    score_segment(kn, h, q.as_chunks::<1>().0, keys, n, row.as_chunks_mut::<1>().0);
+    for s in row {
+        *s *= kn.scale;
+    }
+}
+
+/// [`score_row`] on AVX2, [`BLOCK`] key rows per step with the key rows as
+/// vector lanes: each 8 × 8 piece of a block's key heads is transposed in
+/// registers, so vector `e` holds element `e` of eight rows, and `acc +=
+/// q[e] · col[e]` runs over ascending `e` from `+0` with a separate
+/// multiply and add — every lane is one `dot_seq`, and a lone query does
+/// not wait out one dependent add chain per key. `dot · scale` is stored
+/// straight into `row`. Rows after the last whole block, and every row of
+/// a head dim that is not a multiple of 8, go to [`score_row`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn score_row_avx2(kn: &Kernel<'_>, h: usize, q: &[f32], keys: &[f32], n: usize, row: &mut [f32]) {
+    let (q8, rest) = q.as_chunks::<8>();
+    let whole = if rest.is_empty() { n - n % BLOCK } else { 0 };
+    let (kv_dim, k_off) = (kn.kv_dim, h / kn.kv_group * q.len());
+    let scale = _mm256_set1_ps(kn.scale);
+    for r in (0..whole).step_by(BLOCK) {
+        let block = &keys[r * kv_dim..][..BLOCK * kv_dim];
+        let mut acc = [_mm256_setzero_ps(); BLOCK / 8];
+        for (c, qc) in q8.iter().enumerate() {
+            for (b, acc) in acc.iter_mut().enumerate() {
+                let cols = transpose8(block, b * 8 * kv_dim + k_off + 8 * c, kv_dim);
+                for (&qe, col) in qc.iter().zip(cols) {
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(_mm256_set1_ps(qe), col));
+                }
+            }
+        }
+        let (out, _) = row[r..][..BLOCK].as_chunks_mut::<8>();
+        for (out, acc) in out.iter_mut().zip(acc) {
+            // SAFETY: `out` is eight writable `f32`s, and the store is unaligned.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), _mm256_mul_ps(acc, scale)) };
+        }
+    }
+    score_row(kn, h, q, &keys[whole * kv_dim..], n - whole, &mut row[whole..]);
+}
+
+/// Eight rows of eight `f32`s transposed: the rows start at `at + i ·
+/// stride` in `xs`, and vector `e` holds element `e` of every row, row `i`
+/// in lane `i`. Each load puts half of row `i` in the low 128 bits and the
+/// same half of row `i + 4` in the high 128 bits, so the in-register part
+/// is two 4 × 4 transposes side by side, one `unpack` and one `shuffle`
+/// stage.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn transpose8(xs: &[f32], at: usize, stride: usize) -> [__m256; 8] {
+    let rows = &xs[at..];
+    // `7 · stride + 8 ≤ rows.len()`, in a form that cannot overflow.
+    assert!(rows.len() >= 8 && (rows.len() - 8) / 7 >= stride, "eight rows of eight inside the slice");
+    let mut cols = [_mm256_setzero_ps(); 8];
+    for half in 0..2 {
+        let pair = |i: usize| {
+            let lo = i * stride + 4 * half;
+            // SAFETY: `i < 4` and `half < 2`, so both `rows[lo..][..4]` and
+            // `rows[lo + 4 · stride..][..4]` end by `7 · stride + 8`, which
+            // the assert above puts inside `rows`; the loads are unaligned.
+            unsafe { _mm256_loadu2_m128(rows.as_ptr().add(lo + 4 * stride), rows.as_ptr().add(lo)) }
+        };
+        let (t0, t1, t2, t3) = (pair(0), pair(1), pair(2), pair(3));
+        // Per 128-bit half (rows 0–3 low, 4–7 high): [a₀ b₀ a₁ b₁] and
+        // [a₂ b₂ a₃ b₃] for rows a, b, likewise for c, d; `0x44` takes the
+        // low pair of each operand and `0xEE` the high pair, so column `e`
+        // is [aₑ bₑ cₑ dₑ].
+        let (ab01, ab23) = (_mm256_unpacklo_ps(t0, t1), _mm256_unpackhi_ps(t0, t1));
+        let (cd01, cd23) = (_mm256_unpacklo_ps(t2, t3), _mm256_unpackhi_ps(t2, t3));
+        let cols = &mut cols[4 * half..][..4];
+        cols[0] = _mm256_shuffle_ps::<0x44>(ab01, cd01);
+        cols[1] = _mm256_shuffle_ps::<0xEE>(ab01, cd01);
+        cols[2] = _mm256_shuffle_ps::<0x44>(ab23, cd23);
+        cols[3] = _mm256_shuffle_ps::<0xEE>(ab23, cd23);
+    }
+    cols
 }
 
 /// The packed query tile `qt` rotated by one `(cos, sin, sign)` row into
@@ -1068,7 +1197,7 @@ mod tests {
         }
     }
 
-    const HEAD_DIMS: [usize; 5] = [2, 6, 8, 16, 24];
+    const HEAD_DIMS: [usize; 6] = [2, 6, 8, 16, 24, 32];
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
@@ -1079,7 +1208,7 @@ mod tests {
         /// on its last row alone.
         #[test]
         fn chunk_rows_equal_the_per_row_oracle(
-            (family, heads, kv_pick, hd) in (0usize..3, 1usize..=4, 0usize..4, 0usize..5),
+            (family, heads, kv_pick, hd) in (0usize..3, 1usize..=4, 0usize..4, 0..HEAD_DIMS.len()),
             (n, base, seed) in (1usize..=20, 0usize..=40, any::<u64>()),
         ) {
             let (cfg, rope, alibi) = shape(family, heads, kv_pick, HEAD_DIMS[hd]);
@@ -1111,13 +1240,40 @@ mod tests {
             assert_arms_equal(&kn, &Tile { q: &q[(n - 1) * d..], shared: &segments, lanes: &lanes[n - 1..] }, &expect[(n - 1) * d..]);
         }
 
+        /// The one-row tile — a solo decode step, a private tail, a lone
+        /// leftover row — on each arm: one query over 0–80 cached rows plus
+        /// its own, in 1–6 segments cut at any row, so whole key-row blocks
+        /// and 1–15-row remainders both occur, read as the tile's shared
+        /// run, as the lane's tail, and split between the two.
+        #[test]
+        fn one_row_tile_equals_the_per_row_oracle(
+            (family, heads, kv_pick, hd) in (0usize..3, 1usize..=4, 0usize..4, 0..HEAD_DIMS.len()),
+            (cached, pieces, seed) in (0usize..=80, 1usize..=6, any::<u64>()),
+        ) {
+            let (cfg, rope, alibi) = shape(family, heads, kv_pick, HEAD_DIMS[hd]);
+            let (rope, alibi) = (rope.as_ref(), alibi.as_ref());
+            let dice = &mut Dice(seed);
+            let visible = cached + 1;
+            let rows = Rows::new(dice, cfg.kv_dim(), visible, pieces);
+            let segments: Vec<_> = rows.segments().collect();
+            let (q, key_positions, q_pos) = (dice.floats(cfg.hidden_size), dice.positions(visible), dice.pick(0, 99));
+            let expect = attention_row(&cfg, &q, q_pos, &segments, &key_positions, visible, rope, alibi);
+
+            let kn = Kernel::new(&cfg, &q, rope, alibi);
+            for split in 0..=segments.len() {
+                let (shared, tail) = segments.split_at(split);
+                let lane = Lane { q_pos, key_positions: &key_positions, visible, tail };
+                assert_arms_equal(&kn, &Tile { q: &q, shared, lanes: &[lane] }, &expect);
+            }
+        }
+
         /// The grouped decode tick: batches that cross the lane width, mixed
         /// shared groups and singletons, ragged private tails — every
         /// sequence equals the oracle over its own whole cache, i.e. being
         /// served alone; each arm agrees on every group's first tile.
         #[test]
         fn grouped_decode_equals_serving_each_sequence_alone(
-            (family, heads, kv_pick, hd) in (0usize..3, 1usize..=4, 0usize..4, 0usize..5),
+            (family, heads, kv_pick, hd) in (0usize..3, 1usize..=4, 0usize..4, 0..HEAD_DIMS.len()),
             (nseqs, seed) in (1usize..=11, any::<u64>()),
         ) {
             let (cfg, rope, alibi) = shape(family, heads, kv_pick, HEAD_DIMS[hd]);
@@ -1126,7 +1282,8 @@ mod tests {
             let dice = &mut Dice(seed);
 
             // Groups: a shared one has 1–3 prefix segments over 0..=40 rows,
-            // the others are singletons over a private cache only.
+            // the others are singletons over a private cache only. Tails of
+            // up to 40 rows reach whole key-row blocks of the one-row pass.
             let mut groups: Vec<PrefixGroup> = Vec::new();
             let mut prefixes: Vec<Rows> = Vec::new();
             let mut start = 0;
@@ -1141,7 +1298,7 @@ mod tests {
             let group_of = |s: usize| groups.iter().position(|g| (g.start..g.start + g.len).contains(&s)).unwrap();
             let tails: Vec<Rows> = (0..nseqs)
                 .map(|_| {
-                    let (rows, pieces) = (dice.pick(1, 9), dice.pick(1, 2));
+                    let (rows, pieces) = (dice.pick(1, 40), dice.pick(1, 2));
                     Rows::new(dice, kv_dim, rows, pieces)
                 })
                 .collect();

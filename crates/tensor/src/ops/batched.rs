@@ -8,11 +8,14 @@
 //! [`dot_seq`] and [`axpy_seq`] are its definition (a shifted segment's
 //! score is [`dot_seq`] against a rotated *query*; the tile never rotates
 //! a key). What a kernel may interleave is
-//! whole reductions: *lanes of a tile are different queries; each lane is
+//! whole reductions: *the lanes of a tile of several rows are different
+//! queries, the score lanes of the one-row tile are key rows; each lane is
 //! one `dot_seq` / `axpy_seq`.* `pc-model`'s tile runs up to eight queries
-//! (and four key rows) side by side, every accumulator seeing exactly the
-//! sequence written here, and its property tests compare it with `==`
-//! against a per-row walk that calls these functions — so prefill, a
+//! (and four key rows) side by side, or, for one query on AVX2, eight key
+//! rows per vector with two such vectors in flight, every accumulator
+//! seeing exactly the sequence written here, and its property tests
+//! compare it with `==` against a per-row walk that calls these
+//! functions — so prefill, a
 //! batched tick that groups rows by shared prefix and a solo decode step
 //! agree bit for bit. The weight matmuls keep the same contract with a
 //! different fixed order (`ops/matmul.rs`), and a decode batch needs no
