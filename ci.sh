@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate: release build, the whole workspace's tests, the benchmark's
 # compile surface, experiment smokes, and warning-clean rustdoc and clippy.
-# Run from the repo root. Honours PC_THREADS like the rest of the stack.
+# Run from the repo root. PC_THREADS sets the kernel thread-pool width.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -30,6 +30,9 @@ cargo test -q --release -p prompt-cache --test deferred_rope_tests --test zero_c
 # in progress must resolve every handle — in the optimised codegen that
 # ships, where the interleavings are tighter than in the debug build.
 cargo test -q --release -p pc-server
+# The chaos suite runs through the same two threads: concurrent prepares
+# interleave fault occurrences there, and stalled pickups must still shed.
+cargo test -q --release -p pc-faults --test chaos
 # benchmark/ is a separate package that binds to the public API by path: a
 # deletion that breaks its compile surface, or a serve that stops answering
 # correctly on any of its four workloads, fails here.
@@ -38,10 +41,9 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # tables equal to BENCHMARK.json.
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/smoke.sh
-# Experiment smokes (quick mode writes no BENCH artifact): batched-vs-solo
-# identity over a load sweep; warm-vs-cold restart and the quantized
-# capacity/drift bounds; affinity on/off byte-identity at every shard count.
-cargo run --release -q -p pc-bench --bin figures -- --quick batching > /dev/null
+# Experiment smokes (quick mode writes no BENCH artifact): warm-vs-cold
+# restart and the quantized capacity/drift bounds; affinity on/off
+# byte-identity at every shard count.
 cargo run --release -q -p pc-bench --bin figures -- --quick persistence > /dev/null
 cargo run --release -q -p pc-bench --bin figures -- --quick sharding > /dev/null
 # Docs gate: rustdoc must stay warning-clean.

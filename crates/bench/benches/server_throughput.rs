@@ -1,4 +1,4 @@
-//! Serving throughput: a burst of requests through the worker-pool
+//! Serving throughput: a burst of requests through the continuous-batching
 //! server, cached vs baseline path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -25,10 +25,7 @@ fn build_server() -> Server {
             r#"<schema name="svc"><module name="doc">{doc}</module></schema>"#
         ))
         .unwrap();
-    Server::start(
-        engine,
-        ServerConfig::default().workers(4).queue_capacity(64),
-    )
+    Server::start(engine, ServerConfig::default().queue_capacity(64))
 }
 
 fn server_throughput(c: &mut Criterion) {

@@ -2,7 +2,6 @@
 //! human-readable markdown and machine-readable JSON.
 
 mod ablations;
-mod batching_exp;
 mod persistence_exp;
 mod real_figs;
 mod resilience_exp;
@@ -13,7 +12,6 @@ mod threads_exp;
 mod ttft_exp;
 
 pub use ablations::ablations;
-pub use batching_exp::batching;
 pub use persistence_exp::persistence;
 pub use resilience_exp::resilience;
 pub use serving_exp::{rag, throughput};
@@ -41,10 +39,10 @@ pub struct Report {
 }
 
 /// Every experiment id the `figures` binary accepts, in run order.
-pub const ALL_IDS: [&str; 21] = [
+pub const ALL_IDS: [&str; 20] = [
     "fig3", "fig4", "fig5", "table1", "table2", "memcpy", "modelsize", "e2e", "fig6", "fig7",
     "fig8", "appendix", "ablations", "throughput", "rag", "threads", "ttft_breakdown",
-    "resilience", "batching", "persistence", "sharding",
+    "resilience", "persistence", "sharding",
 ];
 
 /// Runs an experiment by id. `quick` shrinks sample counts for smoke
@@ -69,7 +67,6 @@ pub fn run(id: &str, quick: bool) -> Option<Report> {
         "threads" => Some(threads(quick)),
         "ttft_breakdown" => Some(ttft_breakdown(quick)),
         "resilience" => Some(resilience(quick)),
-        "batching" => Some(batching(quick)),
         "persistence" => Some(persistence(quick)),
         "sharding" => Some(sharding(quick)),
         _ => None,

@@ -1,7 +1,7 @@
 //! Chaos replay: the resilience layer under deterministic injected
 //! faults. Replays one Poisson trace twice — once healthy, once with a
 //! seeded [`pc_faults::FaultPlan`] injecting cache-fetch misses,
-//! checksum corruption, and worker stalls while every request carries a
+//! checksum corruption, and pickup stalls while every request carries a
 //! deadline — and reports what the failure modes cost: shed rate, queue
 //! wait percentiles, degraded (recomputed) serves, interrupted partials.
 //!
@@ -90,10 +90,7 @@ fn run_mode(
     if let Some(plan) = &plan {
         engine.set_fetch_fault_injector(Some(plan.clone()));
     }
-    let server = Server::start(
-        engine,
-        ServerConfig::default().workers(2).queue_capacity(256),
-    );
+    let server = Server::start(engine, ServerConfig::default().queue_capacity(256));
     if let Some(plan) = &plan {
         server.set_worker_faults(Some(plan.clone()));
     }
@@ -125,7 +122,7 @@ fn run_mode(
 }
 
 /// Chaos replay A/B: a healthy run vs the same trace under injected
-/// cache faults and worker stalls with per-request deadlines. Full runs
+/// cache faults and pickup stalls with per-request deadlines. Full runs
 /// also write `BENCH_resilience.json` at the working directory root.
 pub fn resilience(quick: bool) -> Report {
     let prompts = prompts();

@@ -28,11 +28,11 @@ fn service_engine(doc: &str) -> PromptCache {
     engine
 }
 
-fn run_load(baseline: bool, requests: usize, workers: usize) -> (f64, f64) {
+fn run_load(baseline: bool, requests: usize) -> (f64, f64) {
     let doc: String = (0..300).map(|i| format!("w{} ", i % 89)).collect();
     let server = Server::start(
         service_engine(&doc),
-        ServerConfig::default().workers(workers).queue_capacity(256),
+        ServerConfig::default().queue_capacity(256),
     );
     let opts = ServeOptions::default().max_new_tokens(2);
     let start = std::time::Instant::now();
@@ -64,8 +64,8 @@ fn run_load(baseline: bool, requests: usize, workers: usize) -> (f64, f64) {
 /// model.
 pub fn throughput(quick: bool) -> Report {
     let requests = if quick { 8 } else { 48 };
-    let (cached_rps, cached_p50) = run_load(false, requests, 4);
-    let (baseline_rps, baseline_p50) = run_load(true, requests, 4);
+    let (cached_rps, cached_p50) = run_load(false, requests);
+    let (baseline_rps, baseline_p50) = run_load(true, requests);
 
     let mut table = Table::new(&["Path", "Throughput", "TTFT p50"]);
     table.row(&[
@@ -120,7 +120,7 @@ pub fn throughput(quick: bool) -> Report {
         let doc: String = (0..300).map(|i| format!("w{} ", i % 89)).collect();
         let server = Server::start(
             service_engine(&doc),
-            ServerConfig::default().workers(4).queue_capacity(1024),
+            ServerConfig::default().queue_capacity(1024),
         );
         let prompts: Vec<String> = (0..5)
             .map(|i| format!(r#"<prompt schema="svc"><doc/>answer briefly q{i}</prompt>"#))
@@ -155,7 +155,7 @@ pub fn throughput(quick: bool) -> Report {
         title: "§5.4 — serving throughput and batch capacity (measured + model)",
         markdown: format!(
             "{}\n### Batch capacity (100 × 2K-token requests sharing a 1K module)\n{}\n\
-             ### Open-loop Poisson load (cached path, 4 workers)\n{}\n",
+             ### Open-loop Poisson load (cached path, continuous batching)\n{}\n",
             table.to_markdown(),
             cap_table.to_markdown(),
             load_table.to_markdown()

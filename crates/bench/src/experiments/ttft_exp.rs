@@ -39,10 +39,7 @@ pub fn ttft_breakdown(quick: bool) -> Report {
             r#"<schema name="svc">you are a helpful assistant<module name="doc">{doc}</module></schema>"#
         ))
         .expect("register");
-    let server = Server::start(
-        engine,
-        ServerConfig::default().workers(2).queue_capacity(256),
-    );
+    let server = Server::start(engine, ServerConfig::default().queue_capacity(256));
     let prompts: Vec<String> = (0..5)
         .map(|i| format!(r#"<prompt schema="svc"><doc/>answer briefly q{i}</prompt>"#))
         .collect();

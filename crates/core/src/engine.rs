@@ -1452,16 +1452,6 @@ impl PromptCache {
         })
     }
 
-    /// Resolves a parsed prompt against its registered schema — shared by
-    /// batch accounting. Uses the same placement mode as the serve path.
-    pub(crate) fn resolve_for(
-        &self,
-        prompt: &pc_pml::Prompt,
-    ) -> Result<ResolvedPrompt> {
-        let schemas = self.schemas.read();
-        self.resolve(Self::registered(&schemas, &prompt.schema)?, prompt)
-    }
-
     /// Builds the effective interruption token for one serve call: the
     /// caller's token (or an inert one) narrowed by the per-call budget.
     fn effective_cancel(options: &ServeOptions) -> CancelToken {

@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod cancel;
 mod conversation;
 mod engine;
@@ -47,7 +46,6 @@ mod response;
 mod scaffold;
 mod sched;
 
-pub use batch::{BatchReport, BatchSharing};
 pub use cancel::CancelToken;
 pub use conversation::{Conversation, Turn};
 pub use engine::{EngineConfig, PromptCache, RegisterOptions, ServeOptions};

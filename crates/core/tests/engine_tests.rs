@@ -259,23 +259,6 @@ fn temperature_sampling_is_seeded() {
 }
 
 #[test]
-fn batch_sharing_accounts_shared_modules() {
-    let engine = engine(Family::Llama);
-    engine.register_schema(SINGLE_MODULE).unwrap();
-    let prompts = [
-        r#"<prompt schema="doc"><beach/>highlight surf spots</prompt>"#,
-        r#"<prompt schema="doc"><beach/>answer the question</prompt>"#,
-        r#"<prompt schema="doc"><beach/>plan a trip</prompt>"#,
-    ];
-    let report = engine
-        .serve_batch(&prompts, &ServeOptions::default().max_new_tokens(2))
-        .unwrap();
-    assert_eq!(report.responses.len(), 3);
-    // The 11-token module is held once instead of three times.
-    assert!(report.sharing.savings() > 0.4, "{:?}", report.sharing);
-}
-
-#[test]
 fn ttft_improves_over_baseline_for_long_modules() {
     // Not a micro-benchmark — just the directional claim on a module big
     // enough that prefill dominates.

@@ -1,8 +1,8 @@
 //! Chaos integration tests: injected faults against the real engine and
 //! server, proving graceful degradation (byte-identical output under
-//! cache loss/corruption) and deadline shedding (no wasted workers).
+//! cache loss/corruption) and deadline shedding (no wasted batch slots).
 
-use pc_cache::{ModuleKey, StoreConfig};
+use pc_cache::{FetchFault, FetchFaultInjector, ModuleKey, StoreConfig};
 use pc_faults::{FaultConfig, FaultPlan};
 use pc_model::{Model, ModelConfig};
 use pc_server::{RequestHandle, RequestOutcome, Server, ServerConfig, ShedReason, SubmitRequest};
@@ -187,11 +187,9 @@ fn transient_faults_heal_over_repeated_serves() {
 #[test]
 fn stalled_worker_triggers_deadline_shedding() {
     let engine = engine_with(EngineConfig::default());
-    let server = Server::start(
-        engine,
-        ServerConfig::default().workers(1).queue_capacity(16),
-    );
-    // Every pickup stalls well past the request deadline.
+    let server = Server::start(engine, ServerConfig::default().queue_capacity(16));
+    // Every pickup stalls well past the request deadline. The first one
+    // stalls on the batch loop's tick thread, so the rest queue behind it.
     server.set_worker_faults(Some(Arc::new(FaultPlan::new(FaultConfig {
         stall_rate: 1.0,
         stall: Duration::from_millis(80),
@@ -246,7 +244,6 @@ fn flight_recorder_chaos_replay_is_byte_identical() {
         let server = Server::start(
             engine,
             ServerConfig::default()
-                .workers(1)
                 .queue_capacity(32)
                 .flight_recorder(1024),
         );
@@ -273,43 +270,59 @@ fn flight_recorder_chaos_replay_is_byte_identical() {
 
 #[test]
 fn chaos_run_is_deterministic_end_to_end() {
-    // Same seed, same prompts → the same set of degraded serves and the
-    // same outputs, through the whole server stack. Checksums are on so
-    // injected corruption is *detected* (silent corruption is a separate
-    // store mode); one worker keeps the per-key fault occurrences paired
-    // with the same serves on every run.
-    let run = |seed: u64| -> (u64, Vec<u32>) {
+    // Same seed, same prompts → the same injected faults and the same
+    // outputs, through the whole server stack, with all 12 requests
+    // submitted at once. Checksums are on so injected corruption is
+    // *detected* (silent corruption is a separate store mode).
+    //
+    // Which serve draws which fault is not fixed: two prepares can run at
+    // once (the batch loop's tick thread and its admission thread), so
+    // the per-key fetch occurrences interleave differently from run to
+    // run. The totals do not: the plan's decision for the n-th fetch of a
+    // key depends only on (seed, key, n), every serve fetches each span
+    // once, and every injected miss or corruption degrades the fetch that
+    // drew it. A fetch that lands while another serve re-encodes a span
+    // dropped as corrupt also degrades, so the total can exceed the
+    // injected count but never fall short of it.
+    const SERVES: usize = 12;
+    const SEED: u64 = 21;
+    let config = || FaultConfig {
+        seed: SEED,
+        fetch_miss_rate: 0.4,
+        fetch_corrupt_rate: 0.2,
+        ..Default::default()
+    };
+    let replay = FaultPlan::new(config());
+    let injected = (0..2)
+        .flat_map(|span| (0..SERVES).map(move |_| span_key(span)))
+        .filter(|key| replay.fault(key) != FetchFault::None)
+        .count();
+    assert!(injected > 0, "seed {SEED} must inject faults");
+    let run = || -> (usize, Vec<u32>) {
         let engine = engine_with(EngineConfig::default().store(StoreConfig::default().verify_checksums(true)));
-        engine.set_fetch_fault_injector(Some(Arc::new(FaultPlan::new(FaultConfig {
-            seed,
-            fetch_miss_rate: 0.4,
-            fetch_corrupt_rate: 0.2,
-            ..Default::default()
-        }))));
-        let server = Server::start(
-            engine,
-            ServerConfig::default().workers(1).queue_capacity(32),
-        );
-        let handles: Vec<_> = (0..12)
+        engine.set_fetch_fault_injector(Some(Arc::new(FaultPlan::new(config()))));
+        let server = Server::start(engine, ServerConfig::default().queue_capacity(32));
+        let handles: Vec<_> = (0..SERVES)
             .map(|_| submit(&server, PROMPT.into(), opts()))
             .collect();
         let mut tokens = None;
+        let mut degraded = 0;
         for handle in handles {
             let response = handle.wait().unwrap().outcome.unwrap();
             let t = tokens.get_or_insert_with(|| response.tokens.clone());
             assert_eq!(&response.tokens, t, "every serve byte-identical");
+            degraded += response.stats.degraded_spans;
         }
-        let text = server.metrics_text();
-        let degraded = text
-            .lines()
-            .find_map(|l| l.strip_prefix("pc_degraded_serves_total "))
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap();
         server.shutdown();
         (degraded, tokens.unwrap())
     };
-    let (degraded_a, tokens_a) = run(21);
-    let (degraded_b, tokens_b) = run(21);
+    let (degraded_a, tokens_a) = run();
+    let (degraded_b, tokens_b) = run();
     assert_eq!(tokens_a, tokens_b);
-    assert_eq!(degraded_a, degraded_b, "same seed, same degraded-serve count");
+    for degraded in [degraded_a, degraded_b] {
+        assert!(
+            degraded >= injected,
+            "{degraded} degraded spans for {injected} injected faults"
+        );
+    }
 }

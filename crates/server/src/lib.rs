@@ -4,16 +4,16 @@
 //! future LLM serving systems" (§1, §6). This crate is that serving
 //! system in miniature:
 //!
-//! * [`Server`] — a bounded request queue drained by a worker pool, each
-//!   worker serving prompts through one shared [`prompt_cache::PromptCache`]
-//!   (the module store is internally synchronised, so workers share every
-//!   cached module by `Arc` — the §3.4 batch-sharing optimisation falls
-//!   out of the architecture); with [`ServerConfig::batching`] the pool
-//!   is replaced by one continuous-batching tick thread (driving a
-//!   [`prompt_cache::BatchScheduler`]) plus one admission thread that
+//! * [`Server`] — a bounded request queue drained by one
+//!   continuous-batching tick thread (driving a
+//!   [`prompt_cache::BatchScheduler`] over one shared
+//!   [`prompt_cache::PromptCache`]) plus one admission thread that
 //!   prefills joining requests while the batch decodes: requests join the
 //!   in-flight decode batch at any step and leave independently, with
-//!   greedy outputs byte-identical to solo serving;
+//!   greedy outputs byte-identical to solo serving. Every sequence in the
+//!   batch reads the same cached module by `Arc`, and sequences sharing a
+//!   module prefix attend to it as one group — the §3.4 batch-sharing
+//!   optimisation;
 //! * [`metrics`] — latency recording with percentile queries, the numbers
 //!   a serving dashboard reads (p50/p95/p99 TTFT, throughput);
 //! * [`capacity`] — the memory-budgeted batch-capacity model behind the

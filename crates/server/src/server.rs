@@ -1,5 +1,5 @@
-//! The worker-pool server: bounded admission, deadline-aware shedding,
-//! cooperative cancellation, and drain-or-cancel shutdown.
+//! The continuous-batching server: bounded admission, deadline-aware
+//! shedding, cooperative cancellation, and drain-or-cancel shutdown.
 
 use crate::metrics::MetricsSnapshot;
 use crate::ops::OpsHandle;
@@ -27,30 +27,24 @@ use std::time::{Duration, Instant};
 /// use prompt_cache::BatchConfig;
 ///
 /// let config = ServerConfig::default()
-///     .workers(2)
 ///     .queue_capacity(128)
 ///     .batching(BatchConfig::default().max_batch_size(4));
-/// assert_eq!(config.workers, 2);
+/// assert_eq!(config.batch.max_batch_size, 4);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServerConfig {
-    /// Worker threads draining the queue (ignored when `batching` is
-    /// set — continuous batching uses one tick thread and one admission
-    /// thread).
-    pub workers: usize,
     /// Maximum queued (not yet picked up) requests. Beyond this,
     /// [`Server::submit_request`] sheds ([`SubmitError::QueueFull`]) — or
     /// blocks the caller, for a [`SubmitRequest::blocking`] request.
     pub queue_capacity: usize,
-    /// Continuous batching: when set, requests are served by a single
-    /// [`prompt_cache::BatchScheduler`] loop that admits queued requests
-    /// into an in-flight decode batch (joining at any step, leaving on
-    /// EOS/deadline/cancel) instead of a pool of one-request-at-a-time
-    /// workers. While sequences decode, joining requests are prefilled on
-    /// a second thread and join at the next tick. Greedy outputs are
-    /// byte-identical either way.
-    pub batching: Option<BatchConfig>,
+    /// The continuous batch: one [`prompt_cache::BatchScheduler`] loop
+    /// admits queued requests into an in-flight decode batch of up to
+    /// `max_batch_size` sequences (joining at any step, leaving on
+    /// EOS/deadline/cancel). While sequences decode, joining requests
+    /// are prefilled on a second thread and join at the next tick.
+    /// Greedy outputs are byte-identical to solo serving.
+    pub batch: BatchConfig,
     /// Ops-plane HTTP address: when set, [`Server::start`] binds a plain
     /// [`std::net::TcpListener`] here and serves `GET /metrics`,
     /// `/healthz`, `/debug/cache`, `/debug/batch`, and `/debug/flight`
@@ -68,14 +62,10 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Workers follow [`prompt_cache::Parallelism::from_env`] (the
-    /// `PC_THREADS` environment variable, else the number of available
-    /// cores), so the whole serving stack scales with one knob.
     fn default() -> Self {
         ServerConfig {
-            workers: prompt_cache::Parallelism::from_env().num_threads.max(2),
             queue_capacity: 64,
-            batching: None,
+            batch: BatchConfig::default(),
             ops_addr: None,
             flight_capacity: 0,
         }
@@ -83,13 +73,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Sets the worker-thread count (one-request-at-a-time mode).
-    #[must_use]
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
     /// Sets the admission-queue capacity.
     #[must_use]
     pub fn queue_capacity(mut self, n: usize) -> Self {
@@ -97,10 +80,10 @@ impl ServerConfig {
         self
     }
 
-    /// Enables continuous batching with the given batch configuration.
+    /// Sets the batch configuration (see [`ServerConfig::batch`]).
     #[must_use]
     pub fn batching(mut self, config: BatchConfig) -> Self {
-        self.batching = Some(config);
+        self.batch = config;
         self
     }
 
@@ -124,8 +107,8 @@ impl ServerConfig {
 /// Why the server refused or abandoned a request without serving it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The request's deadline had already passed when a worker picked it
-    /// up — serving it would only waste the worker.
+    /// The request's deadline had already passed when the server picked
+    /// it up — serving it would only waste a batch slot.
     DeadlineBeforeStart,
     /// The request's [`CancelToken`] fired while it was still queued.
     CancelledInQueue,
@@ -255,10 +238,11 @@ pub struct RequestResult {
     pub id: u64,
     /// How the request ended.
     pub outcome: RequestOutcome,
-    /// Time spent queued before a worker started serving (for shed
-    /// requests: time queued before the shed decision).
+    /// Time spent queued before the server picked the request up (for
+    /// shed requests: time queued before the shed decision).
     pub queue_time: Duration,
-    /// Time the worker spent serving (zero for shed requests).
+    /// Time from pickup to completion: prefill plus every decode step
+    /// the request shared with its batch (zero for shed requests).
     pub service_time: Duration,
 }
 
@@ -319,12 +303,13 @@ struct Job {
     reply: Sender<RequestResult>,
 }
 
-/// Injected worker-side stalls for chaos testing: the fault harness
-/// (`pc-faults`) implements this to simulate slow or stuck workers. The
-/// stall applies after pickup, before the engine serve, so a stalled
-/// worker both delays its own request past its deadline *and* backs up
-/// the queue behind it — exactly the failure mode load-shedding exists
-/// for.
+/// Injected pickup stalls for chaos testing: the fault harness
+/// (`pc-faults`) implements this to simulate a slow or stuck server. The
+/// stall applies after pickup, before the request's prefill, on the
+/// thread that picked the request up (the tick thread when the batch is
+/// empty, else the admission thread), so a stalled pickup both delays
+/// its own request past its deadline *and* backs up the queue behind it
+/// — exactly the failure mode load-shedding exists for.
 pub trait WorkerFaults: Send + Sync + std::fmt::Debug {
     /// Stall to apply before serving request `id`; `Duration::ZERO` for
     /// a healthy pickup.
@@ -337,7 +322,7 @@ pub trait WorkerFaults: Send + Sync + std::fmt::Debug {
 const SLO_BURN_BUCKETS: &[f64] = &[0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5, 2.0, 5.0, 10.0];
 
 /// Per-server metric state: an always-on [`Telemetry`] registry with
-/// pre-resolved handles. Recording is atomics-only on the worker path;
+/// pre-resolved handles. Recording is atomics-only on the serving path;
 /// the registry lock is touched exactly once per handle, here.
 pub(crate) struct Shared {
     telemetry: Telemetry,
@@ -351,8 +336,8 @@ pub(crate) struct Shared {
     service: Histogram,
     queue: Histogram,
     queue_depth: Gauge,
-    /// Requests picked up but not yet completed (a worker serving, or a
-    /// batched request being prefilled or decoding). Feeds the
+    /// Requests picked up but not yet completed (being prefilled,
+    /// decoding in the batch, or a baseline served whole). Feeds the
     /// admission-control wait estimate alongside the queue depth.
     in_flight: Gauge,
     /// Deadline-carrying requests completed (the SLO denominator).
@@ -363,7 +348,7 @@ pub(crate) struct Shared {
     /// Budget burn: (queue + service) ÷ deadline, per completed
     /// deadline-carrying request.
     slo_burn: Histogram,
-    /// EWMA of worker service time in nanoseconds (α = 1/8), feeding the
+    /// EWMA of request service time in nanoseconds (α = 1/8), feeding the
     /// admission-control wait estimate. Zero until the first completion.
     ewma_service_ns: AtomicU64,
     /// Set by [`Server::shutdown_within`]: queued jobs are shed instead
@@ -377,9 +362,10 @@ pub(crate) struct Shared {
     /// The flight recorder; `None` (the default) means every recording
     /// site is a single `Option` check and no ring exists.
     flight: Option<Arc<FlightRecorder>>,
-    /// Latest batch-membership snapshot, published once per scheduler
-    /// tick for `/debug/batch` — only when `publish_batch_debug` is set.
-    batch_debug: Mutex<Option<BatchSnapshot>>,
+    /// Latest batch-membership snapshot for `/debug/batch`: empty until
+    /// the first tick, then published once per scheduler tick — only
+    /// when `publish_batch_debug` is set.
+    batch_debug: Mutex<BatchSnapshot>,
     /// Set when the ops endpoint is up: tells the batch loop to publish
     /// `batch_debug`. Off by default so unobserved servers skip the
     /// snapshot entirely.
@@ -387,7 +373,11 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(queue_capacity: usize, flight: Option<Arc<FlightRecorder>>) -> Self {
+    fn new(
+        queue_capacity: usize,
+        max_batch_size: usize,
+        flight: Option<Arc<FlightRecorder>>,
+    ) -> Self {
         let telemetry = Telemetry::new();
         Shared {
             served: telemetry.counter("pc_requests_served_total"),
@@ -410,7 +400,11 @@ impl Shared {
             started: Instant::now(),
             queue_capacity,
             flight,
-            batch_debug: Mutex::new(None),
+            batch_debug: Mutex::new(BatchSnapshot {
+                max_batch_size,
+                sequences: Vec::new(),
+                groups: Vec::new(),
+            }),
             publish_batch_debug: AtomicBool::new(false),
             telemetry,
         }
@@ -454,9 +448,10 @@ impl Shared {
 /// A multi-threaded Prompt Cache server. See the [crate docs](crate).
 pub struct Server {
     tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Effective service parallelism for the wait estimate: worker count
-    /// in pool mode, `max_batch_size` in batched mode.
+    /// The batch loop's tick thread; `None` once joined.
+    batch_thread: Option<JoinHandle<()>>,
+    /// Effective service parallelism for the wait estimate:
+    /// `max_batch_size`.
     slots: usize,
     shared: Arc<Shared>,
     next_id: AtomicU64,
@@ -470,10 +465,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the server over `engine`: a worker pool by default, or —
-    /// when [`ServerConfig::batching`] is set — a continuous-batching
-    /// loop that admits queued requests into an in-flight decode batch
-    /// (a tick thread plus one admission thread).
+    /// Starts the server over `engine`: a continuous-batching loop that
+    /// admits queued requests into an in-flight decode batch (a tick
+    /// thread plus one admission thread).
     ///
     /// # Panics
     ///
@@ -488,26 +482,18 @@ impl Server {
         // demotions/restores land in the same /debug/flight stream as
         // request lifecycle events (under the "store" scope).
         engine.store().set_flight_recorder(flight.clone());
-        let shared = Arc::new(Shared::new(config.queue_capacity.max(1), flight));
+        let batch = config.batch;
+        let max_batch_size = batch.max_batch_size;
+        let shared = Arc::new(Shared::new(
+            config.queue_capacity.max(1),
+            max_batch_size,
+            flight,
+        ));
         let (tx, rx) = bounded::<Job>(config.queue_capacity.max(1));
-        let (workers, slots) = if let Some(batch_config) = config.batching {
-            let slots = batch_config.max_batch_size;
-            let engine2 = Arc::clone(&engine);
-            let shared2 = Arc::clone(&shared);
-            let handle =
-                std::thread::spawn(move || batch_loop(&rx, &engine2, &shared2, batch_config));
-            (vec![handle], slots)
-        } else {
-            let n = config.workers.max(1);
-            let workers = (0..n)
-                .map(|_| {
-                    let rx = rx.clone();
-                    let engine = Arc::clone(&engine);
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || worker_loop(&rx, &engine, &shared))
-                })
-                .collect();
-            (workers, n)
+        let batch_thread = {
+            let engine = Arc::clone(&engine);
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || batch_loop(&rx, &engine, &shared, batch))
         };
         let ops = config.ops_addr.map(|addr| {
             shared.publish_batch_debug.store(true, Ordering::Release);
@@ -516,8 +502,8 @@ impl Server {
         });
         Server {
             tx: Some(tx),
-            workers,
-            slots,
+            batch_thread: Some(batch_thread),
+            slots: max_batch_size,
             shared,
             next_id: AtomicU64::new(0),
             shutdown_token: CancelToken::new(),
@@ -582,8 +568,8 @@ impl Server {
                 return Err(SubmitError::PredictedDeadlineExceeded { estimated_wait });
             }
         }
-        // The gauge moves *before* the send so a worker (or the batch
-        // loop) picking the job up immediately can never decrement past
+        // The gauge moves *before* the send so the batch loop picking
+        // the job up immediately can never decrement past
         // zero; on rejection the increment is rolled back.
         self.shared.queue_depth.add(1);
         match self
@@ -606,13 +592,12 @@ impl Server {
     }
 
     /// The admission-control wait estimate: (queued + in-flight)
-    /// requests × EWMA service time ÷ service slots (workers, or the
-    /// maximum batch size in batched mode). Zero until the first request
-    /// completes. Queued is the `pc_queue_depth` gauge (submitted, not
+    /// requests × EWMA service time ÷ service slots (the maximum batch
+    /// size). Zero until the first request completes. Queued is the `pc_queue_depth` gauge (submitted, not
     /// yet picked up — including a job the batch loop has handed to its
     /// admission thread); in flight counts from pickup to completion.
-    /// Counting in-flight occupancy matters under batching: the queue
-    /// can be empty while the batch is full, and a new request still
+    /// Counting in-flight occupancy matters: the queue can be empty
+    /// while the batch is full, and a new request still
     /// waits a full service time for a slot.
     pub fn estimated_queue_wait(&self) -> Duration {
         let ewma = self.shared.ewma_service_ns.load(Ordering::Relaxed);
@@ -663,7 +648,7 @@ impl Server {
             .as_ref()
             .expect("server not shut down")
             .send(job)
-            .expect("workers alive while server exists");
+            .expect("batch loop alive while server exists");
         handle
     }
 
@@ -745,18 +730,13 @@ impl Server {
         &self.shared.telemetry
     }
 
-    /// Graceful shutdown: drains the queue and joins the workers. Every
-    /// pending request completes first; new submissions are impossible
-    /// afterwards. Unbounded — a deep queue takes as long as it takes;
-    /// use [`Server::shutdown_within`] for a bounded exit.
-    pub fn shutdown(mut self) {
-        self.tx.take(); // close the channel; workers exit on disconnect
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(ops) = self.ops.take() {
-            ops.stop();
-        }
+    /// Graceful shutdown: drains the queue and joins the batch loop.
+    /// Every pending request completes first; new submissions are
+    /// impossible afterwards. Unbounded — a deep queue takes as long as
+    /// it takes; use [`Server::shutdown_within`] for a bounded exit.
+    pub fn shutdown(self) {
+        // Drop closes the queue, joins the loop and stops the ops plane.
+        drop(self);
     }
 
     /// Drain-or-cancel shutdown with a bounded grace period:
@@ -765,44 +745,37 @@ impl Server {
     ///    [`ShedReason::ShuttingDown`];
     /// 2. in-flight serves are cancelled via the server's shutdown token
     ///    — each returns its partial response within one decode step;
-    /// 3. workers are joined for up to `grace`.
+    /// 3. the batch loop is joined for up to `grace`.
     ///
-    /// Returns `true` if every worker exited within the grace period;
-    /// `false` means stragglers were detached (they still hold their
-    /// engine `Arc` and finish in the background, but nothing waits for
-    /// them).
+    /// Returns `true` if the loop exited within the grace period; `false`
+    /// means it was detached (it still holds its engine `Arc` and
+    /// finishes in the background, but nothing waits for it).
     pub fn shutdown_within(mut self, grace: Duration) -> bool {
         self.shared.draining.store(true, Ordering::Release);
         self.shutdown_token.cancel();
         self.tx.take();
         let deadline = Instant::now() + grace;
-        loop {
-            if self.workers.iter().all(JoinHandle::is_finished) {
-                break;
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
+        let finished = || {
+            self.batch_thread
+                .as_ref()
+                .is_none_or(JoinHandle::is_finished)
+        };
+        while !finished() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let all_done = self.workers.iter().all(JoinHandle::is_finished);
-        for handle in self.workers.drain(..) {
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
-            // Unfinished handles are detached by the drop.
+        let done = finished();
+        if !done {
+            // Detach the straggler; Drop joins only a finished loop.
+            self.batch_thread.take();
         }
-        if let Some(ops) = self.ops.take() {
-            ops.stop();
-        }
-        all_done
+        done
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.tx.take();
-        for handle in self.workers.drain(..) {
+        self.tx.take(); // close the queue; the batch loop drains and exits
+        if let Some(handle) = self.batch_thread.take() {
             let _ = handle.join();
         }
         if let Some(ops) = self.ops.take() {
@@ -814,15 +787,15 @@ impl Drop for Server {
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("workers", &self.workers.len())
+            .field("max_batch_size", &self.slots)
             .field("served", &self.shared.served.get())
             .finish()
     }
 }
 
-/// Pickup-time shed check shared by both serving modes: `Some(reason)`
-/// if the job is already dead (drained, cancelled, or past its
-/// deadline) and serving it would only waste the slot.
+/// Pickup-time shed check: `Some(reason)` if the job is already dead
+/// (drained, cancelled, or past its deadline) and serving it would only
+/// waste the slot.
 fn pickup_shed_reason(shared: &Shared, job: &Job) -> Option<ShedReason> {
     if shared.draining.load(Ordering::Acquire) {
         Some(ShedReason::ShuttingDown)
@@ -912,8 +885,8 @@ fn outcome_label(outcome: ServeOutcome) -> &'static str {
 }
 
 /// Records completion metrics, flight events, and SLO burn, then
-/// replies — shared by the worker pool and the batch loop so both modes
-/// produce identical series and event trails. Every request that got past
+/// replies — shared by batched, baseline and failed requests so all
+/// produce the same series and event trails. Every request that got past
 /// [`pick_up`] ends here, which is where it leaves the in-flight gauge.
 fn complete_request(
     shared: &Shared,
@@ -1003,9 +976,8 @@ fn complete_request(
     });
 }
 
-/// The pickup prologue, one function for every thread that takes a job
-/// off the queue (pool workers, the batch tick thread, the batch
-/// admission thread): the job leaves the queue-depth gauge, is shed if it
+/// The pickup prologue, one function for both threads that take a job
+/// off the queue (the batch tick thread and the admission thread): the job leaves the queue-depth gauge, is shed if it
 /// is already dead (drained, cancelled, or past its deadline — don't burn
 /// a slot on it), enters the in-flight gauge, sits out any injected fault
 /// stall, and records its `pickup` flight event. Returns the job's queue
@@ -1025,8 +997,8 @@ fn pick_up(shared: &Shared, job: &Job) -> Option<Duration> {
     Some(queue_time)
 }
 
-/// Serves a picked-up job start to finish on the calling thread and
-/// completes it.
+/// Serves a picked-up baseline job start to finish on the calling
+/// thread and completes it.
 fn serve_whole(engine: &PromptCache, shared: &Shared, job: &Job, queue_time: Duration) {
     let start = Instant::now();
     let outcome = engine
@@ -1045,14 +1017,6 @@ fn serve_whole(engine: &PromptCache, shared: &Shared, job: &Job, queue_time: Dur
         start.elapsed(),
         job.budget,
     );
-}
-
-fn worker_loop(rx: &Receiver<Job>, engine: &PromptCache, shared: &Shared) {
-    while let Ok(job) = rx.recv() {
-        if let Some(queue_time) = pick_up(shared, &job) {
-            serve_whole(engine, shared, &job, queue_time);
-        }
-    }
 }
 
 /// What the batch loop keeps per admitted sequence, so the request can
@@ -1136,8 +1100,7 @@ fn batch_loop(rx: &Receiver<Job>, engine: &PromptCache, shared: &Shared, config:
                 if !open {
                     break;
                 }
-                // Nothing decoding or prefilling: block for work like a
-                // pooled worker.
+                // Nothing decoding or prefilling: block for work.
                 match rx.recv() {
                     Ok(job) => {
                         let joining = prepare_job(engine, shared, job);
@@ -1193,7 +1156,7 @@ fn batch_loop(rx: &Receiver<Job>, engine: &PromptCache, shared: &Shared, config:
                 if !snapshot.sequences.is_empty() {
                     shared.record_flight(|| tick_event(&snapshot));
                 }
-                *shared.batch_debug.lock().unwrap() = Some(snapshot);
+                *shared.batch_debug.lock().unwrap() = snapshot;
             }
             for (id, result) in sched.step() {
                 let Some(entry) = inflight.remove(&id) else {
@@ -1466,16 +1429,12 @@ pub(crate) fn render_debug_cache(engine: &PromptCache) -> String {
 }
 
 /// The `/debug/batch` JSON: the latest published batch-membership
-/// snapshot, or `{"enabled":false}` when the server is not batching (or
-/// no tick has run yet).
+/// snapshot (an empty batch before the first tick).
 pub(crate) fn render_debug_batch(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let snapshot = shared.batch_debug.lock().unwrap().clone();
-    let Some(snapshot) = snapshot else {
-        return "{\"enabled\":false}".to_owned();
-    };
     let mut out = format!(
-        "{{\"enabled\":true,\"max_batch_size\":{},\"sequences\":[",
+        "{{\"max_batch_size\":{},\"sequences\":[",
         snapshot.max_batch_size,
     );
     for (i, s) in snapshot.sequences.iter().enumerate() {
@@ -1586,59 +1545,54 @@ mod tests {
 
     #[test]
     fn concurrent_results_match_direct_serving() {
+        let prompt = r#"<prompt schema="s"><ctx/>question</prompt>"#;
         let reference = engine()
-            .serve(&ServeRequest::new(r#"<prompt schema="s"><ctx/>question</prompt>"#).options(opts().clone())).map(Served::into_response)
+            .serve(&ServeRequest::new(prompt).options(opts()))
+            .map(Served::into_response)
             .unwrap()
             .tokens;
-        let server = Server::start(engine(), ServerConfig::default().workers(4).queue_capacity(64));
+        let server = Server::start(engine(), ServerConfig::default().queue_capacity(64));
         let handles: Vec<_> = (0..32)
-            .map(|_| {
-                submit(&server, r#"<prompt schema="s"><ctx/>question</prompt>"#.into(), opts())
-            })
+            .map(|_| submit(&server, prompt.into(), opts()))
             .collect();
         for handle in handles {
             let result = handle.wait().unwrap();
             assert_eq!(result.outcome.unwrap().tokens, reference);
         }
         let m = server.metrics();
-        assert_eq!(m.served, 32);
-        assert_eq!(m.failed, 0);
+        assert_eq!((m.served, m.failed), (32, 0));
         assert!(m.ttft_p50.is_some() && m.ttft_p99 >= m.ttft_p50);
         server.shutdown();
     }
 
+    /// A small batch cap forces many joins and leaves; every result must
+    /// still equal the solo engine's bytes (the reference the retired
+    /// worker pool used to produce).
     #[test]
-    fn errors_are_reported_not_fatal() {
-        let server = Server::start(engine(), ServerConfig::default());
-        let bad = submit(&server, r#"<prompt schema="ghost">x</prompt>"#.into(), opts())
-            .wait()
-            .unwrap();
-        assert!(bad.outcome.is_err());
-        // Server keeps serving afterwards.
-        let good = submit(&server, r#"<prompt schema="s"><ctx/>question</prompt>"#.into(), opts())
-            .wait()
-            .unwrap();
-        assert!(good.outcome.is_ok());
+    fn batched_server_matches_worker_pool_byte_for_byte() {
+        let prompt = r#"<prompt schema="s"><ctx/>question</prompt>"#;
+        let reference = engine()
+            .serve(&ServeRequest::new(prompt).options(opts()))
+            .map(Served::into_response)
+            .unwrap()
+            .tokens;
+        let server = Server::start(
+            engine(),
+            ServerConfig::default()
+                .queue_capacity(64)
+                .batching(BatchConfig::default().max_batch_size(4)),
+        );
+        let handles: Vec<_> = (0..16).map(|_| submit(&server, prompt.into(), opts())).collect();
+        for handle in handles {
+            let result = handle.wait().unwrap();
+            assert_eq!(result.outcome.unwrap().tokens, reference);
+        }
         let m = server.metrics();
-        assert_eq!((m.served, m.failed), (1, 1));
-        server.shutdown();
-    }
-
-    #[test]
-    fn baseline_and_cached_paths_share_the_queue() {
-        let server = Server::start(engine(), ServerConfig::default());
-        let cached = submit(&server, r#"<prompt schema="s"><ctx/>question</prompt>"#.into(), opts())
-            .wait()
-            .unwrap()
-            .outcome
-            .unwrap();
-        let baseline = submit_baseline(&server, r#"<prompt schema="s"><ctx/>question</prompt>"#.into(), opts())
-            .wait()
-            .unwrap()
-            .outcome
-            .unwrap();
-        assert_eq!(cached.tokens, baseline.tokens);
-        assert_eq!(baseline.stats.cached_tokens, 0);
+        assert_eq!((m.served, m.failed), (16, 0));
+        // Batch telemetry lands in the server's always-on registry.
+        let text = server.metrics_text();
+        assert!(text.contains("pc_batch_occupancy"), "{text}");
+        assert!(text.contains("pc_tokens_generated_total"), "{text}");
         server.shutdown();
     }
 
@@ -1658,7 +1612,7 @@ mod tests {
         let server = Server::start(engine(), ServerConfig::default());
         let handle = submit(&server, r#"<prompt schema="s"><ctx/>one</prompt>"#.into(), opts());
         handle.wait().unwrap();
-        drop(server); // Drop impl joins workers without hanging
+        drop(server); // Drop impl joins the batch loop without hanging
     }
 
     #[test]
@@ -1761,34 +1715,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_server_matches_worker_pool_byte_for_byte() {
-        let prompt = r#"<prompt schema="s"><ctx/>question</prompt>"#;
-        let reference = engine()
-            .serve(&ServeRequest::new(prompt).options(opts()))
-            .map(Served::into_response)
-            .unwrap()
-            .tokens;
-        let server = Server::start(
-            engine(),
-            ServerConfig::default()
-                .queue_capacity(64)
-                .batching(BatchConfig::default().max_batch_size(4)),
-        );
-        let handles: Vec<_> = (0..16).map(|_| submit(&server, prompt.into(), opts())).collect();
-        for handle in handles {
-            let result = handle.wait().unwrap();
-            assert_eq!(result.outcome.unwrap().tokens, reference);
-        }
-        let m = server.metrics();
-        assert_eq!((m.served, m.failed), (16, 0));
-        // Batch telemetry lands in the server's always-on registry.
-        let text = server.metrics_text();
-        assert!(text.contains("pc_batch_occupancy"), "{text}");
-        assert!(text.contains("pc_tokens_generated_total"), "{text}");
-        server.shutdown();
-    }
-
-    #[test]
     fn batched_server_reports_errors_and_serves_baselines_inline() {
         let server = Server::start(
             engine(),
@@ -1798,6 +1724,8 @@ mod tests {
             .wait()
             .unwrap();
         assert!(bad.outcome.is_err());
+        // The server keeps serving afterwards, and a baseline request
+        // (served whole, outside the batch) matches the cached path.
         let cached = submit(&server, r#"<prompt schema="s"><ctx/>question</prompt>"#.into(), opts())
             .wait()
             .unwrap()
@@ -2057,8 +1985,9 @@ mod tests {
 
     #[test]
     fn queue_time_is_recorded() {
-        let server = Server::start(engine(), ServerConfig::default().workers(1).queue_capacity(64));
-        // Pile up work on a single worker so later requests queue.
+        let server = Server::start(engine(), ServerConfig::default().queue_capacity(64));
+        // Pile up work faster than the batch loop picks it up, so later
+        // requests queue behind the first one's prefill.
         let handles: Vec<_> = (0..8)
             .map(|_| submit(&server, r#"<prompt schema="s"><ctx/>question</prompt>"#.into(), opts()))
             .collect();

@@ -219,9 +219,9 @@ mod tests {
     use pc_tokenizer::{Tokenizer, WordTokenizer};
     use prompt_cache::{EngineConfig, PromptCache};
 
-    /// A worker-pool server over a one-module schema, and two prompts
-    /// that import the module.
-    fn server_and_prompts(workers: usize) -> (Server, Vec<String>) {
+    /// A server over a one-module schema, and two prompts that import
+    /// the module.
+    fn server_and_prompts() -> (Server, Vec<String>) {
         let corpus = "alpha beta gamma delta question one two";
         let tokenizer = WordTokenizer::train(&[corpus]);
         let vocab = tokenizer.vocab_size().max(64);
@@ -235,10 +235,7 @@ mod tests {
                 r#"<schema name="t"><module name="m">alpha beta gamma delta</module></schema>"#,
             )
             .unwrap();
-        let server = Server::start(
-            engine,
-            ServerConfig::default().workers(workers).queue_capacity(64),
-        );
+        let server = Server::start(engine, ServerConfig::default().queue_capacity(64));
         let prompts = vec![
             r#"<prompt schema="t"><m/>question one</prompt>"#.to_owned(),
             r#"<prompt schema="t"><m/>question two</prompt>"#.to_owned(),
@@ -274,7 +271,7 @@ mod tests {
 
     #[test]
     fn replay_completes_offered_load() {
-        let (server, prompts) = server_and_prompts(2);
+        let (server, prompts) = server_and_prompts();
         let trace = poisson_trace(20, 500.0, prompts.len(), 11);
         let report = replay(
             &server,
@@ -306,7 +303,7 @@ mod tests {
         // is its own queue wait + service time, so it must sit far below
         // the trace length however late the replay collects its handle —
         // and it can never undercut the same request's TTFT.
-        let (server, prompts) = server_and_prompts(1);
+        let (server, prompts) = server_and_prompts();
         let trace: Vec<TraceEvent> = (0..24)
             .map(|i| TraceEvent {
                 at: Duration::from_millis(10 * (i + 1)),
@@ -361,12 +358,9 @@ mod overload_tests {
                 r#"<schema name="o"><module name="doc">{doc}</module></schema>"#
             ))
             .unwrap();
-        let server = Server::start(
-            engine,
-            ServerConfig::default().workers(1).queue_capacity(8),
-        );
+        let server = Server::start(engine, ServerConfig::default().queue_capacity(8));
         let prompts = vec![r#"<prompt schema="o"><doc/>q</prompt>"#.to_owned()];
-        // 40 arrivals at a nominal 10 kHz — far beyond one worker.
+        // 40 arrivals at a nominal 10 kHz — far beyond the service rate.
         let trace = poisson_trace(40, 10_000.0, 1, 5);
         let report = replay(
             &server,

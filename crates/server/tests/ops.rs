@@ -175,12 +175,10 @@ fn all_four_endpoints_serve_over_plain_tcp() {
     assert!(heat[0]["hits"].as_u64().unwrap() >= heat[heat.len() - 1]["hits"].as_u64().unwrap());
     assert!(heat[0]["bytes_shared"].as_u64().unwrap() > 0, "zero-copy bytes attributed");
 
-    // /debug/batch — live batch membership and prefix groups (batching
-    // is enabled, so at least one tick has published a snapshot).
+    // /debug/batch — live batch membership and prefix groups.
     let (status, _, batch) = http_get(addr, "/debug/batch");
     assert_eq!(status, "HTTP/1.1 200 OK");
     let batch: serde_json::Value = serde_json::from_str(&batch).expect("valid JSON");
-    assert_eq!(batch["enabled"], true);
     assert_eq!(batch["max_batch_size"].as_u64(), Some(4));
     assert!(batch["sequences"].as_array().is_some());
     assert!(batch["groups"].as_array().is_some());
@@ -213,18 +211,22 @@ fn all_four_endpoints_serve_over_plain_tcp() {
 }
 
 #[test]
-fn worker_pool_server_reports_batch_disabled_and_flight_404() {
-    // No batching, no flight recorder: /debug/batch reports disabled and
+fn fresh_server_reports_an_empty_batch_and_flight_404() {
+    // Default config, no request yet: /debug/batch describes the empty
+    // batch at the default size, and without a flight recorder
     // /debug/flight is a 404 with a pointer to the knob.
     let server = Server::start(
         observable_engine(),
-        ServerConfig::default().workers(2).ops_addr(localhost()),
+        ServerConfig::default().ops_addr(localhost()),
     );
     let addr = server.ops_local_addr().unwrap();
-    warm(&server);
     let (status, _, batch) = http_get(addr, "/debug/batch");
     assert_eq!(status, "HTTP/1.1 200 OK");
-    assert_eq!(batch, "{\"enabled\":false}");
+    assert_eq!(
+        batch,
+        "{\"max_batch_size\":8,\"sequences\":[],\"groups\":[]}"
+    );
+    warm(&server);
     let (status, _, body) = http_get(addr, "/debug/flight");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
     assert!(body.contains("flight_recorder"), "{body}");
@@ -234,7 +236,7 @@ fn worker_pool_server_reports_batch_disabled_and_flight_404() {
 
 #[test]
 fn slo_violations_are_counted() {
-    let server = Server::start(observable_engine(), ServerConfig::default().workers(1));
+    let server = Server::start(observable_engine(), ServerConfig::default());
     // An impossible budget: the serve completes but overruns, or is shed
     // dead-on-pickup — either way it burned its whole budget.
     let _ = submit(&server, PROMPTS[0].into(), opts().deadline(Duration::from_nanos(1)))

@@ -1,6 +1,6 @@
 //! Server-level resilience edge cases: in-queue cancellation, bounded
 //! admission, predicted-wait shedding, deadline-dead requests never
-//! reaching a worker, and drain-or-cancel shutdown.
+//! reaching the engine, and drain-or-cancel shutdown.
 
 use pc_model::{Model, ModelConfig};
 use pc_server::{
@@ -28,8 +28,11 @@ fn engine() -> PromptCache {
     engine
 }
 
-fn server(workers: usize, queue_capacity: usize) -> Server {
-    Server::start(engine(), ServerConfig::default().workers(workers).queue_capacity(queue_capacity))
+fn server(queue_capacity: usize) -> Server {
+    Server::start(
+        engine(),
+        ServerConfig::default().queue_capacity(queue_capacity),
+    )
 }
 
 fn opts() -> ServeOptions {
@@ -50,8 +53,10 @@ fn try_submit(
     server.submit_request(&SubmitRequest::new(prompt).options(options))
 }
 
-/// Stalls every pickup by a fixed duration — pins a worker so requests
-/// pile up behind it deterministically.
+/// Stalls every pickup by a fixed duration. The first request is picked
+/// up by the batch loop's tick thread while the batch is empty, so its
+/// stall holds the queue and requests pile up behind it
+/// deterministically.
 #[derive(Debug)]
 struct StallEvery(Duration);
 
@@ -63,12 +68,12 @@ impl WorkerFaults for StallEvery {
 
 #[test]
 fn cancel_before_pickup_sheds_without_serving() {
-    let server = server(1, 16);
+    let server = server(16);
     server.set_worker_faults(Some(std::sync::Arc::new(StallEvery(
         Duration::from_millis(60),
     ))));
-    // The first request occupies the (stalled) worker; the second sits in
-    // the queue where its cancellation must be noticed at pickup.
+    // The first request's stalled pickup holds the queue; the second sits
+    // in the queue where its cancellation must be noticed at pickup.
     let first = submit(&server, PROMPT.into(), opts());
     let second = submit(&server, PROMPT.into(), opts());
     second.cancel();
@@ -88,12 +93,12 @@ fn cancel_before_pickup_sheds_without_serving() {
 
 #[test]
 fn try_submit_rejects_when_the_queue_is_full() {
-    let server = server(1, 1);
+    let server = server(1);
     server.set_worker_faults(Some(std::sync::Arc::new(StallEvery(
         Duration::from_millis(60),
     ))));
-    // Fill the single worker and the single queue slot, then keep trying
-    // until admission control pushes back.
+    // Stall the first pickup and fill the single queue slot, then keep
+    // trying until admission control pushes back.
     let mut admitted = vec![submit(&server, PROMPT.into(), opts())];
     let rejection = loop {
         match try_submit(&server, PROMPT.into(), opts()) {
@@ -111,14 +116,14 @@ fn try_submit_rejects_when_the_queue_is_full() {
 
 #[test]
 fn try_submit_sheds_on_predicted_deadline_overrun() {
-    let server = server(1, 32);
+    let server = server(32);
     // Seed the EWMA service-time estimate with one real serve.
     assert!(submit(&server, PROMPT.into(), opts())
         .wait()
         .unwrap()
         .outcome
         .is_ok());
-    // Pin the worker and build queue depth so the wait estimate is
+    // Stall pickups and build queue depth so the wait estimate is
     // strictly positive.
     server.set_worker_faults(Some(std::sync::Arc::new(StallEvery(
         Duration::from_millis(120),
@@ -144,7 +149,7 @@ fn try_submit_sheds_on_predicted_deadline_overrun() {
 
 #[test]
 fn deadline_dead_requests_never_reach_a_worker() {
-    let server = server(2, 16);
+    let server = server(16);
     let handles: Vec<_> = (0..4)
         .map(|_| {
             submit(&server, 
@@ -162,18 +167,19 @@ fn deadline_dead_requests_never_reach_a_worker() {
         assert_eq!(result.service_time, Duration::ZERO);
     }
     let m = server.metrics();
-    assert_eq!(m.served, 0, "no worker ever served a dead request");
+    assert_eq!(m.served, 0, "the engine never served a dead request");
     assert_eq!(m.shed, 4);
     server.shutdown();
 }
 
 #[test]
 fn shutdown_within_sheds_queued_and_cancels_in_flight() {
-    let server = server(1, 16);
+    let server = server(16);
     server.set_worker_faults(Some(std::sync::Arc::new(StallEvery(
         Duration::from_millis(100),
     ))));
-    // One request in flight (stalled inside the worker), two queued.
+    // One request in flight (stalled at pickup on the tick thread), two
+    // queued behind it.
     let in_flight = submit(&server, PROMPT.into(), opts());
     let queued: Vec<_> = (0..2).map(|_| submit(&server, PROMPT.into(), opts())).collect();
     std::thread::sleep(Duration::from_millis(20));

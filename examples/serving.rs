@@ -1,5 +1,6 @@
-//! A miniature serving deployment: worker pool, mixed cached/baseline
-//! load, latency percentiles, and the §5.4 batch-capacity analysis.
+//! A miniature serving deployment: continuous batching, mixed
+//! cached/baseline load, latency percentiles, and the §5.4
+//! batch-capacity analysis.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -31,10 +32,7 @@ fn main() {
         ))
         .expect("register");
 
-    let server = Server::start(
-        engine,
-        ServerConfig::default().workers(4).queue_capacity(128),
-    );
+    let server = Server::start(engine, ServerConfig::default().queue_capacity(128));
     let opts = ServeOptions::default().max_new_tokens(4);
 
     // 40 cached requests + 8 baseline requests through the same queue.
@@ -65,8 +63,12 @@ fn main() {
     let wall = started.elapsed();
 
     let m = server.metrics();
-    println!("served {} requests in {:?} ({:.0} req/s, 4 workers)",
-        m.served, wall, m.served as f64 / wall.as_secs_f64());
+    println!(
+        "served {} requests in {:?} ({:.0} req/s)",
+        m.served,
+        wall,
+        m.served as f64 / wall.as_secs_f64()
+    );
     println!(
         "TTFT p50 {:?} | p95 {:?} | p99 {:?}   queue mean {:?}",
         m.ttft_p50.unwrap(),
