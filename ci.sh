@@ -33,6 +33,9 @@ cargo test -q --release -p pc-server
 # The chaos suite runs through the same two threads: concurrent prepares
 # interleave fault occurrences there, and stalled pickups must still shed.
 cargo test -q --release -p pc-faults --test chaos
+# Every fleet shard is a batching server, so the fleet's seeded kills and
+# stalls run through the same two threads plus the router thread.
+cargo test -q --release -p pc-faults --test fleet_chaos
 # benchmark/ is a separate package that binds to the public API by path: a
 # deletion that breaks its compile surface, or a serve that stops answering
 # correctly on any of its four workloads, fails here.
@@ -42,8 +45,8 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/smoke.sh
 # Experiment smokes (quick mode writes no BENCH artifact): warm-vs-cold
-# restart and the quantized capacity/drift bounds; affinity on/off
-# byte-identity at every shard count.
+# restart and the quantized capacity/drift bounds; fleet byte-identity
+# at 1, 2 and 4 shards.
 cargo run --release -q -p pc-bench --bin figures -- --quick persistence > /dev/null
 cargo run --release -q -p pc-bench --bin figures -- --quick sharding > /dev/null
 # Docs gate: rustdoc must stay warning-clean.

@@ -1,14 +1,13 @@
-//! Sharded-fleet economics: what schema-affinity routing buys as the
-//! fleet widens. The same prompt mix is replayed through a [`Router`]
-//! at shard counts {1, 2, 4} with affinity routing on and off, and
-//! every configuration is held to the fleet's core invariant — output
+//! Sharded-fleet economics as the fleet widens. The same prompt mix is
+//! replayed through a [`Router`] at shard counts {1, 2, 4}, and every
+//! configuration is held to the fleet's core invariant — output
 //! **byte-identical** to a single-process engine — while we measure:
 //!
-//! 1. **Store hit rate** — affinity keeps a schema's requests on the
-//!    workers that own (and pre-encoded) its modules; spreading them
-//!    least-loaded re-encodes the same modules on every worker they
-//!    touch.
-//! 2. **Queue wait** — time from submission to worker pickup, per
+//! 1. **Store hit rate** — affinity routing keeps a schema's requests on
+//!    the shards that own (and pre-encoded) its modules, so widening the
+//!    fleet does not re-encode them. (The least-loaded arm that spread
+//!    them is retired; its last numbers are in EXPERIMENTS.md.)
+//! 2. **Queue wait** — time from submission to shard pickup, per
 //!    request, as shards absorb the backlog.
 //! 3. **Shed rate** — requests dropped before service (zero on a
 //!    healthy fleet; recorded so regressions surface in the artifact).
@@ -82,7 +81,6 @@ fn single_engine_outputs(prompts: &[String]) -> Vec<(String, Vec<u32>)> {
 
 struct ConfigRow {
     shards: usize,
-    affinity: bool,
     hits: u64,
     misses: u64,
     hit_rate: f64,
@@ -96,17 +94,11 @@ struct ConfigRow {
 
 /// Replays the prompt mix through one fleet configuration, asserting
 /// byte-identity against `expected` and returning the measured row.
-fn run_config(
-    shards: usize,
-    affinity: bool,
-    prompts: &[String],
-    expected: &[(String, Vec<u32>)],
-) -> ConfigRow {
+fn run_config(shards: usize, prompts: &[String], expected: &[(String, Vec<u32>)]) -> ConfigRow {
     let router = Router::start(
         blueprint(),
         FleetConfig::default()
             .shards(shards)
-            .affinity(affinity)
             .queue_capacity(prompts.len().max(64)),
     );
     router.register_schema(SCHEMA_EAST).expect("register east");
@@ -135,7 +127,7 @@ fn run_config(
     assert_eq!(shed, 0, "a healthy fleet sheds nothing");
     assert_eq!(
         got, expected,
-        "shards={shards} affinity={affinity} must match single-process output"
+        "shards={shards} must match single-process output"
     );
 
     let (hits, misses) = router
@@ -148,7 +140,6 @@ fn run_config(
 
     ConfigRow {
         shards,
-        affinity,
         hits,
         misses,
         hit_rate: hits as f64 / (hits + misses).max(1) as f64,
@@ -168,16 +159,13 @@ pub fn sharding(quick: bool) -> Report {
     let prompts = prompts(reps);
     let expected = single_engine_outputs(&prompts);
 
-    let mut rows = Vec::new();
-    for shards in [1usize, 2, 4] {
-        for affinity in [true, false] {
-            rows.push(run_config(shards, affinity, &prompts, &expected));
-        }
-    }
+    let rows: Vec<ConfigRow> = [1usize, 2, 4]
+        .into_iter()
+        .map(|shards| run_config(shards, &prompts, &expected))
+        .collect();
 
     let mut table = Table::new(&[
         "Shards",
-        "Affinity",
         "hit rate",
         "queue wait (mean)",
         "shed rate",
@@ -186,7 +174,6 @@ pub fn sharding(quick: bool) -> Report {
     for r in &rows {
         table.row(&[
             format!("{}", r.shards),
-            if r.affinity { "on" } else { "off" }.into(),
             format!("{:.3}", r.hit_rate),
             fmt_time_s(r.mean_queue_wait_s),
             format!("{:.3}", r.shed_rate),
@@ -202,7 +189,6 @@ pub fn sharding(quick: bool) -> Report {
             .map(|r| {
                 json!({
                     "shards": r.shards,
-                    "affinity": r.affinity,
                     "hits": r.hits,
                     "misses": r.misses,
                     "hit_rate": r.hit_rate,
@@ -230,7 +216,7 @@ pub fn sharding(quick: bool) -> Report {
 
     Report {
         id: "sharding",
-        title: "Sharded fleet: affinity routing vs least-loaded spread",
+        title: "Sharded fleet: affinity routing across shard counts",
         markdown: format!(
             "{}\n{} prompts over 2 schemas; every configuration byte-identical \
              to a single-process engine{}\n",
@@ -253,29 +239,20 @@ mod tests {
     fn sharding_invariants_hold() {
         let r = sharding(true);
         let configs = r.json["configs"].as_array().unwrap();
-        assert_eq!(configs.len(), 6, "3 shard counts x affinity on/off");
+        assert_eq!(configs.len(), 3, "3 shard counts");
         for c in configs {
             assert!(c["byte_identical"].as_bool().unwrap());
             assert_eq!(c["shed"].as_u64().unwrap(), 0);
         }
-        // At 4 shards, affinity routing serves from the owners that
-        // pre-encoded the schema modules; spreading least-loaded makes
-        // non-owners re-encode, so its hit rate cannot be higher.
-        let rate = |shards: u64, affinity: bool| {
-            configs
-                .iter()
-                .find(|c| {
-                    c["shards"].as_u64() == Some(shards)
-                        && c["affinity"].as_bool() == Some(affinity)
-                })
-                .and_then(|c| c["hit_rate"].as_f64())
-                .unwrap()
-        };
+        // Owners pre-encode each schema's modules, so widening the fleet
+        // keeps the single-shard hit rate: no request lands on a shard
+        // that has to re-encode.
+        let rate = |i: usize| configs[i]["hit_rate"].as_f64().unwrap();
         assert!(
-            rate(4, true) >= rate(4, false),
-            "affinity on {} must not trail affinity off {}",
-            rate(4, true),
-            rate(4, false)
+            rate(2) >= rate(0),
+            "4 shards {} must not trail 1 shard {}",
+            rate(2),
+            rate(0)
         );
         // Quick mode writes no artifact.
         assert!(!std::path::Path::new("BENCH_sharding.json").exists());

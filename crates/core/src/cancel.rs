@@ -12,8 +12,9 @@
 //! prefill/decode step, not by the whole generation.
 //!
 //! Tokens compose: [`CancelToken::linked_to`] chains a per-request token
-//! to a server-wide shutdown token, and deadlines combine by taking the
-//! earliest ([`CancelToken::with_deadline_at`] keeps the minimum).
+//! to a server-wide shutdown token — keeping every parent and every
+//! parent's own parents — and deadlines combine by taking the earliest
+//! ([`CancelToken::with_deadline_at`] keeps the minimum).
 
 use crate::response::ServeOutcome;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,12 +37,22 @@ use std::time::{Duration, Instant};
 /// token.cancel();
 /// assert!(token.is_cancelled());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    /// A parent flag (e.g. server shutdown) that also cancels this token.
-    linked: Option<Arc<AtomicBool>>,
+    /// This token's own flag first, then the flag of every token it was
+    /// linked to, transitively — flattened at link time, so a check reads
+    /// one slice and a clone is one `Arc` bump.
+    flags: Arc<[Arc<AtomicBool>]>,
     deadline: Option<Instant>,
+}
+
+impl Default for CancelToken {
+    fn default() -> Self {
+        CancelToken {
+            flags: Arc::new([Arc::new(AtomicBool::new(false))]),
+            deadline: None,
+        }
+    }
 }
 
 impl CancelToken {
@@ -70,12 +81,20 @@ impl CancelToken {
         }
     }
 
-    /// Links this token to `parent`: if the parent is cancelled (or its
-    /// deadline passes), this token reports cancelled too. Used by the
-    /// server to chain every request token to one shutdown token.
+    /// Links this token to `parent`: if the parent — or any token the
+    /// parent is itself linked to — is cancelled, this token reports
+    /// cancelled too, and the parent's deadline applies. Earlier links are
+    /// kept. Used by the server to chain every request token to one
+    /// shutdown token without losing the caller's own parents.
     #[must_use]
     pub fn linked_to(mut self, parent: &CancelToken) -> Self {
-        self.linked = Some(Arc::clone(&parent.flag));
+        let mut flags = self.flags.to_vec();
+        for flag in parent.flags.iter() {
+            if !flags.iter().any(|f| Arc::ptr_eq(f, flag)) {
+                flags.push(Arc::clone(flag));
+            }
+        }
+        self.flags = flags.into();
         match parent.deadline {
             Some(d) => self.with_deadline_at(d),
             None => self,
@@ -84,18 +103,14 @@ impl CancelToken {
 
     /// Fires the token. Idempotent; visible to all clones immediately.
     pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
+        self.flags[0].store(true, Ordering::Release);
     }
 
     /// Whether [`CancelToken::cancel`] was called on this token, a clone,
-    /// or a linked parent. Does **not** consider the deadline — use
+    /// or a linked ancestor. Does **not** consider the deadline — use
     /// [`CancelToken::interruption`] for the full check.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-            || self
-                .linked
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::Acquire))
+        self.flags.iter().any(|f| f.load(Ordering::Acquire))
     }
 
     /// The absolute deadline, if any.
@@ -168,6 +183,34 @@ mod tests {
         let child2 = CancelToken::new().linked_to(&parent2);
         child2.cancel();
         assert!(!parent2.is_cancelled());
+    }
+
+    #[test]
+    fn relinking_keeps_the_first_parent() {
+        let first = CancelToken::new();
+        let second = CancelToken::new();
+        let child = CancelToken::new().linked_to(&first).linked_to(&second);
+        assert!(!child.is_cancelled());
+        first.cancel();
+        assert!(
+            child.is_cancelled(),
+            "the second link must not drop the first"
+        );
+    }
+
+    #[test]
+    fn grandparent_cancel_reaches_the_grandchild() {
+        let grandparent = CancelToken::new();
+        let parent = CancelToken::new().linked_to(&grandparent);
+        let child = CancelToken::new().linked_to(&parent);
+        assert!(!child.is_cancelled());
+        grandparent.cancel();
+        assert!(child.is_cancelled());
+        // Cancelling the child still leaves its ancestors alone.
+        let grandparent = CancelToken::new();
+        let child = CancelToken::new().linked_to(&CancelToken::new().linked_to(&grandparent));
+        child.cancel();
+        assert!(!grandparent.is_cancelled());
     }
 
     #[test]

@@ -31,15 +31,6 @@ pub enum EngineError {
     },
     /// The prompt contains no tokens at all (no modules, no text).
     EmptyPrompt,
-    /// An error reported by a remote fleet worker (process-mode serving
-    /// in `pc-server`): the worker-side error crossed the wire as text.
-    /// Structured variants the wire protocol knows (`UnknownSchema`,
-    /// `EmptyPrompt`) are reconstructed as themselves; everything else
-    /// arrives as this.
-    Remote {
-        /// The worker-side error, stringified.
-        detail: String,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -56,7 +47,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::InvalidScaffold { detail } => write!(f, "invalid scaffold: {detail}"),
             EngineError::EmptyPrompt => write!(f, "prompt has no content"),
-            EngineError::Remote { detail } => write!(f, "remote worker: {detail}"),
         }
     }
 }

@@ -1,108 +1,87 @@
-//! The sharded serving fleet: a [`Router`] over N worker engines.
+//! The sharded serving fleet: a [`Router`] over N [`Server`] shards.
 //!
 //! The paper's modular reuse pays at scale only when hot modules stay
-//! hot. One in-process scheduler caps both throughput and locality, so
-//! the fleet splits the module store across N `EngineWorker`s — each an
-//! independent engine built from the same [`EngineBlueprint`] — and
-//! routes requests to a worker that already holds their modules:
+//! hot. One engine caps both throughput and locality, so the fleet
+//! splits the module store across N shards — each a continuous-batching
+//! [`Server`] over its own engine, built from the same [`EngineBlueprint`]
+//! — and routes requests to a shard that already holds their modules:
 //!
-//! * **Shard ownership.** Schemas are consistent-hashed over workers
+//! * **Shard ownership.** Schemas are consistent-hashed over shards
 //!   ([`pc_cache::ShardMap`], rendezvous hashing) with a configurable
 //!   [replication factor](FleetConfig::replication). Owners register a
 //!   schema *warm* (modules encoded at registration); every other
-//!   worker registers it *cold* (layout only) and can still serve it
+//!   shard registers it *cold* (layout only) and can still serve it
 //!   byte-identically by re-encoding on demand through the engine's
 //!   degrade-on-miss path.
 //! * **Schema-affinity routing.** A request routes to the least-loaded
-//!   *owner* of its schema (load = queued × EWMA service time, the
-//!   PR 4/5 admission estimate, per worker); when
-//!   [`FleetConfig::spill_after`] is set and every owner is busier than
-//!   that bound, it spills to the globally least-loaded worker instead.
-//!   [`FleetConfig::affinity`] turns the owner preference off entirely
-//!   (pure least-loaded) — the A/B the sharding experiment measures.
-//! * **Worker loss is not a correctness event.** Killing a worker
+//!   alive *owner* of its schema (load = the shard's
+//!   [`Server::estimated_queue_wait`]); when no owner survives, to the
+//!   least-loaded alive shard.
+//! * **Every shard batches.** A shard serves through the one serve loop
+//!   behind [`Server`]: up to eight sequences decode together, joining
+//!   requests prefill on its admission thread, and sequences sharing a
+//!   module prefix attend to it as one group.
+//! * **Shard loss is not a correctness event.** Killing a shard
 //!   ([`Router::kill_worker`], or the chaos plan's deterministic
-//!   self-kill via [`FleetFaults`]) interrupts its in-flight serve
-//!   within one decode step and re-routes the request — and everything
-//!   still queued behind it — to surviving workers. Re-serving from
-//!   scratch is deterministic, so the caller sees exactly the bytes a
-//!   healthy fleet (or a single process) would have produced.
-//! * **Threads or processes.** Workers are threads by default.
-//!   [`FleetConfig::process_mode`] runs each as an OS process (the
-//!   `pc_fleet_worker` binary) speaking the std-only length-prefixed
-//!   protocol in [`crate::wire`]; the router-side loop is the same, so
-//!   routing, replication, kill, and re-route behave identically.
+//!   self-kill via [`FleetFaults`]) sheds its queue and cancels its
+//!   in-flight serves within one decode step. One router thread receives
+//!   every shard's results and re-routes what a dead shard gave up to
+//!   the survivors. Re-serving from scratch is deterministic, so the
+//!   caller sees exactly the bytes a healthy fleet (or a single engine)
+//!   would have produced.
 //!
 //! The router submits through the same [`SubmitRequest`] builder and
 //! returns the same [`RequestHandle`] / [`RequestResult`] /
-//! [`SubmitError`] types as the single-process [`crate::Server`] — no
-//! separate error taxonomy.
+//! [`SubmitError`] types as the single-engine [`Server`] — no separate
+//! error taxonomy.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use pc_cache::ShardMap;
 use pc_telemetry::{Counter, Histogram, Telemetry};
-use prompt_cache::{
-    CancelToken, EngineError, PromptCache, RegisterOptions, Response, ServeOptions, ServeOutcome,
-    ServeRequest, ServeStats,
-};
+use prompt_cache::{CancelToken, EngineError, RegisterOptions, ServeOutcome};
 
 use crate::ops::{self, OpsHandle, Routes, JSON, PROM};
 use crate::server::{json_escape, RequestHandle, RequestOutcome, RequestResult, ShedReason};
 use crate::submit::SubmitRequest;
-use crate::wire::{read_frame, write_frame, EngineBlueprint, FromWorker, ToWorker, WireOptions};
-use crate::SubmitError;
+use crate::wire::EngineBlueprint;
+use crate::{Server, ServerConfig, SubmitError, WorkerFaults};
 
 /// Injected fleet-level faults for chaos testing — the fleet analogue of
 /// [`crate::WorkerFaults`], keyed by worker so one seed drives a whole
 /// fleet's failure schedule deterministically. `pc-faults` implements
 /// this for its seeded plans.
 pub trait FleetFaults: Send + Sync + std::fmt::Debug {
-    /// Stall applied on `worker` before serving request `id`;
+    /// Stall applied on `worker` when it picks up request `id`;
     /// `Duration::ZERO` for a healthy pickup.
     fn pre_serve_delay(&self, worker: usize, id: u64) -> Duration;
 
     /// If `Some(n)`, `worker` kills itself once it has completed `n`
-    /// serves (at the next pickup) — a deterministic mid-run worker
-    /// loss. `None` means the worker never self-kills.
+    /// serves (at its next pickup) — a deterministic mid-run worker loss.
+    /// `None` means the worker never self-kills.
     fn kill_after(&self, worker: usize) -> Option<u64> {
         let _ = worker;
         None
     }
 }
 
-/// Fleet topology and routing knobs. `#[non_exhaustive]` with chainable
-/// setters, like every config in this workspace.
+/// Fleet topology. `#[non_exhaustive]` with chainable setters, like
+/// every config in this workspace.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct FleetConfig {
-    /// Number of engine workers (shards). Clamped to at least 1.
+    /// Number of shards, each a [`Server`]. Clamped to at least 1.
     pub shards: usize,
     /// Owners per schema (clamped to `1..=shards`). With replication 2,
     /// losing one owner leaves a warm copy — no re-encode needed.
     pub replication: usize,
-    /// Prefer a schema's owners when routing (`true`, the default) or
-    /// always pick the globally least-loaded worker (`false`).
-    pub affinity: bool,
-    /// With affinity on: when the best owner's estimated wait exceeds
-    /// this bound, spill to the globally least-loaded worker. `None`
-    /// (default) never spills — owners absorb their schema's load.
-    pub spill_after: Option<Duration>,
-    /// Run workers as OS processes over the [`crate::wire`] protocol
-    /// instead of threads.
-    pub process_mode: bool,
-    /// Path to the `pc_fleet_worker` binary for process mode. Falls back
-    /// to the `PC_FLEET_WORKER_BIN` environment variable.
-    pub worker_bin: Option<PathBuf>,
-    /// Per-worker queue capacity.
+    /// Per-shard queue capacity ([`ServerConfig::queue_capacity`]).
     pub queue_capacity: usize,
     /// Bind an ops-plane HTTP listener (`/metrics`, `/healthz`,
     /// `/debug/fleet`) on this address.
@@ -114,10 +93,6 @@ impl Default for FleetConfig {
         FleetConfig {
             shards: 2,
             replication: 1,
-            affinity: true,
-            spill_after: None,
-            process_mode: false,
-            worker_bin: None,
             queue_capacity: 64,
             ops_addr: None,
         }
@@ -125,7 +100,7 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Sets the worker count.
+    /// Sets the shard count.
     #[must_use]
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
@@ -139,35 +114,7 @@ impl FleetConfig {
         self
     }
 
-    /// Toggles schema-affinity routing.
-    #[must_use]
-    pub fn affinity(mut self, on: bool) -> Self {
-        self.affinity = on;
-        self
-    }
-
-    /// Sets the owner-load bound past which requests spill.
-    #[must_use]
-    pub fn spill_after(mut self, bound: Duration) -> Self {
-        self.spill_after = Some(bound);
-        self
-    }
-
-    /// Toggles OS-process workers.
-    #[must_use]
-    pub fn process_mode(mut self, on: bool) -> Self {
-        self.process_mode = on;
-        self
-    }
-
-    /// Sets the worker binary for process mode.
-    #[must_use]
-    pub fn worker_bin(mut self, path: impl Into<PathBuf>) -> Self {
-        self.worker_bin = Some(path.into());
-        self
-    }
-
-    /// Sets the per-worker queue capacity.
+    /// Sets the per-shard queue capacity.
     #[must_use]
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.queue_capacity = n;
@@ -202,105 +149,72 @@ pub struct WorkerInfo {
     pub store_misses: u64,
 }
 
-/// One queued unit of fleet work. Boxed in [`WorkerMsg`] so a re-route
-/// moves a pointer, not the prompt.
+/// A request the router owns until a shard answers it for good. Boxed,
+/// so a re-route moves a pointer, not the request.
 struct FleetJob {
     id: u64,
     /// Schema name parsed from the prompt at submit ("" when the prompt
     /// failed to parse — the engine will report the real error).
     schema: String,
-    prompt: String,
-    /// Options with `deadline`/`cancel` stripped: the deadline lives in
-    /// `cancel`'s absolute deadline, and the serve token is built at
-    /// pickup (linked to the serving worker's kill token).
-    options: ServeOptions,
-    baseline: bool,
-    /// Caller token + submission-relative budget. NOT linked to any
-    /// worker: re-routes re-link to the new worker's kill token.
+    /// What a shard is handed: the prompt, and options whose token
+    /// carries the caller's cancel and the absolute deadline.
+    request: SubmitRequest,
+    /// The caller's token with the deadline. No shard is linked into it,
+    /// so after a kill it still tells whether the caller gave up.
     cancel: CancelToken,
-    budget: Option<Duration>,
     submitted: Instant,
     reply: Sender<RequestResult>,
     /// Re-route count; bounded so a dying fleet degrades to shed, not to
     /// a routing loop.
     attempts: u32,
+    /// The shard serving it now.
+    worker: usize,
 }
 
-enum WorkerMsg {
-    Job(Box<FleetJob>),
-    Register {
-        pml: String,
-        warm: bool,
-        ack: Sender<Result<(), EngineError>>,
-    },
-}
-
-/// Router-side state for one worker.
-struct WorkerState {
-    /// Sender for this worker's queue; `None` after shutdown takes it.
-    tx: Mutex<Option<Sender<WorkerMsg>>>,
-    /// Fired on kill: interrupts the in-flight serve (thread mode) and
-    /// marks every pickup on this worker as a re-route.
-    kill: CancelToken,
+/// Router-side state for one shard.
+struct Shard {
+    server: Server,
     alive: AtomicBool,
     queued: AtomicU64,
     served: AtomicU64,
     rerouted_from: AtomicU64,
-    ewma_ns: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    /// Thread mode: the worker's engine (shared for stats/debug reads).
-    engine: Option<Arc<PromptCache>>,
-    /// Process mode: the child process (killed on [`Router::kill_worker`],
-    /// reaped at shutdown).
-    child: Mutex<Option<Child>>,
 }
 
-impl WorkerState {
-    /// Estimated wait if routed here now: queued × EWMA service time.
-    fn est_wait_ns(&self) -> u128 {
-        u128::from(self.queued.load(Ordering::Relaxed))
-            * u128::from(self.ewma_ns.load(Ordering::Relaxed))
-    }
+/// One shard's view of the fleet fault plan, installed as its server's
+/// [`WorkerFaults`]: the pickup stall is the plan's stall for this
+/// worker, and the first pickup after the worker's scheduled number of
+/// completions kills the shard. The request picked up is then the first
+/// to re-route.
+#[derive(Debug)]
+struct ShardFaults {
+    worker: usize,
+    faults: Arc<dyn FleetFaults>,
+    fleet: Weak<FleetShared>,
+}
 
-    fn record_service(&self, service: Duration) {
-        let sample = u64::try_from(service.as_nanos()).unwrap_or(u64::MAX);
-        let old = self.ewma_ns.load(Ordering::Relaxed);
-        let new = if old == 0 {
-            sample
-        } else {
-            ((u128::from(old) * 7 + u128::from(sample)) / 8) as u64
-        };
-        self.ewma_ns.store(new, Ordering::Relaxed);
-    }
-
-    /// Sends to this worker's queue. Non-blocking unless `blocking`.
-    /// Returns the message back on failure (queue full, shut down).
-    fn send(&self, msg: WorkerMsg, blocking: bool) -> Result<(), WorkerMsg> {
-        let guard = self.tx.lock().unwrap();
-        let Some(tx) = guard.as_ref() else {
-            return Err(msg);
-        };
-        if blocking {
-            // Holding the lock across a blocking send is fine: only
-            // shutdown takes this mutex for anything slow, and shutdown
-            // waits for submitters anyway.
-            tx.send(msg).map_err(|e| e.0)
-        } else {
-            tx.try_send(msg).map_err(|e| match e {
-                TrySendError::Full(m) | TrySendError::Disconnected(m) => m,
-            })
+impl WorkerFaults for ShardFaults {
+    fn pre_serve_delay(&self, id: u64) -> Duration {
+        if let (Some(kill_at), Some(fleet)) =
+            (self.faults.kill_after(self.worker), self.fleet.upgrade())
+        {
+            if fleet.shards[self.worker].server.completed() >= kill_at {
+                fleet.kill(self.worker);
+            }
         }
+        self.faults.pre_serve_delay(self.worker, id)
     }
 }
 
-/// State shared by the router handle and every worker loop.
+/// State shared by the router handle, the router thread and the ops
+/// plane.
 struct FleetShared {
     map: ShardMap,
-    affinity: bool,
-    spill_after: Option<Duration>,
-    process_mode: bool,
-    workers: Vec<WorkerState>,
+    shards: Vec<Shard>,
+    /// Requests handed to a shard and not yet answered, by fleet id.
+    pending: Mutex<HashMap<u64, Box<FleetJob>>>,
+    /// The channel every shard answers on; `None` once shutdown begins,
+    /// after which a request a dead shard gives up is shed, not re-routed.
+    results: Mutex<Option<Sender<RequestResult>>>,
     telemetry: Telemetry,
     served: Counter,
     failed: Counter,
@@ -312,103 +226,96 @@ struct FleetShared {
     routed_spilled: Counter,
     queue: Histogram,
     service: Histogram,
-    faults: Mutex<Option<Arc<dyn FleetFaults>>>,
     schemas: Mutex<Vec<String>>,
     started: Instant,
 }
 
 impl FleetShared {
     fn alive_vec(&self) -> Vec<bool> {
-        self.workers
+        self.shards
             .iter()
-            .map(|w| w.alive.load(Ordering::Acquire))
+            .map(|s| s.alive.load(Ordering::Acquire))
             .collect()
     }
 
-    /// Least-loaded worker among `candidates` (est wait, then queue
-    /// depth, then index — a total order, so routing is deterministic
-    /// given the load observations).
+    /// Least-loaded shard among `candidates` (estimated queue wait, then
+    /// queue depth, then index — a total order, so routing is
+    /// deterministic given the load observations).
     fn least_loaded(&self, candidates: impl Iterator<Item = usize>) -> Option<usize> {
         candidates.min_by_key(|&w| {
-            let s = &self.workers[w];
-            (s.est_wait_ns(), s.queued.load(Ordering::Relaxed), w)
+            let s = &self.shards[w];
+            (
+                s.server.estimated_queue_wait(),
+                s.queued.load(Ordering::Relaxed),
+                w,
+            )
         })
     }
 
-    /// Picks the worker for a fresh submission, counting the routing
-    /// decision. `None` when no worker is alive.
+    /// Picks the shard for a fresh submission, counting the routing
+    /// decision. `None` when no shard is alive.
     fn pick_worker(&self, schema: &str) -> Option<usize> {
         let alive = self.alive_vec();
-        let global = self.least_loaded((0..self.workers.len()).filter(|&w| alive[w]));
-        if self.affinity && !schema.is_empty() {
+        if !schema.is_empty() {
             let owners = self.map.owners_alive(schema, &alive);
             if let Some(best) = self.least_loaded(owners.into_iter()) {
-                let over_bound = self.spill_after.is_some_and(|bound| {
-                    self.workers[best].est_wait_ns() > bound.as_nanos()
-                });
-                if over_bound {
-                    self.routed_spilled.inc();
-                    return global;
-                }
                 self.routed_affinity.inc();
                 return Some(best);
             }
-            // No owner survives: anything alive re-encodes on demand.
-            if global.is_some() {
-                self.routed_spilled.inc();
-            }
+        }
+        let global = self.least_loaded((0..self.shards.len()).filter(|&w| alive[w]));
+        // No owner survives: anything alive re-encodes on demand.
+        if !schema.is_empty() && global.is_some() {
+            self.routed_spilled.inc();
         }
         global
     }
 
-    fn fault_delay(&self, worker: usize, id: u64) -> Duration {
-        self.faults
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map_or(Duration::ZERO, |f| f.pre_serve_delay(worker, id))
-    }
-
-    fn fault_kill_after(&self, worker: usize) -> Option<u64> {
-        self.faults
-            .lock()
-            .unwrap()
-            .as_ref()
-            .and_then(|f| f.kill_after(worker))
-    }
-
-    /// Marks `worker` dead: alive flag down, kill token fired (aborts an
-    /// in-flight thread serve within one decode step), child process
-    /// killed in process mode. Idempotent.
-    fn kill_state(&self, worker: usize) {
-        let state = &self.workers[worker];
-        if !state.alive.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        state.kill.cancel();
-        if let Some(child) = state.child.lock().unwrap().as_mut() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-
-    /// Queue-level shed checks at pickup, mirroring the single-process
-    /// server: caller cancellation and already-passed deadlines never
-    /// reach the engine.
-    fn pickup_shed_reason(&self, job: &FleetJob) -> Option<ShedReason> {
-        if job.cancel.is_cancelled() {
-            Some(ShedReason::CancelledInQueue)
-        } else if job.cancel.interruption() == Some(ServeOutcome::DeadlineExceeded) {
-            Some(ShedReason::DeadlineBeforeStart)
-        } else {
-            None
+    /// Hands `job` to shard `worker`. The job is pending before the
+    /// shard can answer it; a refused job (queue full, fleet shutting
+    /// down) comes back.
+    fn route(
+        &self,
+        mut job: Box<FleetJob>,
+        worker: usize,
+        blocking: bool,
+    ) -> Result<(), Box<FleetJob>> {
+        let Some(reply) = self.results.lock().unwrap().clone() else {
+            return Err(job);
+        };
+        let (id, submitted, request) = (job.id, job.submitted, job.request.clone());
+        job.worker = worker;
+        let shard = &self.shards[worker];
+        shard.queued.fetch_add(1, Ordering::AcqRel);
+        self.pending.lock().unwrap().insert(id, job);
+        match shard
+            .server
+            .submit_routed(id, &request, submitted, reply, blocking)
+        {
+            Ok(()) => Ok(()),
+            Err(_) => {
+                shard.queued.fetch_sub(1, Ordering::AcqRel);
+                Err(self
+                    .pending
+                    .lock()
+                    .unwrap()
+                    .remove(&id)
+                    .expect("a refused job is still pending"))
+            }
         }
     }
 
-    /// Sheds a job that was already routed to `worker`.
-    fn shed_routed(&self, worker: usize, job: Box<FleetJob>, reason: ShedReason) {
-        self.workers[worker].queued.fetch_sub(1, Ordering::AcqRel);
-        self.deliver_shed(job, reason);
+    /// Marks `worker` dead and stops its server: queued requests are shed
+    /// and in-flight serves cancelled, and the router thread re-routes
+    /// both. Idempotent.
+    fn kill(&self, worker: usize) {
+        let shard = &self.shards[worker];
+        // The flag goes down before the server's token fires, so every
+        // result the kill causes reaches the router thread (through the
+        // results channel) after its `Acquire` load can see the flag down.
+        if shard.alive.swap(false, Ordering::AcqRel) {
+            shard.server.kill();
+        }
     }
 
     fn deliver_shed(&self, job: Box<FleetJob>, reason: ShedReason) {
@@ -421,18 +328,19 @@ impl FleetShared {
         });
     }
 
-    /// Moves a job off a dead (or dying) worker onto the best survivor.
-    /// Survivor preference follows the schema's rendezvous ranking, so a
+    /// Moves a job off a dead shard onto the best survivor. Survivor
+    /// preference follows the schema's rendezvous ranking, so a
     /// re-routed request still lands on the next-best owner when one
     /// exists. Bounded by `attempts`; a fleet with no capacity left
     /// sheds with [`ShedReason::ShuttingDown`].
-    fn reroute(&self, mut job: Box<FleetJob>, from: usize) {
-        let state = &self.workers[from];
-        state.queued.fetch_sub(1, Ordering::AcqRel);
-        state.rerouted_from.fetch_add(1, Ordering::Relaxed);
+    fn reroute(&self, mut job: Box<FleetJob>) {
+        let from = job.worker;
+        self.shards[from]
+            .rerouted_from
+            .fetch_add(1, Ordering::Relaxed);
         self.rerouted.inc();
         job.attempts += 1;
-        if job.attempts as usize > self.workers.len() + 2 {
+        if job.attempts as usize > self.shards.len() + 2 {
             self.deliver_shed(job, ShedReason::ShuttingDown);
             return;
         }
@@ -443,34 +351,17 @@ impl FleetShared {
             .into_iter()
             .filter(|&w| w != from && alive[w])
         {
-            self.workers[target].queued.fetch_add(1, Ordering::AcqRel);
-            match self.workers[target].send(WorkerMsg::Job(job), false) {
+            match self.route(job, target, false) {
                 Ok(()) => return,
-                Err(WorkerMsg::Job(j)) => {
-                    self.workers[target].queued.fetch_sub(1, Ordering::AcqRel);
-                    job = j;
-                }
-                Err(_) => unreachable!("job sends return jobs"),
+                Err(refused) => job = refused,
             }
         }
         self.deliver_shed(job, ShedReason::ShuttingDown);
     }
 
-    /// Records a completed pickup (served, failed, cancelled, or
-    /// deadline-exceeded) and replies to the caller.
-    fn complete(
-        &self,
-        worker: usize,
-        job: Box<FleetJob>,
-        outcome: RequestOutcome,
-        queue_time: Duration,
-        service_time: Duration,
-    ) {
-        let state = &self.workers[worker];
-        state.queued.fetch_sub(1, Ordering::AcqRel);
-        state.served.fetch_add(1, Ordering::Relaxed);
-        state.record_service(service_time);
-        match &outcome {
+    /// Counts a shard's answer and forwards it to the caller.
+    fn complete(&self, job: Box<FleetJob>, result: RequestResult) {
+        match &result.outcome {
             RequestOutcome::Ok(response) => match response.outcome {
                 ServeOutcome::Complete => self.served.inc(),
                 ServeOutcome::Cancelled => self.cancelled.inc(),
@@ -479,428 +370,86 @@ impl FleetShared {
             RequestOutcome::Err(_) => self.failed.inc(),
             RequestOutcome::Shed(_) => self.shed.inc(),
         }
-        self.queue.observe(queue_time.as_secs_f64());
-        self.service.observe(service_time.as_secs_f64());
-        let _ = job.reply.send(RequestResult {
-            id: job.id,
-            outcome,
-            queue_time,
-            service_time,
-        });
+        if !result.outcome.is_shed() {
+            self.shards[job.worker]
+                .served
+                .fetch_add(1, Ordering::Relaxed);
+            self.queue.observe(result.queue_time.as_secs_f64());
+            self.service.observe(result.service_time.as_secs_f64());
+        }
+        let _ = job.reply.send(result);
     }
 }
 
-/// Sleeps `stall`, waking early if the worker is killed or the request
-/// cancelled — a chaos stall must not outlive the events that make it
-/// moot.
-fn stall_with_checks(stall: Duration, kill: &CancelToken, cancel: &CancelToken) {
-    let end = Instant::now() + stall;
-    loop {
-        if kill.is_cancelled() || cancel.is_cancelled() {
-            return;
-        }
-        let now = Instant::now();
-        if now >= end {
-            return;
-        }
-        std::thread::sleep((end - now).min(Duration::from_millis(2)));
-    }
-}
-
-/// Common pre-serve gauntlet for both worker modes. Returns the job if
-/// it should actually be served, handling kills/sheds/re-routes.
-fn admit_at_pickup(
-    shared: &FleetShared,
-    worker: usize,
-    completed: u64,
-    job: Box<FleetJob>,
-) -> Option<Box<FleetJob>> {
-    let state = &shared.workers[worker];
-    // Deterministic chaos self-kill: scheduled by completed-serve count,
-    // applied at the next pickup.
-    if state.alive.load(Ordering::Acquire) {
-        if let Some(kill_at) = shared.fault_kill_after(worker) {
-            if completed >= kill_at {
-                shared.kill_state(worker);
-            }
-        }
-    }
-    if !state.alive.load(Ordering::Acquire) {
-        shared.reroute(job, worker);
-        return None;
-    }
-    if let Some(reason) = shared.pickup_shed_reason(&job) {
-        shared.shed_routed(worker, job, reason);
-        return None;
-    }
-    let stall = shared.fault_delay(worker, job.id);
-    if !stall.is_zero() {
-        stall_with_checks(stall, &state.kill, &job.cancel);
-        if !state.alive.load(Ordering::Acquire) {
-            shared.reroute(job, worker);
-            return None;
-        }
-        if let Some(reason) = shared.pickup_shed_reason(&job) {
-            shared.shed_routed(worker, job, reason);
-            return None;
-        }
-    }
-    Some(job)
-}
-
-/// Thread-mode worker loop: serve serially from the queue on a local
-/// engine. Ends when the router drops the queue sender.
-fn thread_worker_loop(
-    shared: &FleetShared,
-    worker: usize,
-    engine: &PromptCache,
-    rx: &Receiver<WorkerMsg>,
-) {
-    let mut completed: u64 = 0;
-    for msg in rx.iter() {
-        match msg {
-            WorkerMsg::Register { pml, warm, ack } => {
-                let result = engine
-                    .register_schema_with(&pml, &RegisterOptions::new().warm(warm))
-                    .map(|_| ());
-                let _ = ack.send(result);
-            }
-            WorkerMsg::Job(job) => {
-                let Some(job) = admit_at_pickup(shared, worker, completed, job) else {
-                    continue;
-                };
-                let state = &shared.workers[worker];
-                let queue_time = job.submitted.elapsed();
-                // The serve token: caller cancel + deadline, linked to
-                // THIS worker's kill token — a kill interrupts within
-                // one decode step and the job re-routes below.
-                let serve_token = job.cancel.clone().linked_to(&state.kill);
-                let mut options = job.options.clone();
-                options.cancel = Some(serve_token);
-                let request = ServeRequest::new(&job.prompt)
-                    .options(options)
-                    .baseline(job.baseline);
-                let start = Instant::now();
-                match engine.serve(&request) {
-                    Ok(served) => {
-                        let response = served.into_response();
-                        if response.outcome == ServeOutcome::Cancelled
-                            && state.kill.is_cancelled()
-                            && !job.cancel.is_cancelled()
-                        {
-                            // The kill, not the caller, interrupted this
-                            // serve: discard the partial and re-serve on
-                            // a survivor — deterministic, so the caller
-                            // sees exactly the healthy-fleet bytes.
-                            shared.reroute(job, worker);
-                            continue;
-                        }
-                        completed += 1;
-                        let stats = engine.store_stats();
-                        state.store_hits.store(stats.hits, Ordering::Relaxed);
-                        state.store_misses.store(stats.misses, Ordering::Relaxed);
-                        shared.complete(
-                            worker,
-                            job,
-                            RequestOutcome::Ok(response),
-                            queue_time,
-                            start.elapsed(),
-                        );
-                    }
-                    Err(e) => {
-                        completed += 1;
-                        shared.complete(
-                            worker,
-                            job,
-                            RequestOutcome::Err(e),
-                            queue_time,
-                            start.elapsed(),
-                        );
-                    }
-                }
-            }
+/// The router thread: receives every shard's results. A request a dead
+/// shard gave up — shed while queued, or cancelled in flight by the kill
+/// rather than by its caller — re-routes; everything else goes to the
+/// caller. Ends when the last reply sender is gone: shutdown has taken
+/// the router's, and the shards have answered every job they held.
+fn collect_results(shared: &FleetShared, results: &Receiver<RequestResult>) {
+    for result in results.iter() {
+        let Some(job) = shared.pending.lock().unwrap().remove(&result.id) else {
+            continue;
+        };
+        let shard = &shared.shards[job.worker];
+        shard.queued.fetch_sub(1, Ordering::AcqRel);
+        let given_up = match &result.outcome {
+            RequestOutcome::Shed(reason) => *reason == ShedReason::ShuttingDown,
+            RequestOutcome::Ok(response) => response.outcome == ServeOutcome::Cancelled,
+            RequestOutcome::Err(_) => false,
+        };
+        if given_up && !shard.alive.load(Ordering::Acquire) && !job.cancel.is_cancelled() {
+            // Re-serving is deterministic: the caller sees exactly the
+            // healthy-fleet bytes.
+            shared.reroute(job);
+        } else {
+            shared.complete(job, result);
         }
     }
 }
 
-/// Builds the router-side [`Response`] for a process-mode serve result.
-/// Wire results carry outcome and accounting, not timings — the fleet
-/// histograms measure wall-clock around the RPC instead.
-fn response_from_wire(r: crate::wire::WireResult) -> Response {
-    Response {
-        text: r.text,
-        tokens: r.tokens,
-        timings: Default::default(),
-        breakdown: Default::default(),
-        stats: ServeStats {
-            cached_tokens: r.cached_tokens as usize,
-            new_tokens: r.new_tokens as usize,
-            degraded_spans: r.degraded_spans as usize,
-            ..Default::default()
-        },
-        outcome: r.outcome,
-        warnings: Vec::new(),
-    }
-}
-
-/// Process-mode worker loop: forward queue items over the wire, translate
-/// replies. A broken stream means the worker died — re-route.
-fn process_worker_loop(
-    shared: &FleetShared,
-    worker: usize,
-    mut stream: TcpStream,
-    rx: &Receiver<WorkerMsg>,
-) {
-    let mut completed: u64 = 0;
-    for msg in rx.iter() {
-        let state = &shared.workers[worker];
-        match msg {
-            WorkerMsg::Register { pml, warm, ack } => {
-                if !state.alive.load(Ordering::Acquire) {
-                    let _ = ack.send(Err(EngineError::Remote {
-                        detail: "worker is dead".into(),
-                    }));
-                    continue;
-                }
-                let reply = write_frame(&mut stream, &ToWorker::Register { pml, warm }.to_frame())
-                    .and_then(|()| read_frame(&mut stream))
-                    .and_then(|f| FromWorker::from_frame(&f));
-                match reply {
-                    Ok(FromWorker::Registered { error }) if error.is_empty() => {
-                        let _ = ack.send(Ok(()));
-                    }
-                    Ok(FromWorker::Registered { error }) => {
-                        let _ = ack.send(Err(EngineError::Remote { detail: error }));
-                    }
-                    _ => {
-                        shared.kill_state(worker);
-                        let _ = ack.send(Err(EngineError::Remote {
-                            detail: "worker connection lost".into(),
-                        }));
-                    }
-                }
-            }
-            WorkerMsg::Job(job) => {
-                let Some(job) = admit_at_pickup(shared, worker, completed, job) else {
-                    continue;
-                };
-                let queue_time = job.submitted.elapsed();
-                // Deadline crosses the wire as the remaining budget; a
-                // cooperative cancel token cannot, so an in-flight
-                // remote serve is interrupted only by killing the
-                // worker (see crate::wire docs).
-                let options = WireOptions {
-                    max_new_tokens: job.options.max_new_tokens,
-                    temperature: job.options.temperature,
-                    use_scaffolds: job.options.use_scaffolds,
-                    deadline: job
-                        .cancel
-                        .deadline()
-                        .map(|d| d.saturating_duration_since(Instant::now())),
-                };
-                let serve = ToWorker::Serve {
-                    id: job.id,
-                    prompt: job.prompt.clone(),
-                    options,
-                    baseline: job.baseline,
-                };
-                let start = Instant::now();
-                let reply = write_frame(&mut stream, &serve.to_frame())
-                    .and_then(|()| read_frame(&mut stream))
-                    .and_then(|f| FromWorker::from_frame(&f));
-                match reply {
-                    Ok(FromWorker::Result(r)) => {
-                        state.store_hits.store(r.store_hits, Ordering::Relaxed);
-                        state.store_misses.store(r.store_misses, Ordering::Relaxed);
-                        completed += 1;
-                        shared.complete(
-                            worker,
-                            job,
-                            RequestOutcome::Ok(response_from_wire(r)),
-                            queue_time,
-                            start.elapsed(),
-                        );
-                    }
-                    Ok(FromWorker::ServeErr { error, .. }) => {
-                        completed += 1;
-                        shared.complete(
-                            worker,
-                            job,
-                            RequestOutcome::Err(error.into_engine()),
-                            queue_time,
-                            start.elapsed(),
-                        );
-                    }
-                    Ok(_) | Err(_) => {
-                        // Stream broken or protocol violated: the worker
-                        // is gone. Its queue drains through the
-                        // `admit_at_pickup` dead-worker branch.
-                        shared.kill_state(worker);
-                        if job.cancel.is_cancelled() {
-                            // The caller aborted anyway: report the
-                            // cancellation rather than re-serving work
-                            // nobody wants.
-                            completed += 1;
-                            let response = Response {
-                                text: String::new(),
-                                tokens: Vec::new(),
-                                timings: Default::default(),
-                                breakdown: Default::default(),
-                                stats: ServeStats::default(),
-                                outcome: ServeOutcome::Cancelled,
-                                warnings: Vec::new(),
-                            };
-                            shared.complete(
-                                worker,
-                                job,
-                                RequestOutcome::Ok(response),
-                                queue_time,
-                                start.elapsed(),
-                            );
-                        } else {
-                            shared.reroute(job, worker);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Queue closed (shutdown): ask a still-healthy worker to exit, then
-    // reap the child either way.
-    if shared.workers[worker].alive.load(Ordering::Acquire) {
-        let _ = write_frame(&mut stream, &ToWorker::Shutdown.to_frame());
-    }
-    if let Some(mut child) = shared.workers[worker].child.lock().unwrap().take() {
-        let _ = child.wait();
-    }
-}
-
-/// Spawns one process-mode worker: bind an ephemeral loopback port, hand
-/// it to the child, accept the connection back, and complete the
-/// `Hello → Ready` handshake (building the engine in the child).
-fn spawn_process_worker(
-    blueprint: &EngineBlueprint,
-    worker: usize,
-    bin: Option<&PathBuf>,
-) -> io::Result<(TcpStream, Child)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let bin = bin
-        .cloned()
-        .or_else(|| std::env::var_os("PC_FLEET_WORKER_BIN").map(PathBuf::from))
-        .ok_or_else(|| {
-            io::Error::other(
-                "process mode needs FleetConfig::worker_bin or PC_FLEET_WORKER_BIN \
-                 (the pc_fleet_worker binary)",
-            )
-        })?;
-    let mut child = Command::new(&bin)
-        .arg(addr.to_string())
-        .stdin(Stdio::null())
-        .spawn()?;
-    // Bounded accept: poll so a child that died on startup surfaces as
-    // an error instead of a hang.
-    listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut stream = loop {
-        match listener.accept() {
-            Ok((stream, _)) => break stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if let Some(status) = child.try_wait()? {
-                    return Err(io::Error::other(format!(
-                        "fleet worker {worker} exited before connecting: {status}"
-                    )));
-                }
-                if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    return Err(io::Error::other(format!(
-                        "fleet worker {worker} did not connect within 30s"
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => {
-                let _ = child.kill();
-                return Err(e);
-            }
-        }
-    };
-    stream.set_nonblocking(false)?;
-    stream.set_nodelay(true)?;
-    let hello = ToWorker::Hello {
-        worker_id: worker as u32,
-        blueprint: blueprint.clone(),
-    };
-    write_frame(&mut stream, &hello.to_frame())?;
-    match FromWorker::from_frame(&read_frame(&mut stream)?)? {
-        FromWorker::Ready => Ok((stream, child)),
-        other => {
-            let _ = child.kill();
-            Err(io::Error::other(format!(
-                "fleet worker {worker} sent {other:?} instead of Ready"
-            )))
-        }
-    }
-}
-
-/// The fleet front-end: owns the workers, routes submissions, and hosts
+/// The fleet front-end: owns the shards, routes submissions, and hosts
 /// the fleet ops plane. See the [module docs](self).
 pub struct Router {
     shared: Arc<FleetShared>,
     next_id: AtomicU64,
-    threads: Vec<JoinHandle<()>>,
+    /// The router thread; `None` once joined.
+    router_thread: Option<JoinHandle<()>>,
     ops: Option<OpsHandle>,
 }
 
 impl Router {
-    /// Starts the fleet: builds (thread mode) or spawns and handshakes
-    /// (process mode) every worker, then binds the ops endpoint if
-    /// configured.
+    /// Starts the fleet: builds every shard's engine from `blueprint`
+    /// and starts a [`Server`] over it, starts the router thread, then
+    /// binds the ops endpoint if configured.
     ///
     /// # Panics
     ///
-    /// On process-mode spawn/handshake failures and ops bind failures —
-    /// construction-time misconfiguration, like `Server::start`.
+    /// On ops bind failures — construction-time misconfiguration, like
+    /// `Server::start`.
     #[must_use]
     pub fn start(blueprint: EngineBlueprint, config: FleetConfig) -> Router {
         let shards = config.shards.max(1);
         let map = ShardMap::new(shards, config.replication);
-        let mut rxs = Vec::with_capacity(shards);
-        let mut states = Vec::with_capacity(shards);
-        let mut backends: Vec<Option<TcpStream>> = Vec::with_capacity(shards);
-        for worker in 0..shards {
-            let (tx, rx) = bounded(config.queue_capacity.max(1));
-            rxs.push(rx);
-            let (engine, child, stream) = if config.process_mode {
-                let (stream, child) =
-                    spawn_process_worker(&blueprint, worker, config.worker_bin.as_ref())
-                        .unwrap_or_else(|e| panic!("fleet worker {worker} failed to start: {e}"));
-                (None, Some(child), Some(stream))
-            } else {
-                (Some(Arc::new(blueprint.build())), None, None)
-            };
-            backends.push(stream);
-            states.push(WorkerState {
-                tx: Mutex::new(Some(tx)),
-                kill: CancelToken::new(),
+        let shards = (0..shards)
+            .map(|_| Shard {
+                server: Server::start(
+                    blueprint.build(),
+                    ServerConfig::default().queue_capacity(config.queue_capacity),
+                ),
                 alive: AtomicBool::new(true),
                 queued: AtomicU64::new(0),
                 served: AtomicU64::new(0),
                 rerouted_from: AtomicU64::new(0),
-                ewma_ns: AtomicU64::new(0),
-                store_hits: AtomicU64::new(0),
-                store_misses: AtomicU64::new(0),
-                engine,
-                child: Mutex::new(child),
-            });
-        }
+            })
+            .collect();
+        let (results_tx, results_rx) = unbounded();
         let telemetry = Telemetry::new();
         let shared = Arc::new(FleetShared {
             map,
-            affinity: config.affinity,
-            spill_after: config.spill_after,
-            process_mode: config.process_mode,
-            workers: states,
+            shards,
+            pending: Mutex::new(HashMap::new()),
+            results: Mutex::new(Some(results_tx)),
             served: telemetry.counter("pc_fleet_requests_served_total"),
             failed: telemetry.counter("pc_fleet_requests_failed_total"),
             shed: telemetry.counter("pc_fleet_requests_shed_total"),
@@ -912,25 +461,13 @@ impl Router {
             queue: telemetry.latency_histogram("pc_fleet_queue_wait_seconds"),
             service: telemetry.latency_histogram("pc_fleet_service_seconds"),
             telemetry,
-            faults: Mutex::new(None),
             schemas: Mutex::new(Vec::new()),
             started: Instant::now(),
         });
-        let mut threads = Vec::with_capacity(shards);
-        for (worker, (rx, stream)) in rxs.into_iter().zip(backends).enumerate() {
-            let shared_ref = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || match stream {
-                Some(stream) => process_worker_loop(&shared_ref, worker, stream, &rx),
-                None => {
-                    let engine = shared_ref.workers[worker]
-                        .engine
-                        .as_ref()
-                        .expect("thread worker has an engine")
-                        .clone();
-                    thread_worker_loop(&shared_ref, worker, &engine, &rx);
-                }
-            }));
-        }
+        let router_thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || collect_results(&shared, &results_rx))
+        };
         let ops = config.ops_addr.map(|addr| {
             let routes = fleet_routes(Arc::clone(&shared));
             ops::spawn_routes(addr, routes)
@@ -939,7 +476,7 @@ impl Router {
         Router {
             shared,
             next_id: AtomicU64::new(0),
-            threads,
+            router_thread: Some(router_thread),
             ops,
         }
     }
@@ -957,37 +494,19 @@ impl Router {
     }
 
     /// Registers a schema fleet-wide: warm (modules encoded) on its
-    /// owners, cold (layout only) everywhere else. Blocks until every
-    /// worker acknowledges.
+    /// owners, cold (layout only) everywhere else.
     ///
     /// # Errors
     ///
-    /// Parse errors, and the first per-worker registration error (a
-    /// process worker's error arrives as [`EngineError::Remote`] unless
-    /// it has a structured wire form).
+    /// Parse errors, and the first per-shard registration error.
     pub fn register_schema(&self, pml: &str) -> prompt_cache::Result<()> {
-        let schema = pc_pml::parse_schema(pml).map_err(EngineError::from)?;
-        let name = schema.name;
-        let mut acks = Vec::with_capacity(self.shared.workers.len());
-        for worker in 0..self.shared.workers.len() {
+        let name = pc_pml::parse_schema(pml).map_err(EngineError::from)?.name;
+        for (worker, shard) in self.shared.shards.iter().enumerate() {
             let warm = self.shared.map.is_owner(&name, worker);
-            let (ack, ack_rx) = bounded(1);
-            let msg = WorkerMsg::Register {
-                pml: pml.to_owned(),
-                warm,
-                ack,
-            };
-            self.shared.workers[worker]
-                .send(msg, true)
-                .map_err(|_| EngineError::Remote {
-                    detail: format!("worker {worker} unavailable for registration"),
-                })?;
-            acks.push(ack_rx);
-        }
-        for ack_rx in acks {
-            ack_rx.recv().map_err(|_| EngineError::Remote {
-                detail: "worker exited during registration".into(),
-            })??;
+            shard
+                .server
+                .engine()
+                .register_schema_with(pml, &RegisterOptions::new().warm(warm))?;
         }
         self.shared.schemas.lock().unwrap().push(name);
         Ok(())
@@ -995,12 +514,12 @@ impl Router {
 
     /// Submits a request to the fleet — same [`SubmitRequest`] builder,
     /// same [`RequestHandle`], same [`SubmitError`] taxonomy as
-    /// [`crate::Server::submit_request`].
+    /// [`Server::submit_request`].
     ///
-    /// Routing: schema-affinity first (least-loaded alive owner), spill
-    /// or global least-loaded per [`FleetConfig`]. When no worker is
-    /// alive the request is accepted and immediately shed with
-    /// [`ShedReason::ShuttingDown`] (observable on the handle).
+    /// Routing: the least-loaded alive owner of the prompt's schema, else
+    /// the least-loaded alive shard. When no shard is alive the request
+    /// is accepted and immediately shed with [`ShedReason::ShuttingDown`]
+    /// (observable on the handle).
     ///
     /// # Errors
     ///
@@ -1013,6 +532,8 @@ impl Router {
             .unwrap_or_default();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply, rx) = bounded(1);
+        // The deadline becomes the token's absolute deadline here, at the
+        // fleet submission, so a re-route does not restart the budget.
         let mut options = request.options_ref().clone();
         let base = options.cancel.take().unwrap_or_default();
         let budget = options.deadline.take();
@@ -1020,79 +541,84 @@ impl Router {
             Some(budget) => base.with_budget(budget),
             None => base,
         };
+        options.cancel = Some(token.clone());
         let job = Box::new(FleetJob {
             id,
-            schema: schema.clone(),
-            prompt: request.prompt().to_owned(),
-            options,
-            baseline: request.is_baseline(),
+            schema,
+            request: SubmitRequest::new(request.prompt())
+                .options(options)
+                .baseline(request.is_baseline()),
             cancel: token.clone(),
-            budget,
             submitted: Instant::now(),
             reply,
             attempts: 0,
+            worker: 0,
         });
         let handle = RequestHandle::assemble(id, token, rx);
-        let Some(worker) = self.shared.pick_worker(&schema) else {
+        let Some(worker) = self.shared.pick_worker(&job.schema) else {
             self.shared.deliver_shed(job, ShedReason::ShuttingDown);
             return Ok(handle);
         };
         if !request.is_blocking() {
-            if let Some(budget) = job.budget {
-                let estimated_wait =
-                    Duration::from_nanos(self.shared.workers[worker].est_wait_ns() as u64);
+            if let Some(budget) = budget {
+                let estimated_wait = self.shared.shards[worker].server.estimated_queue_wait();
                 if estimated_wait > budget {
                     self.shared.shed.inc();
                     return Err(SubmitError::PredictedDeadlineExceeded { estimated_wait });
                 }
             }
         }
-        self.shared.workers[worker]
-            .queued
-            .fetch_add(1, Ordering::AcqRel);
-        match self.shared.workers[worker].send(WorkerMsg::Job(job), request.is_blocking()) {
+        match self.shared.route(job, worker, request.is_blocking()) {
             Ok(()) => Ok(handle),
             Err(_) => {
-                self.shared.workers[worker]
-                    .queued
-                    .fetch_sub(1, Ordering::AcqRel);
                 self.shared.shed.inc();
                 Err(SubmitError::QueueFull)
             }
         }
     }
 
-    /// Kills a worker: its in-flight serve is interrupted (thread mode)
-    /// or its process killed, and every request on it — in flight and
-    /// queued — re-routes to survivors. Idempotent. The fleet keeps
-    /// serving as long as one worker survives.
+    /// Kills a worker: its queued requests are shed and its in-flight
+    /// serves cancelled within one decode step, and every one of them
+    /// re-routes to survivors. Idempotent. The fleet keeps serving as
+    /// long as one worker survives.
     pub fn kill_worker(&self, worker: usize) {
-        if worker < self.shared.workers.len() {
-            self.shared.kill_state(worker);
+        if worker < self.shared.shards.len() {
+            self.shared.kill(worker);
         }
     }
 
     /// Installs (or clears) the fleet fault injector — see
-    /// [`FleetFaults`]. Takes effect from the next pickup.
+    /// [`FleetFaults`]. Takes effect from each shard's next pickup.
     pub fn set_fleet_faults(&self, faults: Option<Arc<dyn FleetFaults>>) {
-        *self.shared.faults.lock().unwrap() = faults;
+        for (worker, shard) in self.shared.shards.iter().enumerate() {
+            shard.server.set_worker_faults(faults.clone().map(|faults| {
+                Arc::new(ShardFaults {
+                    worker,
+                    faults,
+                    fleet: Arc::downgrade(&self.shared),
+                }) as Arc<dyn WorkerFaults>
+            }));
+        }
     }
 
     /// Point-in-time per-worker views.
     #[must_use]
     pub fn workers(&self) -> Vec<WorkerInfo> {
         self.shared
-            .workers
+            .shards
             .iter()
             .enumerate()
-            .map(|(id, w)| WorkerInfo {
-                id,
-                alive: w.alive.load(Ordering::Acquire),
-                queued: w.queued.load(Ordering::Relaxed),
-                served: w.served.load(Ordering::Relaxed),
-                rerouted_from: w.rerouted_from.load(Ordering::Relaxed),
-                store_hits: w.store_hits.load(Ordering::Relaxed),
-                store_misses: w.store_misses.load(Ordering::Relaxed),
+            .map(|(id, s)| {
+                let stats = s.server.engine().store_stats();
+                WorkerInfo {
+                    id,
+                    alive: s.alive.load(Ordering::Acquire),
+                    queued: s.queued.load(Ordering::Relaxed),
+                    served: s.served.load(Ordering::Relaxed),
+                    rerouted_from: s.rerouted_from.load(Ordering::Relaxed),
+                    store_hits: stats.hits,
+                    store_misses: stats.misses,
+                }
             })
             .collect()
     }
@@ -1103,7 +629,8 @@ impl Router {
         self.shared.rerouted.get()
     }
 
-    /// Requests routed by schema affinity vs spilled/least-loaded.
+    /// Requests routed to a schema owner vs to a non-owner (no owner
+    /// alive).
     #[must_use]
     pub fn routing_split(&self) -> (u64, u64) {
         (
@@ -1132,18 +659,17 @@ impl Router {
         self.ops.as_ref().map(OpsHandle::local_addr)
     }
 
-    /// Graceful shutdown: stop accepting, drain every queue (queued
-    /// requests still serve), join workers, reap processes, stop the
-    /// ops listener.
+    /// Graceful shutdown: stop accepting, let every live shard serve its
+    /// queue (what a dead shard still gives up is shed, not re-routed),
+    /// join the router thread and every shard's server, stop the ops
+    /// listener.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        for worker in &self.shared.workers {
-            worker.tx.lock().unwrap().take();
-        }
-        for thread in self.threads.drain(..) {
+        self.shared.results.lock().unwrap().take();
+        if let Some(thread) = self.router_thread.take() {
             let _ = thread.join();
         }
         if let Some(ops) = self.ops.take() {
@@ -1154,6 +680,8 @@ impl Router {
 
 impl Drop for Router {
     fn drop(&mut self) {
+        // Dropping the last `FleetShared` afterwards drops the servers,
+        // which join their serve loops.
         self.shutdown_inner();
     }
 }
@@ -1167,7 +695,7 @@ fn render_fleet_metrics(shared: &FleetShared) -> String {
     let mut text = pc_telemetry::export::prometheus_text(&snap);
     use std::fmt::Write as _;
     let help = pc_telemetry::export::help_for;
-    type WorkerRead = fn(&WorkerState) -> u64;
+    type WorkerRead = fn(&Shard) -> u64;
     let families: [(&str, &str, WorkerRead); 6] = [
         ("pc_worker_alive", "gauge", |w| {
             u64::from(w.alive.load(Ordering::Acquire))
@@ -1182,16 +710,16 @@ fn render_fleet_metrics(shared: &FleetShared) -> String {
             w.rerouted_from.load(Ordering::Relaxed)
         }),
         ("pc_worker_store_hits_total", "counter", |w| {
-            w.store_hits.load(Ordering::Relaxed)
+            w.server.engine().store_stats().hits
         }),
         ("pc_worker_store_misses_total", "counter", |w| {
-            w.store_misses.load(Ordering::Relaxed)
+            w.server.engine().store_stats().misses
         }),
     ];
     for (name, kind, read) in families {
         let _ = writeln!(text, "# HELP {name} {}\n# TYPE {name} {kind}", help(name));
-        for (id, worker) in shared.workers.iter().enumerate() {
-            let _ = writeln!(text, "{name}{{worker=\"{id}\"}} {}", read(worker));
+        for (id, shard) in shared.shards.iter().enumerate() {
+            let _ = writeln!(text, "{name}{{worker=\"{id}\"}} {}", read(shard));
         }
     }
     let _ = writeln!(
@@ -1210,33 +738,30 @@ fn render_fleet_debug(shared: &FleetShared) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"shards\":{},\"replication\":{},\"affinity\":{},\"process_mode\":{}",
+        "{{\"shards\":{},\"replication\":{}",
         shared.map.workers(),
         shared.map.replication(),
-        shared.affinity,
-        shared.process_mode,
     );
     let _ = write!(out, ",\"workers\":[");
-    for (id, worker) in shared.workers.iter().enumerate() {
+    for (id, shard) in shared.shards.iter().enumerate() {
         if id > 0 {
             out.push(',');
         }
-        let cached_bytes = worker
-            .engine
-            .as_ref()
-            .map_or(0, |engine| engine.cached_bytes());
+        let engine = shard.server.engine();
+        let stats = engine.store_stats();
         let _ = write!(
             out,
             "{{\"id\":{id},\"alive\":{},\"queued\":{},\"served\":{},\
              \"rerouted_from\":{},\"store_hits\":{},\"store_misses\":{},\
-             \"ewma_service_us\":{},\"cached_bytes\":{cached_bytes}}}",
-            worker.alive.load(Ordering::Acquire),
-            worker.queued.load(Ordering::Relaxed),
-            worker.served.load(Ordering::Relaxed),
-            worker.rerouted_from.load(Ordering::Relaxed),
-            worker.store_hits.load(Ordering::Relaxed),
-            worker.store_misses.load(Ordering::Relaxed),
-            worker.ewma_ns.load(Ordering::Relaxed) / 1_000,
+             \"ewma_service_us\":{},\"cached_bytes\":{}}}",
+            shard.alive.load(Ordering::Acquire),
+            shard.queued.load(Ordering::Relaxed),
+            shard.served.load(Ordering::Relaxed),
+            shard.rerouted_from.load(Ordering::Relaxed),
+            stats.hits,
+            stats.misses,
+            shard.server.ewma_service().as_micros(),
+            engine.cached_bytes(),
         );
     }
     let _ = write!(out, "],\"schemas\":{{");
@@ -1269,19 +794,19 @@ fn render_fleet_debug(shared: &FleetShared) -> String {
 /// `/healthz` for the fleet: alive counts and queue totals.
 fn render_fleet_health(shared: &FleetShared) -> String {
     let alive = shared
-        .workers
+        .shards
         .iter()
-        .filter(|w| w.alive.load(Ordering::Acquire))
+        .filter(|s| s.alive.load(Ordering::Acquire))
         .count();
     let queued: u64 = shared
-        .workers
+        .shards
         .iter()
-        .map(|w| w.queued.load(Ordering::Relaxed))
+        .map(|s| s.queued.load(Ordering::Relaxed))
         .sum();
     format!(
         "{{\"status\":\"{}\",\"workers_alive\":{alive},\"workers\":{},\"queued\":{queued}}}",
         if alive > 0 { "ok" } else { "dead" },
-        shared.workers.len(),
+        shared.shards.len(),
     )
 }
 

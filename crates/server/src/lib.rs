@@ -88,14 +88,14 @@
 //!
 //! # Fleet
 //!
-//! [`Router`] scales the same serving contract across N worker engines:
+//! [`Router`] scales the same serving contract across N shards, each a
+//! [`Server`] over its own engine built from one [`EngineBlueprint`]:
 //! schemas are consistent-hash sharded ([`pc_cache::ShardMap`]) with a
-//! configurable replication factor, requests route to a worker that
-//! already holds their modules hot (schema affinity) or to the least
-//! loaded worker, and a killed worker's requests re-route to survivors
-//! — byte-identically, because non-owners re-encode on demand. Workers
-//! are threads by default; [`FleetConfig::process_mode`] runs them as OS
-//! processes over a std-only length-prefixed socket protocol.
+//! configurable replication factor, requests route to the least-loaded
+//! shard that already holds their modules hot (schema affinity), every
+//! shard batches through the same serve loop, and a killed shard's
+//! requests re-route to survivors — byte-identically, because non-owners
+//! re-encode on demand.
 
 #![warn(missing_docs)]
 

@@ -568,27 +568,34 @@ impl Server {
                 return Err(SubmitError::PredictedDeadlineExceeded { estimated_wait });
             }
         }
+        self.enqueue(job, false)?;
+        Ok(handle)
+    }
+
+    /// Puts a built job on the queue, blocking for space when `blocking`.
+    /// A job the queue refuses (full, or closed) is counted as shed.
+    fn enqueue(&self, job: Job, blocking: bool) -> Result<(), SubmitError> {
         // The gauge moves *before* the send so the batch loop picking
         // the job up immediately can never decrement past
         // zero; on rejection the increment is rolled back.
         self.shared.queue_depth.add(1);
-        match self
-            .tx
-            .as_ref()
-            .expect("server not shut down")
-            .try_send(job)
-        {
-            Ok(()) => Ok(handle),
-            Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
-                self.shared.queue_depth.add(-1);
-                let _shed_span = self.shared.telemetry.span("shed");
-                self.shared.shed.inc();
-                self.shared.record_flight(|| {
-                    FlightEvent::new(job.id, "shed").field("reason", "queue_full")
-                });
-                Err(SubmitError::QueueFull)
-            }
-        }
+        let tx = self.tx.as_ref().expect("server not shut down");
+        let refused = if blocking {
+            tx.send(job).err().map(|e| e.0)
+        } else {
+            tx.try_send(job).err().map(|e| match e {
+                TrySendError::Full(job) | TrySendError::Disconnected(job) => job,
+            })
+        };
+        let Some(job) = refused else {
+            return Ok(());
+        };
+        self.shared.queue_depth.add(-1);
+        let _shed_span = self.shared.telemetry.span("shed");
+        self.shared.shed.inc();
+        self.shared
+            .record_flight(|| FlightEvent::new(job.id, "shed").field("reason", "queue_full"));
+        Err(SubmitError::QueueFull)
     }
 
     /// The admission-control wait estimate: (queued + in-flight)
@@ -611,15 +618,30 @@ impl Server {
     fn make_job(
         &self,
         prompt: String,
-        mut options: ServeOptions,
+        options: ServeOptions,
         baseline: bool,
     ) -> (Job, RequestHandle) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply, rx) = bounded(1);
-        // Build the effective request token *at submission*: the caller's
-        // token (cancelling their clone still works — the flag is shared)
-        // linked to server shutdown, with the relative deadline converted
-        // to an absolute one so queue wait counts against the budget.
+        let job = self.job(id, prompt, options, baseline, Instant::now(), reply);
+        let cancel = job.cancel.clone();
+        (job, RequestHandle { id, cancel, rx })
+    }
+
+    /// Builds the job for one request. The effective request token is
+    /// built *at submission*: the caller's token (cancelling their clone
+    /// still works — the flag is shared) linked to server shutdown, with
+    /// the relative deadline converted to an absolute one so queue wait
+    /// counts against the budget.
+    fn job(
+        &self,
+        id: u64,
+        prompt: String,
+        mut options: ServeOptions,
+        baseline: bool,
+        submitted: Instant,
+        reply: Sender<RequestResult>,
+    ) -> Job {
         let base = options.cancel.take().unwrap_or_default();
         let mut token = base.linked_to(&self.shutdown_token);
         let budget = options.deadline.take();
@@ -627,29 +649,72 @@ impl Server {
             token = token.with_budget(budget);
         }
         options.cancel = Some(token.clone());
-        let job = Job {
+        Job {
             id,
             prompt,
             options,
             baseline,
-            cancel: token.clone(),
+            cancel: token,
             budget,
-            submitted: Instant::now(),
+            submitted,
             reply,
-        };
-        (job, RequestHandle { id, cancel: token, rx })
+        }
     }
 
     fn submit_inner(&self, prompt: String, options: ServeOptions, baseline: bool) -> RequestHandle {
         let (job, handle) = self.make_job(prompt, options, baseline);
         self.shared.record_flight(|| submit_event(&job));
-        self.shared.queue_depth.add(1);
-        self.tx
-            .as_ref()
-            .expect("server not shut down")
-            .send(job)
+        self.enqueue(job, true)
             .expect("batch loop alive while server exists");
         handle
+    }
+
+    /// Queues a request for the fleet router, which owns the id, the
+    /// submission time (queue time counts from the fleet submission) and
+    /// the reply channel every shard answers on. A deadline arrives as
+    /// the absolute deadline of the request's token, so a re-route does
+    /// not restart the budget. No predicted-deadline check: the router
+    /// makes it before choosing the shard.
+    pub(crate) fn submit_routed(
+        &self,
+        id: u64,
+        request: &SubmitRequest,
+        submitted: Instant,
+        reply: Sender<RequestResult>,
+        blocking: bool,
+    ) -> Result<(), SubmitError> {
+        let job = self.job(
+            id,
+            request.prompt().to_owned(),
+            request.options_ref().clone(),
+            request.is_baseline(),
+            submitted,
+            reply,
+        );
+        self.shared.record_flight(|| submit_event(&job));
+        self.enqueue(job, blocking)
+    }
+
+    /// Stops the server serving without consuming it — the first two
+    /// steps of [`Server::shutdown_within`]: queued requests are shed
+    /// with [`ShedReason::ShuttingDown`] and in-flight serves are
+    /// cancelled within one decode step. The loop keeps running, shedding
+    /// whatever still arrives, until the server is dropped.
+    pub(crate) fn kill(&self) {
+        self.shared.draining.store(true, Ordering::Release);
+        self.shutdown_token.cancel();
+    }
+
+    /// Requests served or failed so far, counted on the serving thread
+    /// before the reply is sent.
+    pub(crate) fn completed(&self) -> u64 {
+        self.shared.served.get() + self.shared.failed.get()
+    }
+
+    /// The EWMA of request service time behind
+    /// [`Server::estimated_queue_wait`]; zero until the first completion.
+    pub(crate) fn ewma_service(&self) -> Duration {
+        Duration::from_nanos(self.shared.ewma_service_ns.load(Ordering::Relaxed))
     }
 
     /// Installs (or clears, with `None`) a worker-fault injector — see
@@ -751,8 +816,7 @@ impl Server {
     /// means it was detached (it still holds its engine `Arc` and
     /// finishes in the background, but nothing waits for it).
     pub fn shutdown_within(mut self, grace: Duration) -> bool {
-        self.shared.draining.store(true, Ordering::Release);
-        self.shutdown_token.cancel();
+        self.kill();
         self.tx.take();
         let deadline = Instant::now() + grace;
         let finished = || {
@@ -862,16 +926,23 @@ fn shed_at_pickup(shared: &Shared, job: &Job, reason: ShedReason, queue_time: Du
 }
 
 /// Chaos hook: a stalled pickup delays this request *and* backs up the
-/// queue behind it.
-fn apply_fault_stall(shared: &Shared, id: u64) {
+/// queue behind it. The stall wakes early when the job's token fires —
+/// the caller's cancel, server shutdown, or a fleet shard's kill — so a
+/// stall never outlives the events that make it moot.
+fn apply_fault_stall(shared: &Shared, job: &Job) {
     let stall = shared
         .faults
         .lock()
         .unwrap()
         .as_ref()
-        .map_or(Duration::ZERO, |f| f.pre_serve_delay(id));
-    if !stall.is_zero() {
-        std::thread::sleep(stall);
+        .map_or(Duration::ZERO, |f| f.pre_serve_delay(job.id));
+    let end = Instant::now() + stall;
+    while !job.cancel.is_cancelled() {
+        let now = Instant::now();
+        if now >= end {
+            return;
+        }
+        std::thread::sleep((end - now).min(Duration::from_millis(2)));
     }
 }
 
@@ -990,7 +1061,7 @@ fn pick_up(shared: &Shared, job: &Job) -> Option<Duration> {
         return None;
     }
     shared.in_flight.add(1);
-    apply_fault_stall(shared, job.id);
+    apply_fault_stall(shared, job);
     shared.record_flight(|| {
         FlightEvent::new(job.id, "pickup").timing_us("queue", micros(queue_time))
     });
@@ -1760,6 +1831,74 @@ mod tests {
         }
         assert!(server.metrics().cancelled >= 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn cancelling_the_callers_parent_token_cancels_mid_decode() {
+        let server = batched_server();
+        let parent = CancelToken::new();
+        let token = CancelToken::new().linked_to(&parent);
+        let prompt = r#"<prompt schema="s"><ctx/>question</prompt>"#;
+        let handle = submit(
+            &server,
+            prompt.into(),
+            ServeOptions::default()
+                .max_new_tokens(100_000)
+                .cancel(token),
+        );
+        let generated = server.telemetry().counter("pc_tokens_generated_total");
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while generated.get() == 0 {
+            assert!(
+                Instant::now() < give_up,
+                "the request never started decoding"
+            );
+            std::thread::yield_now();
+        }
+        parent.cancel();
+        match handle.wait().unwrap().outcome {
+            RequestOutcome::Ok(r) => assert_eq!(r.outcome, ServeOutcome::Cancelled),
+            other => panic!("expected a cancelled partial response, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    /// Stalls the first pickup for ten seconds and records when it began.
+    #[derive(Debug, Default)]
+    struct LongStall {
+        began: Mutex<Option<Instant>>,
+    }
+
+    impl WorkerFaults for LongStall {
+        fn pre_serve_delay(&self, id: u64) -> Duration {
+            if id != 0 {
+                return Duration::ZERO;
+            }
+            *self.began.lock().unwrap() = Some(Instant::now());
+            Duration::from_secs(10)
+        }
+    }
+
+    #[test]
+    fn an_injected_stall_wakes_on_shutdown() {
+        let server = batched_server();
+        let stall = Arc::new(LongStall::default());
+        server.set_worker_faults(Some(Arc::clone(&stall) as Arc<dyn WorkerFaults>));
+        let handle = submit(
+            &server,
+            r#"<prompt schema="s"><ctx/>question</prompt>"#.into(),
+            opts(),
+        );
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while stall.began.lock().unwrap().is_none() {
+            assert!(Instant::now() < give_up, "the request never reached pickup");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            server.shutdown_within(Duration::from_millis(200)),
+            "a stalled pickup must wake on the shutdown token"
+        );
+        assert!(handle.wait().is_some(), "the stalled request is answered");
     }
 
     #[test]

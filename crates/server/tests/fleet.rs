@@ -1,12 +1,13 @@
 //! Fleet integration tests: byte-identity of sharded serving against a
 //! single engine across shard counts and replication factors, worker
-//! kill mid-run (thread and process mode), schema-affinity routing, and
-//! the fleet ops endpoints.
+//! kill mid-run and mid-decode, caller cancel, schema-affinity routing,
+//! and the fleet ops endpoints.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
 use pc_server::wire::TokenizerSpec;
 use pc_server::{
@@ -173,7 +174,7 @@ fn replicated_schema_survives_owner_loss_without_reencoding() {
 }
 
 #[test]
-fn affinity_routing_prefers_owners_and_can_be_disabled() {
+fn affinity_routing_prefers_owners() {
     let prompts = prompts();
     let affinity = start_router(FleetConfig::default().shards(4));
     fleet_outputs(&affinity, &prompts);
@@ -183,12 +184,6 @@ fn affinity_routing_prefers_owners_and_can_be_disabled() {
         "affinity mode must route to schema owners (spilled={spilled})"
     );
     affinity.shutdown();
-
-    let spread = start_router(FleetConfig::default().shards(4).affinity(false));
-    fleet_outputs(&spread, &prompts);
-    let (owner_routed, _) = spread.routing_split();
-    assert_eq!(owner_routed, 0, "affinity off never counts owner routing");
-    spread.shutdown();
 }
 
 #[test]
@@ -287,24 +282,142 @@ fn fleet_ops_endpoints_serve_metrics_and_debug_views() {
     router.shutdown();
 }
 
-#[test]
-fn process_mode_serves_byte_identically_and_survives_worker_kill() {
-    let prompts = prompts();
-    let expected = single_engine_outputs(&prompts);
-    let router = start_router(
-        FleetConfig::default()
-            .shards(2)
-            .process_mode(true)
-            .worker_bin(env!("CARGO_BIN_EXE_pc_fleet_worker")),
-    );
-    let got = fleet_outputs(&router, &prompts);
-    assert_eq!(got, expected, "process-mode output must match single-process");
+/// Counts pickups on one worker; with a router to kill, kills that worker
+/// from inside its pickup of request `kill_at`.
+#[derive(Debug, Default)]
+struct Pickups {
+    worker: usize,
+    count: AtomicU64,
+    kill_at: Option<u64>,
+    router: OnceLock<Weak<Router>>,
+}
 
-    // Kill one OS worker and keep serving: the survivor re-encodes on
-    // demand and answers byte-identically.
-    router.kill_worker(0);
-    let got = fleet_outputs(&router, &prompts);
-    assert_eq!(got, expected, "output must survive the process kill");
-    assert!(!router.workers()[0].alive);
+impl Pickups {
+    /// Spins until `n` requests have been picked up on the watched worker.
+    fn wait_for(&self, n: u64) {
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while self.count.load(Ordering::Acquire) < n {
+            assert!(
+                Instant::now() < give_up,
+                "only {} pickups",
+                self.count.load(Ordering::Acquire)
+            );
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl FleetFaults for Pickups {
+    fn pre_serve_delay(&self, worker: usize, id: u64) -> Duration {
+        if worker == self.worker {
+            self.count.fetch_add(1, Ordering::AcqRel);
+            if self.kill_at == Some(id) {
+                if let Some(router) = self.router.get().and_then(Weak::upgrade) {
+                    router.kill_worker(worker);
+                }
+            }
+        }
+        Duration::ZERO
+    }
+}
+
+#[test]
+fn kill_during_batched_decode_reroutes_byte_identically() {
+    const DECODE: usize = 32;
+    let prompts: Vec<String> = prompts()
+        .into_iter()
+        .filter(|p| p.contains("schema=\"east\""))
+        .take(6)
+        .collect();
+    let engine = blueprint().build();
+    engine.register_schema(SCHEMA_EAST).unwrap();
+    let expected: Vec<_> = prompts
+        .iter()
+        .map(|p| {
+            engine
+                .serve(&ServeRequest::new(p).max_new_tokens(DECODE))
+                .unwrap()
+                .into_response()
+                .tokens
+        })
+        .collect();
+
+    let router = Arc::new(start_router(FleetConfig::default().shards(2)));
+    let victim = router.owners_of("east")[0];
+    // The owner's admission thread picks up the last request right after
+    // handing the one before it to the batch, so the kill lands while
+    // that one — and whatever else has not finished — is decoding.
+    let pickups = Arc::new(Pickups {
+        worker: victim,
+        kill_at: Some(prompts.len() as u64 - 1),
+        ..Pickups::default()
+    });
+    pickups.router.set(Arc::downgrade(&router)).unwrap();
+    router.set_fleet_faults(Some(Arc::clone(&pickups) as Arc<dyn FleetFaults>));
+    let handles: Vec<_> = prompts
+        .iter()
+        .map(|p| {
+            router
+                .submit(
+                    &SubmitRequest::new(p.clone())
+                        .max_new_tokens(DECODE)
+                        .blocking(true),
+                )
+                .unwrap()
+        })
+        .collect();
+    let got: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.wait().unwrap().outcome.unwrap().tokens)
+        .collect();
+    assert_eq!(got, expected, "a kill mid-decode must not change a byte");
+    assert!(!router.workers()[victim].alive);
+    assert!(
+        router.rerouted_total() >= 1,
+        "the killed batch must re-route to the survivor"
+    );
+}
+
+#[test]
+fn fleet_caller_cancel_is_not_a_kill() {
+    let router = start_router(FleetConfig::default().shards(2));
+    let owner = router.owners_of("west")[0];
+    let pickups = Arc::new(Pickups {
+        worker: owner,
+        ..Pickups::default()
+    });
+    router.set_fleet_faults(Some(Arc::clone(&pickups) as Arc<dyn FleetFaults>));
+    let prompt = r#"<prompt schema="west"><miami/>answer briefly q0</prompt>"#;
+    let handle = router
+        .submit(
+            &SubmitRequest::new(prompt)
+                .max_new_tokens(100_000)
+                .blocking(true),
+        )
+        .unwrap();
+    pickups.wait_for(1);
+    handle.cancel();
+    match handle.wait().unwrap().outcome {
+        pc_server::RequestOutcome::Ok(r) => assert_eq!(r.outcome, ServeOutcome::Cancelled),
+        other => panic!("a caller cancel mid-serve must end Cancelled: {other:?}"),
+    }
+    assert_eq!(
+        router.rerouted_total(),
+        0,
+        "a caller cancel never re-routes"
+    );
+    assert!(
+        router.workers()[owner].alive,
+        "a caller cancel never kills the shard"
+    );
+    // The shard keeps serving.
+    let served = router
+        .submit(&SubmitRequest::new(prompt).max_new_tokens(3).blocking(true))
+        .unwrap()
+        .wait()
+        .unwrap()
+        .outcome
+        .unwrap();
+    assert_eq!(served.outcome, ServeOutcome::Complete);
     router.shutdown();
 }

@@ -19,8 +19,7 @@ pub use prompt_cache as engine;
 ///
 /// * [`pc::Error`] — the engine failed to parse, register, or serve
 ///   (this is `prompt_cache::EngineError` re-exported as the top-level
-///   error type; fleet workers surface remote failures through its
-///   `Remote` variant);
+///   error type);
 /// * [`pc::SubmitError`] — admission rejected a submission before it
 ///   ever queued (queue full, predicted deadline overrun);
 /// * [`pc::ShedReason`] — a queued request was dropped before a worker
