@@ -17,7 +17,8 @@ cargo test -q
 cargo test -q --release -p pc-tensor
 cargo test -q --release -p pc-model
 cargo test -q --release -p pc-tokenizer
-# Disk-record decoding must reject a hostile header without panicking or
+# Disk-record decoding must reject a hostile header, and the disk tier a
+# crafted INDEX entry or a retired encoding byte, without panicking or
 # allocating what the input does not hold — also where overflow checks
 # are off, which is where an unchecked size product wraps silently.
 cargo test -q --release -p pc-cache
@@ -45,8 +46,8 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/smoke.sh
 # Experiment smokes (quick mode writes no BENCH artifact): warm-vs-cold
-# restart and the quantized capacity/drift bounds; fleet byte-identity
-# at 1, 2 and 4 shards.
+# restart, whose warm run must re-encode nothing; fleet byte-identity at
+# 1, 2 and 4 shards.
 cargo run --release -q -p pc-bench --bin figures -- --quick persistence > /dev/null
 cargo run --release -q -p pc-bench --bin figures -- --quick sharding > /dev/null
 # Docs gate: rustdoc must stay warning-clean.

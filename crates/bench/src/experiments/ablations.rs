@@ -1,9 +1,8 @@
-//! Ablations of the design choices DESIGN.md calls out: eviction policy,
-//! KV quantization, and scaffolding.
+//! Ablations of the design choices DESIGN.md calls out: eviction policy
+//! and scaffolding.
 
 use super::Report;
 use crate::emit::Table;
-use pc_cache::quant::{round_trip_error, QuantizedKv};
 use pc_cache::{EvictionPolicy, ModuleKey, ModuleStore, StoreConfig, Tier};
 use pc_model::KvCache;
 use rand::rngs::StdRng;
@@ -11,23 +10,20 @@ use rand::{Rng, SeedableRng};
 use serde_json::json;
 use prompt_cache::{ServeRequest, Served};
 
-/// Runs all three ablations and combines them into one report.
+/// Runs both ablations and combines them into one report.
 pub fn ablations(quick: bool) -> Report {
     let eviction = eviction_ablation(quick);
-    let quant = quant_ablation();
     let scaffold = scaffold_ablation();
     Report {
         id: "ablations",
-        title: "Ablations — eviction policy, KV quantization, scaffolding",
+        title: "Ablations — eviction policy, scaffolding",
         markdown: format!(
             "### Eviction policy (Zipfian module popularity)\n{}\n\
-             ### 8-bit KV quantization\n{}\n\
              ### Scaffolding: memory for exactness (§3.3)\n{}\n",
-            eviction.0, quant.0, scaffold.0
+            eviction.0, scaffold.0
         ),
         json: json!({
             "eviction": eviction.1,
-            "quantization": quant.1,
             "scaffold": scaffold.1,
         }),
     }
@@ -165,26 +161,6 @@ fn eviction_ablation(quick: bool) -> (String, serde_json::Value) {
     (table.to_markdown(), json!({ "rows": rows }))
 }
 
-/// Quantization: footprint vs reconstruction error.
-fn quant_ablation() -> (String, serde_json::Value) {
-    let m = module(512, 7);
-    let q = QuantizedKv::quantize(&m);
-    let err = round_trip_error(&m);
-    let ratio = m.size_bytes() as f64 / q.size_bytes() as f64;
-    let mut table = Table::new(&["Quantity", "Value"]);
-    table.row(&["f32 module bytes".into(), m.size_bytes().to_string()]);
-    table.row(&["int8 module bytes".into(), q.size_bytes().to_string()]);
-    table.row(&["compression".into(), format!("{ratio:.2}×")]);
-    table.row(&["max relative error".into(), format!("{err:.5}")]);
-    (
-        table.to_markdown(),
-        json!({
-            "f32_bytes": m.size_bytes(), "int8_bytes": q.size_bytes(),
-            "compression": ratio, "max_rel_error": err,
-        }),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +171,6 @@ mod tests {
         assert!(r.markdown.contains("Eviction policy"));
         let rows = r.json["eviction"]["rows"].as_array().unwrap();
         assert_eq!(rows.len(), EvictionPolicy::ALL.len());
-        assert!(r.json["quantization"]["compression"].as_f64().unwrap() > 2.0);
     }
 
     #[test]

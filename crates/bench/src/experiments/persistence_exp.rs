@@ -1,20 +1,12 @@
-//! Warm restart and cold-tier economics: what the persistent disk tier
-//! buys. Three measurements against the same module library:
-//!
-//! 1. **Warm vs cold startup** — time from engine construction to the
-//!    first served token, once encoding every module from scratch
-//!    (cold) and once restoring a snapshot from the disk tier (warm).
-//! 2. **Quantized capacity** — live bytes of the same library written
-//!    as f32, fp16, and int8 cold records; the capacity multiplier is
-//!    how many quantized libraries fit where one f32 library did.
-//! 3. **Promote latency and drift** — per-module decode+dequantize time
-//!    per encoding, and the worst int8 element drift against its
-//!    per-row bound (`max|row| / 127`).
+//! Warm restart: what the persistent disk tier buys. Time from engine
+//! construction to the first served token, once encoding every module
+//! from scratch (cold) and once restoring a snapshot from the disk tier
+//! (warm).
 
 use super::Report;
-use crate::emit::{fmt_time_s, Table};
-use pc_cache::{ColdEncoding, DiskConfig, DiskTier, ModuleKey, StoreConfig};
-use pc_model::{KvCache, Model, ModelConfig};
+use crate::emit::fmt_time_s;
+use pc_cache::{DiskConfig, StoreConfig};
+use pc_model::{Model, ModelConfig};
 use pc_tokenizer::{Tokenizer, WordTokenizer};
 use prompt_cache::{EngineConfig, PromptCache, ServeOptions, ServeRequest, Served};
 use serde_json::json;
@@ -92,67 +84,7 @@ fn startup_pair(dir: &Path) -> (f64, f64) {
     (cold, warm)
 }
 
-struct EncodingRow {
-    label: &'static str,
-    live_bytes: usize,
-    multiplier: f64,
-    promote_mean_s: f64,
-    max_drift: f64,
-    drift_bound: f64,
-}
-
-/// Writes `modules` into a fresh tier under `encoding`, then reads each
-/// back, timing the promote and measuring element drift.
-fn encoding_row(
-    tag: &str,
-    encoding: ColdEncoding,
-    modules: &[(ModuleKey, std::sync::Arc<KvCache>)],
-    f32_bytes: Option<usize>,
-) -> EncodingRow {
-    let dir = temp_dir(tag);
-    let mut tier =
-        DiskTier::open(DiskConfig::new(dir.clone()).encoding(encoding)).expect("open tier");
-    for (key, cache) in modules {
-        tier.put(key, cache, 1.0).expect("put");
-    }
-    let live_bytes = tier.live_bytes();
-
-    let mut promote_total = 0.0f64;
-    let mut max_drift = 0.0f64;
-    let mut drift_bound = 0.0f64;
-    for (key, original) in modules {
-        let t = Instant::now();
-        let got = tier.get(key);
-        promote_total += t.elapsed().as_secs_f64();
-        let pc_cache::DiskGet::Module(back, _) = got else {
-            panic!("module lost on promote");
-        };
-        for layer in 0..original.num_layers() {
-            let rows = [
-                (original.keys(layer), back.keys(layer)),
-                (original.values(layer), back.values(layer)),
-            ];
-            for (a, b) in rows {
-                let bound = a.iter().fold(0.0f32, |m, x| m.max(x.abs())) / 127.0;
-                drift_bound = drift_bound.max(f64::from(bound));
-                for (x, y) in a.iter().zip(b) {
-                    max_drift = max_drift.max(f64::from((x - y).abs()));
-                }
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    EncodingRow {
-        label: encoding.label(),
-        live_bytes,
-        multiplier: f32_bytes.map_or(1.0, |f| f as f64 / live_bytes as f64),
-        promote_mean_s: promote_total / modules.len() as f64,
-        max_drift,
-        drift_bound,
-    }
-}
-
-/// Warm-restart and cold-tier figures. Full runs also write
+/// Warm-restart figures. Full runs also write
 /// `BENCH_persistence.json` at the working directory root.
 pub fn persistence(quick: bool) -> Report {
     // 1. Startup-to-first-token, cold vs warm, over a few repetitions.
@@ -167,67 +99,16 @@ pub fn persistence(quick: bool) -> Report {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // 2 & 3. The encoded library, written under each cold encoding.
+    // The library's size, from one cold engine.
     let dir = temp_dir("library");
     let engine = bare_engine(&dir);
     engine.register_schema(&schema()).expect("register");
     first_token(&engine);
-    let modules: Vec<(ModuleKey, std::sync::Arc<KvCache>)> = engine
-        .store()
-        .snapshot()
-        .into_iter()
-        .map(|row| {
-            let states = engine
-                .store()
-                .get(&row.key, pc_cache::Tier::Host)
-                .expect("resident");
-            (row.key, states)
-        })
-        .collect();
-    let hot_bytes: usize = modules.iter().map(|(_, m)| m.size_bytes()).sum();
+    let snapshot = engine.store().snapshot();
+    let modules = snapshot.len();
+    let hot_bytes: usize = snapshot.iter().map(|row| row.size_bytes).sum();
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
-
-    let f32_row = encoding_row("f32", ColdEncoding::F32, &modules, None);
-    let fp16_row = encoding_row("fp16", ColdEncoding::Fp16, &modules, Some(f32_row.live_bytes));
-    let int8_row = encoding_row("int8", ColdEncoding::Int8, &modules, Some(f32_row.live_bytes));
-    assert!(
-        f32_row.max_drift == 0.0,
-        "f32 cold records must round-trip exactly"
-    );
-    assert!(
-        int8_row.max_drift <= int8_row.drift_bound + 1e-6,
-        "int8 drift {} exceeds bound {}",
-        int8_row.max_drift,
-        int8_row.drift_bound
-    );
-
-    let mut table = Table::new(&[
-        "Encoding",
-        "library bytes",
-        "capacity ×",
-        "promote mean",
-        "max drift",
-    ]);
-    let row_json = |r: &EncodingRow| {
-        json!({
-            "encoding": r.label,
-            "live_bytes": r.live_bytes,
-            "capacity_multiplier": r.multiplier,
-            "promote_mean_s": r.promote_mean_s,
-            "max_drift": r.max_drift,
-            "drift_bound": r.drift_bound,
-        })
-    };
-    for r in [&f32_row, &fp16_row, &int8_row] {
-        table.row(&[
-            r.label.into(),
-            format!("{}", r.live_bytes),
-            format!("{:.2}×", r.multiplier),
-            fmt_time_s(r.promote_mean_s),
-            format!("{:.2e}", r.max_drift),
-        ]);
-    }
 
     let startup = json!({
         "reps": reps,
@@ -236,10 +117,9 @@ pub fn persistence(quick: bool) -> Report {
         "warm_speedup": cold_s / warm_s.max(1e-9),
     });
     let json = json!({
-        "modules": modules.len(),
+        "modules": modules,
         "hot_bytes": hot_bytes,
         "startup": startup,
-        "encodings": [row_json(&f32_row), row_json(&fp16_row), row_json(&int8_row)],
     });
 
     // The perf-trajectory file: full runs only (quick doubles as the
@@ -254,16 +134,15 @@ pub fn persistence(quick: bool) -> Report {
 
     Report {
         id: "persistence",
-        title: "Warm restart and quantized cold-tier capacity",
+        title: "Warm restart",
         markdown: format!(
-            "{}\nstartup-to-first-token: cold {} vs warm {} ({:.1}× speedup, {} reps); \
+            "startup-to-first-token: cold {} vs warm {} ({:.1}× speedup, {} reps); \
              {} modules, {} hot bytes{}\n",
-            table.to_markdown(),
             fmt_time_s(cold_s),
             fmt_time_s(warm_s),
             cold_s / warm_s.max(1e-9),
             reps,
-            modules.len(),
+            modules,
             hot_bytes,
             bench_path
                 .as_deref()
@@ -285,16 +164,6 @@ mod tests {
         let startup = &r.json["startup"];
         assert!(startup["cold_s"].as_f64().unwrap() > 0.0);
         assert!(startup["warm_s"].as_f64().unwrap() > 0.0);
-        let encodings = r.json["encodings"].as_array().unwrap();
-        assert_eq!(encodings.len(), 3);
-        // f32 is the identity encoding; fp16 halves states, int8
-        // quarters them (amortising the shared header and per-row
-        // scales), so the multipliers are strictly ordered.
-        assert_eq!(encodings[0]["max_drift"].as_f64().unwrap(), 0.0);
-        let fp16_mult = encodings[1]["capacity_multiplier"].as_f64().unwrap();
-        let int8_mult = encodings[2]["capacity_multiplier"].as_f64().unwrap();
-        assert!(fp16_mult > 1.5, "{fp16_mult}");
-        assert!(int8_mult > fp16_mult, "{int8_mult} vs {fp16_mult}");
         // Quick mode writes no artifact.
         assert!(!std::path::Path::new("BENCH_persistence.json").exists());
     }

@@ -2,10 +2,10 @@
 //!
 //! Encoding a large module is expensive (that's the whole point of caching
 //! it); this codec writes precomputed attention states out exactly. Its
-//! bytes are the payload of an `F32` disk-tier record
-//! ([`crate::segment`]), so [`decode`] reads bytes from disk: a header
-//! that declares more than the buffer holds is an error, never a panic or
-//! an allocation sized by the header alone.
+//! bytes are the payload of every disk-tier record ([`crate::segment`]),
+//! so [`decode`] reads bytes from disk: a header that declares more than
+//! the buffer holds is an error, never a panic or an allocation sized by
+//! the header alone.
 //!
 //! Format (little-endian): magic `PCKV`, version u32, num_layers u32,
 //! kv_dim u32, num_tokens u32, positions as u64s, then per layer the k
@@ -90,7 +90,7 @@ pub fn decode(mut buf: &[u8]) -> Result<KvCache, CodecError> {
     let num_layers = buf.get_u32_le() as usize;
     let kv_dim = buf.get_u32_le() as usize;
     let tokens = buf.get_u32_le() as usize;
-    check_declared_len(buf.remaining(), num_layers, kv_dim, tokens, 4, 0)?;
+    check_declared_len(buf.remaining(), num_layers, kv_dim, tokens)?;
 
     let positions: Vec<usize> = (0..tokens).map(|_| buf.get_u64_le() as usize).collect();
     let mut cache = KvCache::with_shape(num_layers, kv_dim);
@@ -125,26 +125,22 @@ const MAX_LAYERS: usize = 1 << 16;
 
 /// Checks a decoded header against the `remaining` bytes of its buffer
 /// before the decoder allocates anything: `tokens` u64 positions, then per
-/// layer a k half and a v half of `tokens` rows, each row `kv_dim`
-/// elements of `elem_bytes` plus `row_extra` bytes (an int8 row's scale).
-/// Every product is checked, so a header whose size overflows `usize` is
+/// layer a k half and a v half of `tokens` rows of `kv_dim` f32s. Every
+/// product is checked, so a header whose size overflows `usize` is
 /// rejected like one that overruns the buffer.
 ///
 /// # Errors
 ///
 /// [`CodecError::Truncated`] when the declared payload does not fit in
 /// `remaining` (or in `usize`), or declares more than [`MAX_LAYERS`].
-pub(crate) fn check_declared_len(
+fn check_declared_len(
     remaining: usize,
     num_layers: usize,
     kv_dim: usize,
     tokens: usize,
-    elem_bytes: usize,
-    row_extra: usize,
 ) -> Result<(), CodecError> {
     let need = kv_dim
-        .checked_mul(elem_bytes)
-        .and_then(|row| row.checked_add(row_extra))
+        .checked_mul(4)
         .and_then(|row| row.checked_mul(tokens))
         .and_then(|half| half.checked_mul(2))
         .and_then(|layer| layer.checked_mul(num_layers))
@@ -158,6 +154,7 @@ pub(crate) fn check_declared_len(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn module(tokens: usize) -> KvCache {
         let mut c = KvCache::with_shape(3, 4);
@@ -228,6 +225,36 @@ mod tests {
         let mut bytes = encode(&KvCache::with_shape(2, 8)).to_vec();
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode(&bytes), Err(CodecError::Truncated));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Decoding is total: arbitrary bytes (bare, and behind a valid
+        /// `PCKV` magic and version), and valid payloads with one shape
+        /// word of the header overwritten by an arbitrary or a small
+        /// value, decode to `Ok` or `Err` — never a panic, never an
+        /// allocation the input's length does not pay for.
+        #[test]
+        fn decode_never_panics(
+            garbage in proptest::collection::vec(any::<u8>(), 0..96),
+            tokens in 0usize..6,
+            word in 0usize..3,
+            (huge, small) in (any::<u32>(), 0u32..64),
+        ) {
+            let mut pckv = MAGIC.to_vec();
+            pckv.extend_from_slice(&VERSION.to_le_bytes());
+            pckv.extend_from_slice(&garbage);
+            let _ = decode(&garbage);
+            let _ = decode(&pckv);
+            // num_layers, kv_dim, tokens: right after magic + version.
+            let at = 8 + 4 * word;
+            for value in [huge, small] {
+                let mut bytes = encode(&module(tokens)).to_vec();
+                bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                let _ = decode(&bytes);
+            }
+        }
     }
 
     #[test]

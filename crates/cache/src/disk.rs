@@ -4,27 +4,28 @@
 //! [`DiskTier`] is the store tier below host memory.
 //! Modules demoted out of host DRAM are appended to **segment files**
 //! (record framing in [`crate::segment`]; normative byte spec in
-//! `docs/PERSISTENCE.md`) and read back — decoded and dequantized — when
-//! a lookup falls through host memory.
+//! `docs/PERSISTENCE.md`) as their exact [`crate::codec`] bytes and read
+//! back bit-identically when a lookup falls through host memory.
 //!
 //! Durability model, in one paragraph: **the segment append is the
 //! commit point; the `INDEX` file is an optimization.** The index is
 //! written atomically (tmp + rename) with a trailing checksum and the
 //! length of every segment at write time. On open, an index that is
 //! missing, corrupt, or stale (any segment's on-disk length differs from
-//! the recorded one, or the segment set changed) is discarded and the
-//! tier **rebuilds by scanning** every segment in id order — later
-//! records win, tombstones delete, and a torn tail (a record cut short
-//! by a crash mid-append) is truncated away. Payload checksums are *not*
-//! verified during the scan (recovery stays O(records)); they are
-//! verified on every [`DiskTier::get`], where a mismatch drops the entry
-//! and surfaces as a miss so the engine re-encodes (graceful
-//! degradation) — a corrupt disk entry can degrade to recompute, never
-//! to wrong bytes.
+//! the recorded one, or the segment set changed), or that holds an entry
+//! pointing outside its segment, is discarded and the tier **rebuilds by
+//! scanning** every segment in id order — later records win, tombstones
+//! delete, and a torn tail (a record cut short by a crash mid-append) is
+//! truncated away. Payload checksums are *not* verified during the scan
+//! (recovery stays O(records)); they are verified on every
+//! [`DiskTier::get`], where a mismatch drops the entry and surfaces as a
+//! miss so the engine re-encodes (graceful degradation) — a corrupt disk
+//! entry can degrade to recompute, never to wrong bytes.
 
+use crate::codec;
 use crate::segment::{
-    checksum_bytes, encode_key, encode_payload, decode_payload, parse_record, write_record,
-    ColdEncoding, ParseOutcome, SEGMENT_MAGIC, SEGMENT_VERSION, TOMBSTONE,
+    checksum_bytes, encode_key, parse_record, write_record, ParseOutcome, PAYLOAD,
+    RECORD_HEADER_LEN, SEGMENT_MAGIC, SEGMENT_VERSION, TOMBSTONE,
 };
 use crate::store::ModuleKey;
 use bytes::{Buf, BufMut, BytesMut};
@@ -38,12 +39,10 @@ use std::path::{Path, PathBuf};
 /// chainable setters:
 ///
 /// ```
-/// use pc_cache::{ColdEncoding, DiskConfig};
+/// use pc_cache::DiskConfig;
 ///
-/// let config = DiskConfig::new("/tmp/pc-modules")
-///     .encoding(ColdEncoding::Int8)
-///     .capacity_bytes(1 << 30);
-/// assert_eq!(config.encoding, ColdEncoding::Int8);
+/// let config = DiskConfig::new("/tmp/pc-modules").capacity_bytes(1 << 30);
+/// assert_eq!(config.capacity_bytes, 1 << 30);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -53,23 +52,17 @@ pub struct DiskConfig {
     /// Live-byte capacity (0 = unbounded). When exceeded, the oldest
     /// entries (smallest write sequence) are tombstoned until under.
     pub capacity_bytes: usize,
-    /// Cold-payload encoding for newly written records. Existing records
-    /// keep the encoding they were written with (it's in the record
-    /// header), so changing this between runs is safe.
-    pub encoding: ColdEncoding,
     /// Active-segment roll threshold: a new segment file is started once
     /// the active one reaches this size.
     pub max_segment_bytes: usize,
 }
 
 impl DiskConfig {
-    /// A disk tier rooted at `dir`: unbounded, exact f32 payloads,
-    /// 16 MiB segments.
+    /// A disk tier rooted at `dir`: unbounded, 16 MiB segments.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DiskConfig {
             dir: dir.into(),
             capacity_bytes: 0,
-            encoding: ColdEncoding::F32,
             max_segment_bytes: 16 << 20,
         }
     }
@@ -78,13 +71,6 @@ impl DiskConfig {
     #[must_use]
     pub fn capacity_bytes(mut self, bytes: usize) -> Self {
         self.capacity_bytes = bytes;
-        self
-    }
-
-    /// Sets the cold-payload encoding for new records.
-    #[must_use]
-    pub fn encoding(mut self, encoding: ColdEncoding) -> Self {
-        self.encoding = encoding;
         self
     }
 
@@ -107,12 +93,12 @@ const INDEX_VERSION: u32 = 2;
 pub enum DiskGet {
     /// The key has no live disk record.
     Missing,
-    /// A record exists but failed its checksum or could not be decoded —
-    /// it has been dropped; the caller should treat this as a miss (the
-    /// engine's degrade path re-encodes).
+    /// A record exists but carries an encoding byte other than
+    /// [`PAYLOAD`], failed its checksum or could not be decoded — it has
+    /// been dropped; the caller should treat this as a miss (the engine's
+    /// degrade path re-encodes).
     Corrupt,
-    /// The decoded (and, for quantized encodings, dequantized) module
-    /// plus the recompute cost recorded with it.
+    /// The decoded module plus the recompute cost recorded with it.
     Module(Box<KvCache>, f64),
 }
 
@@ -148,8 +134,6 @@ pub struct DiskEntryInfo {
     pub payload_bytes: usize,
     /// Recompute cost recorded with the entry (eviction input).
     pub cost: f64,
-    /// Payload encoding label (`"f32"`, `"fp16"`, `"int8"`).
-    pub encoding: &'static str,
 }
 
 /// The persistent module tier. See the [module docs](self) for the
@@ -243,7 +227,8 @@ impl DiskTier {
     }
 
     /// Attempts to adopt the `INDEX` file. Returns `Ok(false)` when it is
-    /// missing, corrupt, or stale relative to the segment files.
+    /// missing, corrupt, stale relative to the segment files, or holds an
+    /// entry that does not lie inside its segment.
     fn load_index(&mut self, seg_ids: &[u32]) -> io::Result<bool> {
         let bytes = match fs::read(self.config.dir.join("INDEX")) {
             Ok(b) => b,
@@ -318,6 +303,12 @@ impl DiskTier {
             if actual != len {
                 return Ok(false);
             }
+        }
+        // The checksum proves no tampering (anyone writing the file can
+        // recompute it), so every entry must lie inside its segment before
+        // `get` and `corrupt_record` do arithmetic on it or allocate from it.
+        if !index.values().all(|e| entry_in_bounds(e, &lens)) {
+            return Ok(false);
         }
         let mut segments: BTreeMap<u32, SegmentState> = lens
             .into_iter()
@@ -415,9 +406,9 @@ impl DiskTier {
         Ok(())
     }
 
-    /// Appends (or supersedes) `key`'s module, encoded per
-    /// [`DiskConfig::encoding`]. Enforces the capacity bound by
-    /// tombstoning the oldest entries.
+    /// Appends (or supersedes) `key`'s module as its exact
+    /// [`crate::codec`] bytes. Enforces the capacity bound by tombstoning
+    /// the oldest entries.
     ///
     /// # Errors
     ///
@@ -426,23 +417,17 @@ impl DiskTier {
     /// next recovery scan).
     pub fn put(&mut self, key: &ModuleKey, cache: &KvCache, cost: f64) -> io::Result<()> {
         let key_bytes = encode_key(key);
-        let payload = encode_payload(cache, self.config.encoding);
+        let payload = codec::encode(cache);
         let checksum = checksum_bytes(&[&key_bytes, &payload]);
         let mut record = Vec::new();
-        write_record(
-            &mut record,
-            &key_bytes,
-            &payload,
-            self.config.encoding.byte(),
-            cost,
-        );
+        write_record(&mut record, &key_bytes, &payload, PAYLOAD, cost);
         let (segment, record_offset) = self.append(&record)?;
         let entry = DiskEntry {
             segment,
             record_offset,
             record_len: record.len() as u32,
             payload_len: payload.len() as u32,
-            encoding: self.config.encoding.byte(),
+            encoding: PAYLOAD,
             checksum,
             cost,
             seq: self.next_seq,
@@ -518,14 +503,19 @@ impl DiskTier {
         Ok(())
     }
 
-    /// Reads, verifies, and decodes `key`'s module. A checksum mismatch,
-    /// undecodable payload, or read error drops the entry and reports
-    /// [`DiskGet::Corrupt`] — the degrade path re-encodes it.
+    /// Reads, verifies, and decodes `key`'s module. An encoding byte
+    /// other than [`PAYLOAD`] (checked before anything is read), a
+    /// checksum mismatch, an undecodable payload, or a read error drops
+    /// the entry and reports [`DiskGet::Corrupt`] — the degrade path
+    /// re-encodes it.
     pub fn get(&mut self, key: &ModuleKey) -> DiskGet {
         let Some(entry) = self.index.get(key).cloned() else {
             return DiskGet::Missing;
         };
         let payload = (|| -> io::Result<Vec<u8>> {
+            if entry.encoding != PAYLOAD {
+                return Err(io::ErrorKind::InvalidData.into());
+            }
             let mut f = File::open(segment_path(&self.config.dir, entry.segment))?;
             let payload_at =
                 entry.record_offset + u64::from(entry.record_len) - u64::from(entry.payload_len);
@@ -539,8 +529,7 @@ impl DiskTier {
             if checksum_bytes(&[&key_bytes, &payload]) != entry.checksum {
                 return None;
             }
-            let encoding = ColdEncoding::from_byte(entry.encoding)?;
-            decode_payload(&payload, encoding).ok()
+            codec::decode(&payload).ok()
         });
         match decoded {
             Some(cache) => DiskGet::Module(Box::new(cache), entry.cost),
@@ -603,8 +592,8 @@ impl DiskTier {
         self.index.keys().cloned().collect()
     }
 
-    /// Live entries with payload size, cost, and encoding — the
-    /// `/debug/cache` disk rows.
+    /// Live entries with payload size and cost — the `/debug/cache` disk
+    /// rows.
     pub fn entries(&self) -> Vec<DiskEntryInfo> {
         self.index
             .iter()
@@ -612,8 +601,6 @@ impl DiskTier {
                 key: key.clone(),
                 payload_bytes: e.payload_len as usize,
                 cost: e.cost,
-                encoding: ColdEncoding::from_byte(e.encoding)
-                    .map_or("unknown", ColdEncoding::label),
             })
             .collect()
     }
@@ -679,8 +666,8 @@ impl DiskTier {
         let mut f = OpenOptions::new().read(true).write(true).open(path)?;
         let payload_at =
             entry.record_offset + u64::from(entry.record_len) - u64::from(entry.payload_len);
-        // Flip a bit late in the payload: quantized payloads start with
-        // exact positions, and damage must land in element data too.
+        // Flip a bit late in the payload: damage lands in the k/v
+        // elements, past the PCKV header and positions.
         let at = payload_at + u64::from(entry.payload_len) - 1;
         f.seek(SeekFrom::Start(at))?;
         let mut b = [0u8; 1];
@@ -696,6 +683,20 @@ fn checked_u32(buf: &mut &[u8]) -> Option<u32> {
     (buf.remaining() >= 4).then(|| buf.get_u32_le())
 }
 
+/// Whether an `INDEX` entry lies inside its segment as `lens` records it:
+/// the record starts past the segment header and ends within the
+/// segment, and the payload fits behind the record header.
+fn entry_in_bounds(e: &DiskEntry, lens: &BTreeMap<u32, u64>) -> bool {
+    let Some(&seg_len) = lens.get(&e.segment) else {
+        return false;
+    };
+    e.record_offset >= SEGMENT_HEADER_LEN
+        && e.record_offset
+            .checked_add(u64::from(e.record_len))
+            .is_some_and(|end| end <= seg_len)
+        && u64::from(e.payload_len) + RECORD_HEADER_LEN as u64 <= u64::from(e.record_len)
+}
+
 impl Drop for DiskTier {
     /// Best-effort index flush — recovery copes if it doesn't land.
     fn drop(&mut self) {
@@ -706,6 +707,7 @@ impl Drop for DiskTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn module(tokens: usize, seed: f32) -> KvCache {
         let mut c = KvCache::with_shape(2, 4);
@@ -853,24 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_encodings_round_trip_with_exact_positions() {
-        for encoding in [ColdEncoding::Fp16, ColdEncoding::Int8] {
-            let dir = temp_dir(encoding.label());
-            let mut tier =
-                DiskTier::open(DiskConfig::new(&dir).encoding(encoding)).unwrap();
-            let m = module(6, 0.9);
-            tier.put(&key("q"), &m, 1.0).unwrap();
-            let back = get_module(&mut tier, &key("q"));
-            assert_eq!(back.positions(), m.positions());
-            assert_eq!(back.len(), m.len());
-            for (a, b) in m.keys(0).iter().zip(back.keys(0)) {
-                assert!((a - b).abs() < 0.05, "{a} vs {b}");
-            }
-            fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-
-    #[test]
     fn segments_roll_and_dead_ones_are_reclaimed() {
         let dir = temp_dir("roll");
         let record = {
@@ -880,8 +864,8 @@ mod tests {
             write_record(
                 &mut buf,
                 &encode_key(&key("x0")),
-                &encode_payload(&module(4, 0.0), ColdEncoding::F32),
-                0,
+                &codec::encode(&module(4, 0.0)),
+                PAYLOAD,
                 1.0,
             );
             buf.len()
@@ -922,8 +906,8 @@ mod tests {
             write_record(
                 &mut buf,
                 &encode_key(&key("a")),
-                &encode_payload(&module(4, 0.0), ColdEncoding::F32),
-                0,
+                &codec::encode(&module(4, 0.0)),
+                PAYLOAD,
                 1.0,
             );
             buf.len()
@@ -962,15 +946,13 @@ mod tests {
     }
 
     #[test]
-    fn entries_report_encoding_and_size() {
+    fn entries_report_size_and_cost() {
         let dir = temp_dir("entries");
-        let mut tier =
-            DiskTier::open(DiskConfig::new(&dir).encoding(ColdEncoding::Int8)).unwrap();
+        let mut tier = DiskTier::open(DiskConfig::new(&dir)).unwrap();
         tier.put(&key("a"), &module(4, 1.0), 3.0).unwrap();
         let rows = tier.entries();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].key, key("a"));
-        assert_eq!(rows[0].encoding, "int8");
         assert_eq!(rows[0].cost, 3.0);
         assert!(rows[0].payload_bytes > 0);
         fs::remove_dir_all(&dir).unwrap();
@@ -983,5 +965,154 @@ mod tests {
         assert!(tier.is_empty());
         assert_eq!(tier.live_bytes(), 0);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Byte offset of the first entry's `segment` field in an `INDEX`
+    /// holding one entry for `k`: magic, version, entry count, key length,
+    /// key bytes.
+    fn first_entry_at(k: &ModuleKey) -> usize {
+        4 + 4 + 4 + 4 + encode_key(k).len()
+    }
+
+    /// Rewrites the `INDEX` file's trailing checksum over its body, as
+    /// anyone crafting the file can.
+    fn write_index_with_checksum(dir: &Path, mut body: Vec<u8>) {
+        let checksum = checksum_bytes(&[&body]);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        fs::write(dir.join("INDEX"), body).unwrap();
+    }
+
+    #[test]
+    fn crafted_index_entry_past_its_segment_is_rescanned() {
+        let m = module(4, 0.7);
+        // (record_len, payload_len): a payload longer than the record
+        // reaches before the record's start; a record of u32::MAX bytes
+        // asks `get` for a 4 GiB payload buffer the file does not hold.
+        for (record_len, payload_len) in [(10u32, 1000u32), (u32::MAX, u32::MAX - 16)] {
+            let dir = temp_dir("crafted");
+            {
+                let mut tier = DiskTier::open(DiskConfig::new(&dir)).unwrap();
+                tier.put(&key("a"), &m, 1.0).unwrap();
+                tier.flush().unwrap();
+            }
+            let mut body = fs::read(dir.join("INDEX")).unwrap();
+            body.truncate(body.len() - 8);
+            let at = first_entry_at(&key("a"));
+            body[at + 12..at + 16].copy_from_slice(&record_len.to_le_bytes());
+            body[at + 16..at + 20].copy_from_slice(&payload_len.to_le_bytes());
+            write_index_with_checksum(&dir, body);
+            let mut tier = DiskTier::open(DiskConfig::new(&dir)).unwrap();
+            assert_eq!(get_module(&mut tier, &key("a")), m, "({record_len}, {payload_len})");
+            drop(tier);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn records_with_retired_encoding_bytes_read_as_corrupt() {
+        // The 20-byte header the retired fp16 codec read first: 2^15
+        // layers × 2^10 dims × 1 token, a 128 MiB body it never holds.
+        let mut oversized = Vec::new();
+        oversized.extend_from_slice(&(1u32 << 15).to_le_bytes());
+        oversized.extend_from_slice(&(1u32 << 10).to_le_bytes());
+        oversized.extend_from_slice(&1u32.to_le_bytes());
+        oversized.extend_from_slice(&0u64.to_le_bytes());
+        let exact = codec::encode(&module(3, 0.2));
+        let records: [(&str, &[u8], u8); 4] = [
+            ("fp16", &exact, 1),
+            ("int8", &exact, 2),
+            ("fp16-oversized", &oversized, 1),
+            ("int8-oversized", &oversized, 2),
+        ];
+        let dir = temp_dir("retired");
+        fs::create_dir_all(&dir).unwrap();
+        let mut segment = segment_header().to_vec();
+        for (name, payload, encoding) in records {
+            write_record(&mut segment, &encode_key(&key(name)), payload, encoding, 1.0);
+        }
+        fs::write(segment_path(&dir, 0), segment).unwrap();
+
+        let mut tier = DiskTier::open(DiskConfig::new(&dir)).unwrap();
+        assert_eq!(tier.len(), records.len(), "the scan adopts every record");
+        for (name, _, _) in records {
+            // Rejected on its encoding byte, before the payload is read.
+            assert!(matches!(tier.get(&key(name)), DiskGet::Corrupt), "{name}");
+            assert!(matches!(tier.get(&key(name)), DiskGet::Missing), "{name} dropped");
+        }
+        for (i, (name, _, _)) in records.iter().enumerate() {
+            let m = module(2, i as f32);
+            tier.put(&key(name), &m, 1.0).unwrap();
+            assert_eq!(get_module(&mut tier, &key(name)), m, "{name} re-put");
+        }
+        drop(tier);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Adopting an `INDEX` is total: an arbitrary body behind a valid
+        /// magic, version and checksum, and a real index with its one
+        /// entry's location overwritten by arbitrary or near-real values,
+        /// open over one real segment without a panic, and `get` on every
+        /// adopted key returns `Module`, `Missing` or `Corrupt` without
+        /// reading or allocating outside the segment.
+        #[test]
+        fn index_adoption_total_on_garbage(
+            garbage in proptest::collection::vec(any::<u8>(), 0..160),
+            (offset, near_offset) in (any::<u64>(), 0u64..512),
+            (record_len, near_record_len) in (any::<u32>(), 0u32..512),
+            (payload_len, near_payload_len) in (any::<u32>(), 0u32..512),
+            (segment, encoding, pick) in (0u32..3, any::<u8>(), any::<u8>()),
+        ) {
+            let dir = temp_dir("garbage-index");
+            {
+                let mut tier = DiskTier::open(DiskConfig::new(&dir)).unwrap();
+                tier.put(&key("a"), &module(3, 0.4), 1.0).unwrap();
+                tier.flush().unwrap();
+            }
+            let mut real = fs::read(dir.join("INDEX")).unwrap();
+            real.truncate(real.len() - 8);
+
+            let mut arbitrary = real[..8].to_vec();
+            arbitrary.extend_from_slice(&garbage);
+            // Each field keeps its real value, takes a near one, or takes
+            // an arbitrary one, as two bits of `pick` say.
+            let choose = |bits: u8, real: u64, near: u64, any: u64| match (pick >> bits) & 3 {
+                0 => real,
+                1 => near,
+                _ => any,
+            };
+            let at = first_entry_at(&key("a"));
+            let field = |at: usize, n: usize| {
+                let mut b = [0u8; 8];
+                b[..n].copy_from_slice(&real[at..at + n]);
+                u64::from_le_bytes(b)
+            };
+            let mut located = real.clone();
+            if pick & 0x40 != 0 {
+                located[at..at + 4].copy_from_slice(&segment.to_le_bytes());
+            }
+            let o = choose(0, field(at + 4, 8), near_offset, offset);
+            located[at + 4..at + 12].copy_from_slice(&o.to_le_bytes());
+            let r = choose(2, field(at + 12, 4), near_record_len.into(), record_len.into()) as u32;
+            located[at + 12..at + 16].copy_from_slice(&r.to_le_bytes());
+            let p = choose(4, field(at + 16, 4), near_payload_len.into(), payload_len.into()) as u32;
+            located[at + 16..at + 20].copy_from_slice(&p.to_le_bytes());
+            if pick & 0x80 != 0 {
+                located[at + 20] = encoding;
+            }
+
+            for body in [arbitrary, located] {
+                write_index_with_checksum(&dir, body);
+                let mut tier = DiskTier::open(DiskConfig::new(&dir)).unwrap();
+                for k in tier.keys() {
+                    match tier.get(&k) {
+                        DiskGet::Module(..) | DiskGet::Missing | DiskGet::Corrupt => {}
+                    }
+                }
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

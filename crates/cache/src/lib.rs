@@ -11,18 +11,13 @@
 //!   are *demoted* to disk when a disk tier exists and dropped otherwise.
 //!   Reads share the stored allocation; the paper's GPU memory tier is
 //!   modelled analytically in `pc-simulator`, not here.
-//! * [`quant`] — reduced-precision KV codecs (symmetric per-row int8 and
-//!   IEEE 754 binary16), the compression direction the paper points at
-//!   for shrinking module storage (§5.5); the cold tiers use them so
-//!   cached capacity grows 2–4× per byte while the hot path stays f32.
-//! * [`segment`] — the on-disk record framing and cold-payload codecs
-//!   (f32 / fp16 / int8), byte-for-byte specified in
+//! * [`segment`] — the on-disk record framing, byte-for-byte specified in
 //!   `docs/PERSISTENCE.md`.
 //! * [`disk`] — the persistent tier itself ([`DiskTier`]): append-only
 //!   segment files, a checksummed `INDEX`, scan-rebuild crash recovery,
 //!   and corrupt-entry degradation.
 //! * [`codec`] — a compact binary serialisation of encoded modules: the
-//!   exact (`F32`) payload of a disk record.
+//!   exact payload of every disk record.
 //! * [`memory`] — Table 2's per-token memory accounting.
 //! * [`analytics`] — opt-in per-module heat analytics
 //!   ([`CacheAnalytics`]): hits, misses, degrades, evictions,
@@ -46,7 +41,6 @@ pub mod codec;
 pub mod disk;
 mod eviction;
 pub mod memory;
-pub mod quant;
 pub mod segment;
 pub mod shard;
 mod store;
@@ -54,7 +48,6 @@ mod store;
 pub use analytics::{CacheAnalytics, ModuleHeat};
 pub use disk::{DiskConfig, DiskEntryInfo, DiskGet, DiskTier};
 pub use eviction::{EvictionPolicy, ModuleStats};
-pub use segment::ColdEncoding;
 pub use shard::ShardMap;
 pub use store::{
     FetchFault, FetchFaultInjector, ModuleKey, ModuleSnapshot, ModuleStore, StoreConfig,

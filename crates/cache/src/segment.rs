@@ -1,4 +1,4 @@
-//! On-disk record framing and cold-payload codecs for the disk tier.
+//! On-disk record framing for the disk tier.
 //!
 //! This module defines the byte-level format of the persistent store's
 //! segment files — the format specified normatively in
@@ -7,7 +7,7 @@
 //! followed by appended records:
 //!
 //! ```text
-//! segment  := magic "PCSG" | version u32 LE (=1) | record*
+//! segment  := magic "PCSG" | version u32 LE (=2) | record*
 //! record   := magic "PCRD" (u32 LE)
 //!           | key_len u32 LE | payload_len u32 LE
 //!           | encoding u8 | reserved [u8; 3]
@@ -26,25 +26,15 @@
 //! supersedes earlier ones, and a record with encoding byte `0xFF` and an
 //! empty payload is a **tombstone** (the key is deleted).
 //!
-//! Three payload encodings trade bytes for fidelity ([`ColdEncoding`]):
-//!
-//! * `F32` (0) — the exact [`crate::codec`] PCKV bytes; promote is
-//!   bit-identical.
-//! * `Fp16` (1) — every k/v element as IEEE 754 binary16
-//!   ([`crate::quant::f32_to_f16_bits`]), 2× smaller.
-//! * `Int8` (2) — symmetric per-row int8
-//!   ([`crate::quant::quantize_row`]) with one f32 scale per (layer,
-//!   token, k/v) row, ≈4× smaller.
-//!
-//! Positions are stored exactly (u64) under every encoding, which is what
-//! lets a warm restart pass the engine's registration-reuse validation
-//! even for quantized payloads.
+//! The payload of every live record is the exact [`crate::codec`] PCKV
+//! bytes, written under encoding byte [`PAYLOAD`] (0): f32 states and u64
+//! positions, so a promote is bit-identical. Any other byte but
+//! [`TOMBSTONE`] — including 1 and 2, the retired lossy fp16 and int8
+//! payloads — is read as a corrupt record (`docs/PERSISTENCE.md`
+//! "Payload encodings").
 
-use crate::codec::{self, check_declared_len, CodecError};
-use crate::quant::{dequantize_row, f16_bits_to_f32, f32_to_f16_bits, quantize_row};
 use crate::store::ModuleKey;
 use bytes::{Buf, BufMut, BytesMut};
-use pc_model::KvCache;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"PCSG";
@@ -57,53 +47,11 @@ pub const SEGMENT_VERSION: u32 = 2;
 pub const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"PCRD");
 /// Fixed record header size in bytes (magic through checksum).
 pub const RECORD_HEADER_LEN: usize = 4 + 4 + 4 + 4 + 8 + 8;
+/// Encoding byte of a live record: the payload is the exact
+/// [`crate::codec`] PCKV bytes.
+pub const PAYLOAD: u8 = 0;
 /// Encoding byte marking a tombstone record (key deleted, empty payload).
 pub const TOMBSTONE: u8 = 0xFF;
-
-/// How cold payloads are encoded on disk. See the [module docs](self)
-/// for the layout of each variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ColdEncoding {
-    /// Exact f32 PCKV bytes — byte-identical on promote.
-    #[default]
-    F32,
-    /// IEEE 754 binary16 elements — 2× smaller, near-exact.
-    Fp16,
-    /// Symmetric per-row int8 with f32 scales — ≈4× smaller.
-    Int8,
-}
-
-impl ColdEncoding {
-    /// The encoding byte written into record headers.
-    pub fn byte(self) -> u8 {
-        match self {
-            ColdEncoding::F32 => 0,
-            ColdEncoding::Fp16 => 1,
-            ColdEncoding::Int8 => 2,
-        }
-    }
-
-    /// Parses a record encoding byte ([`TOMBSTONE`] and unknown values
-    /// return `None`).
-    pub fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(ColdEncoding::F32),
-            1 => Some(ColdEncoding::Fp16),
-            2 => Some(ColdEncoding::Int8),
-            _ => None,
-        }
-    }
-
-    /// Human-readable label (`"f32"`, `"fp16"`, `"int8"`) used by
-    /// flight-recorder events and `/debug/cache`.
-    pub fn label(self) -> &'static str {
-        match self {
-            ColdEncoding::F32 => "f32",
-            ColdEncoding::Fp16 => "fp16",
-            ColdEncoding::Int8 => "int8",
-        }
-    }
-}
 
 /// FNV-1a over a sequence of byte slices — the record and index checksum.
 /// (Distinct from the store's in-memory f32 content checksum: this one
@@ -157,136 +105,6 @@ pub fn decode_key(mut buf: &[u8]) -> Option<ModuleKey> {
         path.push(take_str(&mut buf)?);
     }
     buf.is_empty().then_some(ModuleKey { schema, path })
-}
-
-/// Encodes a module's attention states under `encoding`. `F32` is the
-/// exact [`crate::codec`] bytes; `Fp16`/`Int8` share a dims + exact
-/// positions header followed by the reduced-precision elements.
-pub fn encode_payload(cache: &KvCache, encoding: ColdEncoding) -> Vec<u8> {
-    match encoding {
-        ColdEncoding::F32 => codec::encode(cache).to_vec(),
-        ColdEncoding::Fp16 => {
-            let mut buf = quant_header(cache);
-            for l in 0..cache.num_layers() {
-                for &x in cache.keys(l) {
-                    buf.put_u16_le(f32_to_f16_bits(x));
-                }
-                for &x in cache.values(l) {
-                    buf.put_u16_le(f32_to_f16_bits(x));
-                }
-            }
-            buf.to_vec()
-        }
-        ColdEncoding::Int8 => {
-            let kv_dim = cache.kv_dim().max(1);
-            let tokens = cache.len();
-            let mut buf = quant_header(cache);
-            let mut row = vec![0i8; kv_dim];
-            for l in 0..cache.num_layers() {
-                for rows in [cache.keys(l), cache.values(l)] {
-                    // Scales first (f32 × tokens), then the int8 rows.
-                    let mut scales = Vec::with_capacity(tokens);
-                    let mut payload = Vec::with_capacity(tokens * kv_dim);
-                    for src in rows.chunks_exact(kv_dim) {
-                        scales.push(quantize_row(src, &mut row));
-                        payload.extend(row.iter().map(|&q| q as u8));
-                    }
-                    for s in scales {
-                        buf.put_f32_le(s);
-                    }
-                    buf.put_slice(&payload);
-                }
-            }
-            buf.to_vec()
-        }
-    }
-}
-
-fn quant_header(cache: &KvCache) -> BytesMut {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(cache.num_layers() as u32);
-    buf.put_u32_le(cache.kv_dim() as u32);
-    buf.put_u32_le(cache.len() as u32);
-    for &p in cache.positions() {
-        buf.put_u64_le(p as u64);
-    }
-    buf
-}
-
-/// Decodes a payload written by [`encode_payload`] with the same
-/// `encoding` (recorded in the record header).
-///
-/// # Errors
-///
-/// [`CodecError::Truncated`] when the buffer is shorter than its declared
-/// shape (checked before anything is allocated); `F32` payloads
-/// additionally surface [`crate::codec::decode`]'s magic/version errors.
-pub fn decode_payload(bytes: &[u8], encoding: ColdEncoding) -> Result<KvCache, CodecError> {
-    let (elem_bytes, row_extra) = match encoding {
-        ColdEncoding::F32 => return codec::decode(bytes),
-        ColdEncoding::Fp16 => (2, 0),
-        ColdEncoding::Int8 => (1, 4), // one f32 scale per row
-    };
-    let mut buf = bytes;
-    if buf.remaining() < 12 {
-        return Err(CodecError::Truncated);
-    }
-    let num_layers = buf.get_u32_le() as usize;
-    let kv_dim = buf.get_u32_le() as usize;
-    let tokens = buf.get_u32_le() as usize;
-    check_declared_len(buf.remaining(), num_layers, kv_dim, tokens, elem_bytes, row_extra)?;
-    let positions: Vec<usize> = (0..tokens).map(|_| buf.get_u64_le() as usize).collect();
-    let row_elems = tokens * kv_dim;
-    let mut cache = KvCache::with_shape(num_layers, kv_dim);
-    let mut layer_k = vec![vec![0.0f32; row_elems]; num_layers];
-    let mut layer_v = vec![vec![0.0f32; row_elems]; num_layers];
-    match encoding {
-        ColdEncoding::F32 => unreachable!("handled above"),
-        ColdEncoding::Fp16 => {
-            for l in 0..num_layers {
-                for x in layer_k[l].iter_mut() {
-                    *x = f16_bits_to_f32(buf.get_u16_le());
-                }
-                for x in layer_v[l].iter_mut() {
-                    *x = f16_bits_to_f32(buf.get_u16_le());
-                }
-            }
-        }
-        ColdEncoding::Int8 => {
-            let mut data = vec![0i8; row_elems];
-            let mut scales = vec![0.0f32; tokens];
-            for l in 0..num_layers {
-                for half in [&mut layer_k[l], &mut layer_v[l]] {
-                    for s in scales.iter_mut() {
-                        *s = buf.get_f32_le();
-                    }
-                    for q in data.iter_mut() {
-                        *q = buf.get_u8() as i8;
-                    }
-                    for t in 0..tokens {
-                        dequantize_row(
-                            &data,
-                            &scales,
-                            t,
-                            kv_dim,
-                            &mut half[t * kv_dim..(t + 1) * kv_dim],
-                        );
-                    }
-                }
-            }
-        }
-    }
-    for (t, &pos) in positions.iter().enumerate() {
-        for l in 0..num_layers {
-            cache.push_token_layer(
-                l,
-                &layer_k[l][t * kv_dim..(t + 1) * kv_dim],
-                &layer_v[l][t * kv_dim..(t + 1) * kv_dim],
-            );
-        }
-        cache.push_position(pos);
-    }
-    Ok(cache)
 }
 
 /// Appends one framed record (header + key + payload) to `out`. A
@@ -382,7 +200,8 @@ pub fn parse_record(buf: &[u8], at: usize) -> ParseOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::codec;
+    use pc_model::KvCache;
 
     fn module(tokens: usize) -> KvCache {
         let mut c = KvCache::with_shape(2, 4);
@@ -416,140 +235,31 @@ mod tests {
         assert_eq!(decode_key(&padded), None);
     }
 
+    /// Writes `module` as a record and returns the record bytes and the
+    /// payload's range within them, as a parse reports it.
+    fn framed(module: &KvCache) -> (Vec<u8>, std::ops::Range<usize>) {
+        let key_bytes = encode_key(&ModuleKey::new("s", &["m".into()]));
+        let mut buf = Vec::new();
+        write_record(&mut buf, &key_bytes, &codec::encode(module), PAYLOAD, 1.0);
+        let ParseOutcome::Record(rec) = parse_record(&buf, 0) else {
+            panic!("expected a record");
+        };
+        (buf, rec.payload_offset..rec.payload_offset + rec.payload_len)
+    }
+
     #[test]
     fn f32_payload_round_trips_bit_exactly() {
         let m = module(6);
-        let bytes = encode_payload(&m, ColdEncoding::F32);
-        assert_eq!(decode_payload(&bytes, ColdEncoding::F32).unwrap(), m);
-    }
-
-    #[test]
-    fn fp16_payload_preserves_shape_positions_and_near_values() {
-        let m = module(6);
-        let bytes = encode_payload(&m, ColdEncoding::Fp16);
-        let back = decode_payload(&bytes, ColdEncoding::Fp16).unwrap();
-        assert_eq!(back.positions(), m.positions(), "positions are exact");
-        assert_eq!((back.num_layers(), back.kv_dim()), (2, 4));
-        for l in 0..2 {
-            for (a, b) in m.keys(l).iter().zip(back.keys(l)) {
-                assert!((a - b).abs() <= a.abs() * 0.001 + 1e-6);
-            }
-        }
-        // Half the f32 payload (same 12 + positions header, u16 elements).
-        let f32_bytes = encode_payload(&m, ColdEncoding::F32).len();
-        assert!(bytes.len() < f32_bytes * 3 / 4, "{} vs {f32_bytes}", bytes.len());
-    }
-
-    #[test]
-    fn int8_payload_preserves_shape_positions_within_row_scale() {
-        let m = module(8);
-        let bytes = encode_payload(&m, ColdEncoding::Int8);
-        let back = decode_payload(&bytes, ColdEncoding::Int8).unwrap();
-        assert_eq!(back.positions(), m.positions(), "positions are exact");
-        for l in 0..2 {
-            for (row, brow) in m
-                .keys(l)
-                .chunks_exact(4)
-                .zip(back.keys(l).chunks_exact(4))
-            {
-                let max_abs = row.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
-                for (a, b) in row.iter().zip(brow) {
-                    assert!((a - b).abs() <= max_abs / 127.0, "{a} vs {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_encodings_shrink_the_payload() {
-        // Realistic row width so per-row scale overhead amortises.
-        let mut m = KvCache::with_shape(2, 64);
-        for t in 0..32 {
-            for l in 0..2 {
-                let row: Vec<f32> = (0..64).map(|i| ((t + l + i) as f32).sin()).collect();
-                m.push_token_layer(l, &row, &row);
-            }
-            m.push_position(t);
-        }
-        let f32_len = encode_payload(&m, ColdEncoding::F32).len();
-        let fp16_len = encode_payload(&m, ColdEncoding::Fp16).len();
-        let int8_len = encode_payload(&m, ColdEncoding::Int8).len();
-        assert!(fp16_len * 3 < f32_len * 2, "fp16 ≈ 2×: {fp16_len} vs {f32_len}");
-        assert!(int8_len * 3 < f32_len, "int8 ≈ 4×: {int8_len} vs {f32_len}");
+        let (buf, payload) = framed(&m);
+        assert_eq!(codec::decode(&buf[payload]).unwrap(), m);
     }
 
     #[test]
     fn truncated_payloads_are_rejected_everywhere() {
-        let m = module(4);
-        for encoding in [ColdEncoding::F32, ColdEncoding::Fp16, ColdEncoding::Int8] {
-            let bytes = encode_payload(&m, encoding);
-            for cut in [0, 5, 11, bytes.len() / 2, bytes.len() - 1] {
-                assert!(
-                    decode_payload(&bytes[..cut], encoding).is_err(),
-                    "{encoding:?} cut {cut}"
-                );
-            }
-        }
-    }
-
-    /// 20 bytes declaring 2^15 layers × 2^10 dims × 1 token: a 128 MiB
-    /// body the decoder must refuse before allocating it.
-    #[test]
-    fn oversized_quantized_header_is_rejected_before_allocating() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(1u32 << 15).to_le_bytes());
-        bytes.extend_from_slice(&(1u32 << 10).to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        for encoding in [ColdEncoding::Fp16, ColdEncoding::Int8] {
-            assert_eq!(
-                decode_payload(&bytes, encoding),
-                Err(CodecError::Truncated),
-                "{encoding:?}"
-            );
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-        /// Decoding is total under every encoding: arbitrary bytes (bare,
-        /// and behind a valid `PCKV` magic and version), and valid payloads
-        /// with one shape word of the header overwritten by an arbitrary or
-        /// a small value, decode to `Ok` or `Err` — never a panic, never an
-        /// allocation the input's length does not pay for.
-        #[test]
-        fn decode_payload_never_panics(
-            garbage in proptest::collection::vec(any::<u8>(), 0..96),
-            tokens in 0usize..6,
-            word in 0usize..3,
-            (huge, small) in (any::<u32>(), 0u32..64),
-        ) {
-            let mut pckv = b"PCKV".to_vec();
-            pckv.extend_from_slice(&1u32.to_le_bytes());
-            pckv.extend_from_slice(&garbage);
-            for encoding in [ColdEncoding::F32, ColdEncoding::Fp16, ColdEncoding::Int8] {
-                let _ = decode_payload(&garbage, encoding);
-                let _ = decode_payload(&pckv, encoding);
-                // num_layers, kv_dim, tokens: after magic + version in a
-                // PCKV payload, first in a quantized one.
-                let shape_at = if encoding == ColdEncoding::F32 { 8 } else { 0 };
-                let at = shape_at + 4 * word;
-                for value in [huge, small] {
-                    let mut bytes = encode_payload(&module(tokens), encoding);
-                    bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
-                    let _ = decode_payload(&bytes, encoding);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_module_round_trips_under_all_encodings() {
-        let m = KvCache::with_shape(3, 8);
-        for encoding in [ColdEncoding::F32, ColdEncoding::Fp16, ColdEncoding::Int8] {
-            let back = decode_payload(&encode_payload(&m, encoding), encoding).unwrap();
-            assert_eq!(back, m, "{encoding:?}");
+        let (buf, payload) = framed(&module(4));
+        let bytes = &buf[payload];
+        for cut in [0, 5, 11, bytes.len() / 2, bytes.len() - 1] {
+            assert!(codec::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -557,14 +267,14 @@ mod tests {
     fn record_round_trips_through_parse() {
         let key = ModuleKey::new("s", &["<span>".into(), "1".into()]);
         let key_bytes = encode_key(&key);
-        let payload = encode_payload(&module(3), ColdEncoding::F32);
+        let payload = codec::encode(&module(3));
         let mut buf = Vec::new();
-        write_record(&mut buf, &key_bytes, &payload, ColdEncoding::F32.byte(), 2.5);
+        write_record(&mut buf, &key_bytes, &payload, PAYLOAD, 2.5);
         let ParseOutcome::Record(rec) = parse_record(&buf, 0) else {
             panic!("expected a record");
         };
         assert_eq!(rec.key, key);
-        assert_eq!(rec.encoding, 0);
+        assert_eq!(rec.encoding, PAYLOAD);
         assert_eq!(rec.cost, 2.5);
         assert_eq!(rec.next_offset, buf.len());
         assert_eq!(
@@ -582,9 +292,9 @@ mod tests {
     #[test]
     fn torn_records_are_detected_at_every_cut() {
         let key_bytes = encode_key(&ModuleKey::new("s", &["a".into()]));
-        let payload = encode_payload(&module(2), ColdEncoding::Int8);
+        let payload = codec::encode(&module(2));
         let mut buf = Vec::new();
-        write_record(&mut buf, &key_bytes, &payload, ColdEncoding::Int8.byte(), 1.0);
+        write_record(&mut buf, &key_bytes, &payload, PAYLOAD, 1.0);
         for cut in 1..buf.len() {
             assert_eq!(parse_record(&buf[..cut], 0), ParseOutcome::Torn, "cut {cut}");
         }
@@ -603,14 +313,5 @@ mod tests {
         };
         assert_eq!(rec.encoding, TOMBSTONE);
         assert_eq!(rec.payload_len, 0);
-    }
-
-    #[test]
-    fn encoding_byte_round_trips() {
-        for e in [ColdEncoding::F32, ColdEncoding::Fp16, ColdEncoding::Int8] {
-            assert_eq!(ColdEncoding::from_byte(e.byte()), Some(e));
-        }
-        assert_eq!(ColdEncoding::from_byte(TOMBSTONE), None);
-        assert_eq!(ColdEncoding::from_byte(7), None);
     }
 }

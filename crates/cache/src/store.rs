@@ -6,12 +6,11 @@
 //!
 //! Below it sits an optional persistent [`disk`](crate::disk) tier.
 //! With [`StoreConfig::host_capacity_bytes`] bounded, host eviction
-//! *demotes* modules to disk (optionally quantized — see
-//! [`ColdEncoding`](crate::segment::ColdEncoding)) instead of dropping
-//! them; a lookup that misses
-//! memory falls through to disk and promotes the module back to host
-//! f32, and a corrupt disk record degrades to a miss (the engine
-//! re-encodes) rather than ever serving wrong bytes.
+//! *demotes* modules to disk — their exact bytes — instead of dropping
+//! them; a lookup that misses memory falls through to disk and promotes
+//! the module back bit-identically, and a corrupt disk record degrades
+//! to a miss (the engine re-encodes) rather than ever serving wrong
+//! bytes.
 //! [`ModuleStore::persist_all`] / [`ModuleStore::restore_all`] turn the
 //! disk tier into a warm-restart snapshot.
 
@@ -195,8 +194,7 @@ pub struct StoreStats {
     pub corruptions_detected: u64,
     /// Host → disk demotions (each moved one module out of memory).
     pub demotions: u64,
-    /// Disk → host promotions (each moved one module back into memory,
-    /// dequantizing if the cold record was fp16/int8).
+    /// Disk → host promotions (each moved one module back into memory).
     pub promotions: u64,
     /// Lookups that missed memory but were served from the disk tier.
     /// Each also counts as a hit and a promotion.
@@ -310,8 +308,7 @@ pub struct ModuleSnapshot {
     pub module: String,
     /// The full key.
     pub key: ModuleKey,
-    /// Encoded size in bytes (for disk rows: the cold payload size,
-    /// after any quantization).
+    /// Encoded size in bytes (for disk rows: the record's payload size).
     pub size_bytes: usize,
     /// The tier holding the entry: `"host"` or `"disk"`.
     pub tier: &'static str,
@@ -523,14 +520,7 @@ impl ModuleStore {
                 flight.record(
                     FlightEvent::new(STORE_SCOPE, "demote")
                         .field("module", module_label(key))
-                        .field("bytes", size)
-                        .field(
-                            "encoding",
-                            self.config
-                                .disk
-                                .as_ref()
-                                .map_or("f32", |d| d.encoding.label()),
-                        ),
+                        .field("bytes", size),
                 );
             }
         } else {
@@ -592,8 +582,8 @@ impl ModuleStore {
                 DiskGet::Module(cache, cost) => {
                     // Promote disk → host: the disk copy is consumed (a
                     // module lives in exactly one tier) and the decoded
-                    // states — f32 again after any quantized round trip —
-                    // become a fresh host entry with a fresh checksum.
+                    // states become a fresh host entry with a fresh
+                    // checksum.
                     let disk = inner.disk.as_mut().expect("matched above");
                     let _ = disk.remove(key);
                     let cache = *cache;
@@ -805,9 +795,8 @@ impl ModuleStore {
         self.inner.lock().host_used
     }
 
-    /// Live bytes held by the disk tier (0 without one). Counts encoded
-    /// payloads after any quantization, so with int8 cold storage this is
-    /// roughly a quarter of the f32 bytes the same modules occupy in
+    /// Live bytes held by the disk tier (0 without one): whole records,
+    /// so a little more than the f32 bytes the same modules occupy in
     /// memory.
     pub fn disk_bytes(&self) -> usize {
         self.inner.lock().disk.as_ref().map_or(0, DiskTier::live_bytes)
@@ -1010,7 +999,6 @@ impl ModuleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::ColdEncoding;
 
     fn module(tokens: usize) -> KvCache {
         // 2 layers, kv_dim 4 → size = 2*2*tokens*4*4 bytes = 64·tokens.
@@ -1408,7 +1396,7 @@ mod tests {
     #[test]
     fn snapshot_reports_disk_tier_rows() {
         let one = module(4).size_bytes();
-        let disk = temp_disk("snaprows").encoding(ColdEncoding::Int8);
+        let disk = temp_disk("snaprows");
         let dir = disk.dir.clone();
         let store = ModuleStore::new(
             StoreConfig::default().host_capacity_bytes(one).disk(disk),
@@ -1420,9 +1408,10 @@ mod tests {
         let row = |m: &str| snap.iter().find(|r| r.module == m).unwrap();
         assert_eq!(row("s:a").tier, "disk");
         assert_eq!(row("s:b").tier, "host");
-        assert!(
-            row("s:a").size_bytes < one,
-            "disk row reports the quantized payload size"
+        assert_eq!(
+            row("s:a").size_bytes,
+            crate::codec::encode(&module(4)).len(),
+            "disk row reports the record's payload size"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1453,27 +1442,6 @@ mod tests {
         let kinds: Vec<&str> = flight.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["demote", "restore", "demote", "disk_corrupt"]);
         assert!(flight.jsonl().contains("\"request\":\"store\""));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn quantized_disk_tier_stays_within_fidelity_bound() {
-        let one = module(8).size_bytes();
-        let disk = temp_disk("fidelity").encoding(ColdEncoding::Int8);
-        let dir = disk.dir.clone();
-        let store = ModuleStore::new(
-            StoreConfig::default().host_capacity_bytes(one).disk(disk),
-        );
-        let original = module(8);
-        store.insert(key("a"), original.clone(), 1.0);
-        store.insert(key("b"), module(8), 1.0); // demotes a (int8)
-        let back = store.get(&key("a"), Tier::Host).unwrap();
-        assert_eq!(back.positions(), original.positions(), "positions exact");
-        for layer in 0..original.num_layers() {
-            for (x, y) in original.keys(layer).iter().zip(back.keys(layer)) {
-                assert!((x - y).abs() <= 8.0 / 127.0, "{x} vs {y}");
-            }
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

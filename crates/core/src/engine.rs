@@ -1627,7 +1627,8 @@ impl PromptCache {
     /// and the tier's index is flushed, so the next process over the
     /// same directory starts warm. Returns how many modules were
     /// written. The format is the disk tier's own: crash-recoverable,
-    /// checksummed, and optionally quantized ([`pc_cache::ColdEncoding`]).
+    /// checksummed, and the exact bytes of each module, so a restarted
+    /// engine serves byte-identically.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! Tests for the serving-system features layered on the core mechanism:
 //! streaming decode, module persistence, schema listing, concurrent
 //! registration, and schema replacement. The warm-restart edge cases
-//! (laziness, int8 drift, old formats) are in `persistence_tests.rs`.
+//! (laziness, old formats) are in `persistence_tests.rs`.
 
 use pc_cache::{DiskConfig, StoreConfig};
 use pc_model::{Model, ModelConfig};

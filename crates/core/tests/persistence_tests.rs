@@ -2,10 +2,9 @@
 //! the module library to the store's disk tier, a fresh engine over the
 //! same directory `restore()`s it, and registration preloads the
 //! restored states instead of re-encoding — serving byte-identically to
-//! the pre-restart engine (f32 tier) or within the quantization bound
-//! (int8 tier).
+//! the pre-restart engine.
 
-use pc_cache::{ColdEncoding, DiskConfig, StoreConfig, Tier};
+use pc_cache::{DiskConfig, StoreConfig};
 use pc_model::{Model, ModelConfig};
 use pc_tokenizer::{Tokenizer, WordTokenizer};
 use prompt_cache::{EngineConfig, PromptCache, Response, ServeOptions, ServeRequest, Served};
@@ -25,10 +24,8 @@ fn bare_engine(config: EngineConfig) -> PromptCache {
     PromptCache::new(Model::new(ModelConfig::llama_tiny(vocab), 5), tokenizer, config)
 }
 
-fn disk_config(dir: &Path, encoding: ColdEncoding) -> EngineConfig {
-    EngineConfig::default().store(
-        StoreConfig::default().disk(DiskConfig::new(dir.to_path_buf()).encoding(encoding)),
-    )
+fn disk_config(dir: &Path) -> EngineConfig {
+    EngineConfig::default().store(StoreConfig::default().disk(DiskConfig::new(dir.to_path_buf())))
 }
 
 fn opts() -> ServeOptions {
@@ -62,7 +59,7 @@ fn snapshot_then_restore_serves_byte_identically() {
     let spans;
     let cached_bytes;
     {
-        let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+        let engine = bare_engine(disk_config(&dir));
         spans = engine.register_schema(SCHEMA).unwrap().spans;
         healthy = serve(&engine);
         assert_eq!(healthy.stats.degraded_spans, 0);
@@ -74,7 +71,7 @@ fn snapshot_then_restore_serves_byte_identically() {
     // Post-restart engine: restore first, then register — registration
     // validates the restored states against the schema layout and
     // preloads them instead of re-encoding.
-    let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+    let engine = bare_engine(disk_config(&dir));
     let restored = engine.restore().unwrap();
     assert_eq!(restored, persisted, "the whole library survives restart");
     assert!(engine.store_stats().promotions as usize >= restored);
@@ -101,7 +98,7 @@ fn stale_persisted_states_are_re_encoded_not_reused() {
     // detect the mismatch and re-encode rather than serve stale states.
     let dir = temp_dir("stale");
     {
-        let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+        let engine = bare_engine(disk_config(&dir));
         engine.register_schema(SCHEMA).unwrap();
         engine.snapshot().unwrap();
     }
@@ -111,7 +108,7 @@ fn stale_persisted_states_are_re_encoded_not_reused() {
         <module name="extra">one two three four</module>
       </schema>"#;
     let prompt = r#"<prompt schema="s"><ctx/>question</prompt>"#;
-    let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+    let engine = bare_engine(disk_config(&dir));
     engine.restore().unwrap();
     engine.register_schema(edited).unwrap();
     let request = || ServeRequest::new(prompt).options(opts());
@@ -134,13 +131,13 @@ fn registration_preloads_lazily_without_an_explicit_restore() {
     let dir = temp_dir("lazy");
     let healthy;
     {
-        let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+        let engine = bare_engine(disk_config(&dir));
         engine.register_schema(SCHEMA).unwrap();
         healthy = serve(&engine);
         engine.snapshot().unwrap();
     }
 
-    let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+    let engine = bare_engine(disk_config(&dir));
     engine.register_schema(SCHEMA).unwrap();
     let stats = engine.store_stats();
     assert!(stats.disk_hits >= 2, "registration preloaded from disk: {stats:?}");
@@ -165,60 +162,6 @@ fn snapshot_and_restore_require_a_disk_tier() {
 }
 
 #[test]
-fn int8_restart_stays_within_the_quantization_bound() {
-    // A quantized snapshot is lossy by design; the restart contract is
-    // a bounded drift: positions exact, every state element within the
-    // per-row int8 step (≤ max|row| / 127).
-    let dir = temp_dir("int8");
-    let originals;
-    {
-        let engine = bare_engine(disk_config(&dir, ColdEncoding::Int8));
-        engine.register_schema(SCHEMA).unwrap();
-        serve(&engine);
-        // Capture the exact f32 states still resident in host memory.
-        originals = engine
-            .store()
-            .snapshot()
-            .into_iter()
-            .map(|row| {
-                let states = engine.store().get(&row.key, Tier::Host).unwrap();
-                (row.key, states)
-            })
-            .collect::<Vec<_>>();
-        assert!(engine.snapshot().unwrap() >= originals.len());
-    }
-
-    let engine = bare_engine(disk_config(&dir, ColdEncoding::Int8));
-    assert_eq!(engine.restore().unwrap(), originals.len());
-    for (key, original) in &originals {
-        let back = engine.store().get(key, Tier::Host).unwrap();
-        assert_eq!(back.positions(), original.positions(), "positions exact");
-        assert_eq!(back.len(), original.len());
-        for layer in 0..original.num_layers() {
-            let bound = original
-                .keys(layer)
-                .iter()
-                .chain(original.values(layer).iter())
-                .fold(0.0f32, |m, x| m.max(x.abs()))
-                / 127.0
-                + 1e-6;
-            for (x, y) in original.keys(layer).iter().zip(back.keys(layer)) {
-                assert!((x - y).abs() <= bound, "key drift {x} vs {y} (bound {bound})");
-            }
-            for (x, y) in original.values(layer).iter().zip(back.values(layer)) {
-                assert!((x - y).abs() <= bound, "value drift {x} vs {y} (bound {bound})");
-            }
-        }
-    }
-
-    // The drifted states still serve end-to-end.
-    engine.register_schema(SCHEMA).unwrap();
-    let warm = serve(&engine);
-    assert_eq!(warm.stats.degraded_spans, 0, "quantized states validate and serve");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn a_version_1_store_opens_cold_and_is_repopulated() {
     // The format version also marks the engine's numerics (version 2: the
     // in-repo `exp`). A directory written before that must not be mixed
@@ -230,7 +173,7 @@ fn a_version_1_store_opens_cold_and_is_repopulated() {
     let healthy;
     let persisted;
     {
-        let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+        let engine = bare_engine(disk_config(&dir));
         engine.register_schema(SCHEMA).unwrap();
         healthy = serve(&engine);
         persisted = engine.snapshot().unwrap();
@@ -250,7 +193,7 @@ fn a_version_1_store_opens_cold_and_is_repopulated() {
         std::fs::write(&path, &bytes).unwrap();
     }
 
-    let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+    let engine = bare_engine(disk_config(&dir));
     assert_eq!(
         engine.restore().unwrap(),
         0,
@@ -264,7 +207,7 @@ fn a_version_1_store_opens_cold_and_is_repopulated() {
     assert_eq!(engine.snapshot().unwrap(), persisted);
     drop(engine);
 
-    let engine = bare_engine(disk_config(&dir, ColdEncoding::F32));
+    let engine = bare_engine(disk_config(&dir));
     assert_eq!(
         engine.restore().unwrap(),
         persisted,

@@ -4,7 +4,7 @@
 //! prove the store recovers to a consistent state while every serve
 //! stays byte-identical through the degrade-and-recompute path.
 
-use pc_cache::{ColdEncoding, DiskConfig, StoreConfig};
+use pc_cache::{DiskConfig, StoreConfig};
 use pc_faults::{FaultConfig, FaultPlan};
 use pc_model::{Model, ModelConfig};
 use pc_tokenizer::{Tokenizer, WordTokenizer};
@@ -62,13 +62,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// The disk-backed engine used by the bit-rot tests: a host capacity of
 /// one byte demotes every module except the most recently touched one,
 /// so each serve round-trips module states through the disk tier.
-fn tiny_host_engine(dir: &Path, encoding: ColdEncoding) -> PromptCache {
+fn tiny_host_engine(dir: &Path) -> PromptCache {
     engine_with(
         EngineConfig::default().store(
             StoreConfig::default()
                 .verify_checksums(true)
                 .host_capacity_bytes(1)
-                .disk(DiskConfig::new(dir.to_path_buf()).encoding(encoding)),
+                .disk(DiskConfig::new(dir.to_path_buf())),
         ),
     )
 }
@@ -87,7 +87,7 @@ fn disk_keys(engine: &PromptCache) -> Vec<pc_cache::ModuleKey> {
 #[test]
 fn plan_driven_disk_corruption_degrades_byte_identically_and_self_heals() {
     let dir = temp_dir("bitrot");
-    let engine = tiny_host_engine(&dir, ColdEncoding::F32);
+    let engine = tiny_host_engine(&dir);
     let healthy = serve(&engine);
     assert_eq!(healthy.stats.degraded_spans, 0);
     assert!(
@@ -234,20 +234,18 @@ fn corrupted_warm_restart_restores_survivors_and_recomputes_the_rest() {
 }
 
 #[test]
-fn quantized_disk_tier_survives_the_same_chaos() {
-    // Int8 cold records carry the same checksum armor: corrupt them and
-    // the serve degrades to full-precision recompute. A quantized
-    // promote is intentionally lossy, so byte-equality is asserted
-    // against the full-prefill baseline — exactly what the degrade
-    // path reproduces.
-    let dir = temp_dir("int8-rot");
-    let engine = tiny_host_engine(&dir, ColdEncoding::Int8);
+fn corrupted_disk_tier_degrades_to_the_full_prefill_bytes() {
+    // Every cold record carries the checksum armor: corrupt them all and
+    // the serve degrades to recompute, whose bytes are the full-prefill
+    // baseline's.
+    let dir = temp_dir("rot-baseline");
+    let engine = tiny_host_engine(&dir);
     let baseline = engine
         .serve(&ServeRequest::new(PROMPT).options(opts()).baseline(true))
         .map(Served::into_response)
         .unwrap();
     let healthy = serve(&engine);
-    assert_eq!(healthy.stats.degraded_spans, 0, "quantized promotes still hit");
+    assert_eq!(healthy.stats.degraded_spans, 0, "promotes from disk still hit");
     let keys = disk_keys(&engine);
     assert!(!keys.is_empty());
     for key in &keys {

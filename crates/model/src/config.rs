@@ -200,20 +200,6 @@ impl ModelConfig {
             ..Self::base(Family::Llama, vocab_size)
         }
     }
-
-    /// Medium Llama-style config (256-dim, 6 layers) so latency sweeps show
-    /// the quadratic/linear separation clearly.
-    pub fn llama_medium(vocab_size: usize) -> Self {
-        ModelConfig {
-            hidden_size: 256,
-            num_layers: 6,
-            num_heads: 8,
-            num_kv_heads: 8,
-            intermediate_size: 512,
-            max_position: 16_384,
-            ..Self::base(Family::Llama, vocab_size)
-        }
-    }
 }
 
 /// Positional-encoding scheme (derived from [`Family`]).
@@ -239,7 +225,6 @@ mod tests {
             ModelConfig::mpt_tiny(100),
             ModelConfig::gpt2_tiny(100),
             ModelConfig::llama_small(100),
-            ModelConfig::llama_medium(100),
         ] {
             assert!(cfg.validated().is_ok());
         }

@@ -59,7 +59,7 @@ pub use view::{
     group_adjacent_prefixes, shared_prefix, KvSegment, KvSeq, KvView, PrefixGroup, SegmentId,
 };
 pub use pos::{is_shift_invariant, AlibiTable, PositionEncoding, RopeTable};
-pub use sampler::{GreedySampler, NucleusSampler, Sampler, TemperatureSampler, TopKSampler};
+pub use sampler::{GreedySampler, Sampler, TemperatureSampler};
 pub use weights::{LayerWeights, ModelWeights};
 
 /// Crate-wide result alias.

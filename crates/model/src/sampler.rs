@@ -60,90 +60,6 @@ impl Sampler for TemperatureSampler {
     }
 }
 
-/// Top-k sampling: temperature softmax restricted to the `k` highest
-/// logits.
-#[derive(Debug)]
-pub struct TopKSampler {
-    k: usize,
-    temperature: f32,
-    rng: StdRng,
-}
-
-impl TopKSampler {
-    /// Creates a sampler keeping the `k` best tokens (`k ≥ 1`).
-    pub fn new(k: usize, temperature: f32, seed: u64) -> Self {
-        TopKSampler {
-            k: k.max(1),
-            temperature: temperature.max(1e-3),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl Sampler for TopKSampler {
-    fn sample(&mut self, logits: &[f32]) -> TokenId {
-        let top = pc_tensor::ops::top_k(logits, self.k);
-        let mut probs: Vec<f32> = top.iter().map(|&(_, l)| l / self.temperature).collect();
-        pc_tensor::ops::softmax_slice(&mut probs);
-        let draw: f32 = self.rng.gen_range(0.0..1.0);
-        let mut acc = 0.0;
-        for (&(id, _), &p) in top.iter().zip(&probs) {
-            acc += p;
-            if draw < acc {
-                return id as TokenId;
-            }
-        }
-        top.last().map(|&(id, _)| id as TokenId).unwrap_or(0)
-    }
-}
-
-/// Nucleus (top-p) sampling: the smallest probability mass ≥ `p` is kept.
-#[derive(Debug)]
-pub struct NucleusSampler {
-    p: f32,
-    temperature: f32,
-    rng: StdRng,
-}
-
-impl NucleusSampler {
-    /// Creates a sampler keeping the top-`p` nucleus (`p` clamped to
-    /// `(0, 1]`).
-    pub fn new(p: f32, temperature: f32, seed: u64) -> Self {
-        NucleusSampler {
-            p: p.clamp(1e-3, 1.0),
-            temperature: temperature.max(1e-3),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl Sampler for NucleusSampler {
-    fn sample(&mut self, logits: &[f32]) -> TokenId {
-        let mut probs: Vec<f32> = logits.iter().map(|&l| l / self.temperature).collect();
-        pc_tensor::ops::softmax_slice(&mut probs);
-        let mut ranked: Vec<(usize, f32)> = probs.into_iter().enumerate().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let mut nucleus = Vec::new();
-        let mut mass = 0.0;
-        for (id, p) in ranked {
-            nucleus.push((id, p));
-            mass += p;
-            if mass >= self.p {
-                break;
-            }
-        }
-        let draw: f32 = self.rng.gen_range(0.0..mass.max(f32::MIN_POSITIVE));
-        let mut acc = 0.0;
-        for &(id, p) in &nucleus {
-            acc += p;
-            if draw < acc {
-                return id as TokenId;
-            }
-        }
-        nucleus.last().map(|&(id, _)| id as TokenId).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,65 +115,5 @@ mod tests {
         for _ in 0..50 {
             assert!((s.sample(&logits) as usize) < 3);
         }
-    }
-
-    #[test]
-    fn top_k_restricts_support() {
-        // k = 2 over clearly separated logits: only the top two ids ever
-        // appear.
-        let logits = [0.0, 10.0, 9.0, -5.0];
-        let mut s = TopKSampler::new(2, 1.0, 11);
-        for _ in 0..100 {
-            let t = s.sample(&logits);
-            assert!(t == 1 || t == 2, "{t}");
-        }
-    }
-
-    #[test]
-    fn top_k_one_is_greedy() {
-        let logits = [0.3, 2.0, 1.0];
-        let mut s = TopKSampler::new(1, 1.0, 3);
-        for _ in 0..20 {
-            assert_eq!(s.sample(&logits), 1);
-        }
-    }
-
-    #[test]
-    fn top_k_is_seeded() {
-        let logits = [1.0, 1.1, 0.9, 1.05];
-        let run = |seed| -> Vec<TokenId> {
-            let mut s = TopKSampler::new(3, 1.0, seed);
-            (0..20).map(|_| s.sample(&logits)).collect()
-        };
-        assert_eq!(run(9), run(9));
-    }
-
-    #[test]
-    fn nucleus_tight_p_is_greedy() {
-        // One token holds most of the mass; tiny p keeps only it.
-        let logits = [0.0, 8.0, 0.5];
-        let mut s = NucleusSampler::new(0.5, 1.0, 2);
-        for _ in 0..50 {
-            assert_eq!(s.sample(&logits), 1);
-        }
-    }
-
-    #[test]
-    fn nucleus_full_p_spreads() {
-        let logits = [1.0, 1.0];
-        let mut s = NucleusSampler::new(1.0, 10.0, 8);
-        let picks: Vec<TokenId> = (0..200).map(|_| s.sample(&logits)).collect();
-        assert!(picks.contains(&0) && picks.contains(&1));
-    }
-
-    #[test]
-    fn nucleus_is_seeded_and_in_vocab() {
-        let logits = [0.2, 0.9, 0.4, 0.1];
-        let run = |seed| -> Vec<TokenId> {
-            let mut s = NucleusSampler::new(0.9, 1.0, seed);
-            (0..20).map(|_| s.sample(&logits)).collect()
-        };
-        assert_eq!(run(5), run(5));
-        assert!(run(5).iter().all(|&t| (t as usize) < 4));
     }
 }

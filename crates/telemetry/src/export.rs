@@ -51,7 +51,7 @@ pub fn help_for(name: &str) -> &'static str {
         "pc_promotions_total" => "Modules promoted disk-to-host (lookup fallthrough or restore).",
         "pc_cache_disk_hits_total" => "Lookups that missed memory and were served from the disk tier.",
         "pc_cache_disk_corruptions_total" => "Disk records dropped on checksum/decode failure (caller re-encodes).",
-        "pc_cache_disk_bytes" => "Live bytes held by the disk tier (encoded, after any quantization).",
+        "pc_cache_disk_bytes" => "Live bytes held by the disk tier (encoded records).",
         "pc_store_tier_bytes" => "Bytes held per store tier; labeled tier=\"host\"|\"disk\".",
         // Per-module analytics (labeled by module id).
         "pc_module_hits_total" => "Store hits attributed to one module.",

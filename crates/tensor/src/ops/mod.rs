@@ -22,6 +22,6 @@ pub use matmul::{
     gemm_arm, has_avx2, matmul, matmul_slices, matmul_transb, matmul_transb_slices,
     matmul_transb_slices_par,
 };
-pub use norm::{layer_norm, layer_norm_slice, rms_norm, rms_norm_slice};
+pub use norm::{layer_norm_slice, rms_norm, rms_norm_slice};
 pub use reduce::{argmax, argmax_slice, dot, mean, top_k};
 pub use softmax::{log_softmax_slice, softmax, softmax_rows, softmax_slice};

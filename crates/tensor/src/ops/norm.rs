@@ -67,38 +67,6 @@ pub fn rms_norm(x: &Tensor, weight: &Tensor, eps: f32) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Row-wise LayerNorm of a `[tokens, hidden]` matrix.
-///
-/// # Errors
-///
-/// Returns an error when `x` is not rank 2 or `weight`/`bias` lengths differ
-/// from the hidden dimension.
-pub fn layer_norm(x: &Tensor, weight: &Tensor, bias: &Tensor, eps: f32) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() != 2 {
-        return Err(TensorError::RankMismatch {
-            op: "layer_norm",
-            expected: 2,
-            actual: dims.len(),
-        });
-    }
-    if weight.len() != dims[1] || bias.len() != dims[1] {
-        return Err(TensorError::ShapeMismatch {
-            op: "layer_norm",
-            lhs: dims.to_vec(),
-            rhs: weight.dims().to_vec(),
-        });
-    }
-    let mut out = x.clone();
-    if dims[1] == 0 {
-        return Ok(out);
-    }
-    for row in out.data_mut().chunks_exact_mut(dims[1]) {
-        layer_norm_slice(row, weight.data(), bias.data(), eps);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,12 +116,9 @@ mod tests {
     fn tensor_wrappers_validate() {
         let x = Tensor::zeros(&[2, 4]);
         let w = Tensor::full(&[4], 1.0);
-        let b = Tensor::zeros(&[4]);
         assert!(rms_norm(&x, &w, 1e-5).is_ok());
-        assert!(layer_norm(&x, &w, &b, 1e-5).is_ok());
         let bad_w = Tensor::full(&[3], 1.0);
         assert!(rms_norm(&x, &bad_w, 1e-5).is_err());
-        assert!(layer_norm(&x, &bad_w, &b, 1e-5).is_err());
         let v = Tensor::zeros(&[4]);
         assert!(rms_norm(&v, &w, 1e-5).is_err());
     }

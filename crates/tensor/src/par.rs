@@ -22,8 +22,8 @@
 //! [`Parallelism`] carries the thread count and a serial/parallel work
 //! threshold. [`Parallelism::from_env`] (also [`Parallelism::default`])
 //! reads the `PC_THREADS` environment variable, falling back to the number
-//! of available cores, so `PC_THREADS=1 cargo bench` pins the whole stack
-//! to one core without code changes.
+//! of available cores, so `PC_THREADS=1` in the environment of any binary
+//! or test run pins the whole stack to one core without code changes.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::sync::WaitGroup;
